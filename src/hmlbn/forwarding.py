@@ -48,9 +48,6 @@ class DataPacket:
             self.post_ingress_lookups += 1
         return self.dst_prefix
 
-    def key(self) -> tuple[str, int]:
-        return (self.flow_id, self.seq)
-
     def render_stack(self) -> str:
         return "/".join(label.render() for label in self.stack) or "-"
 

@@ -25,7 +25,3 @@ class LabelAllocator:
         value = self._next
         self._next += 1
         return value
-
-    @property
-    def next_value(self) -> int:
-        return self._next

@@ -18,38 +18,60 @@ CN = "10.3.3.1/32"
 MOBILITY_RANGE = ["10.0.0.0/8"]
 
 
+def _router_id(role_octet: int, number: int) -> str:
+    """Dotted-quad id ``20.1.<role>.<number>`` for numbers below 256; larger
+    numbers carry into the second octet and then the first, so the ids of
+    one role never collide."""
+    high, low = divmod(number, 256)
+    first, second = divmod(high, 255)
+    if first > 235:
+        raise ValueError(f"router number {number} is out of range")
+    return f"{20 + first}.{1 + second}.{role_octet}.{low}"
+
+
+def _decade(n: int) -> int:
+    """The smallest power of ten above ``n``."""
+    return 10 ** len(str(n))
+
+
 def base_topology(n_areas: int = 3, lers_per_area: int = 3,
                   ha_area: int | None = None) -> dict:
-    nodes = [{"id": "20.1.4.100", "name": "P0", "role": "LSR"}]
+    """Router ids and names are distinct at any size.  With at most nine
+    LERs per area, LER ``i`` of area ``a`` is named ``LER<a><i>`` and serves
+    region ``MR<a><i>``; with more, an underscore separates the numbers."""
+    sep = "" if lers_per_area < 10 else "_"
+    ler_stride = _decade(lers_per_area)
+    spare = max(100, _decade(n_areas))  # a number above every area's
+    nodes = [{"id": _router_id(4, spare), "name": "P0", "role": "LSR"}]
     edges = []
     regions = {}
     for area in range(1, n_areas + 1):
         aler = f"ALER{area}"
-        nodes.append({"id": f"20.1.2.{area}", "name": aler, "role": "ALER",
+        nodes.append({"id": _router_id(2, area), "name": aler, "role": "ALER",
                       "area": area})
         edges.append({"a": aler, "b": "P0"})
-        nodes.append({"id": f"20.1.3.{area}", "name": f"AMRR{area}",
+        nodes.append({"id": _router_id(3, area), "name": f"AMRR{area}",
                       "role": "AMRR", "area": area})
         edges.append({"a": f"AMRR{area}", "b": aler})
         behind_lsr = area >= 3
         if behind_lsr:
-            nodes.append({"id": f"20.1.4.{area}", "name": f"P{area}",
+            nodes.append({"id": _router_id(4, area), "name": f"P{area}",
                           "role": "LSR"})
             edges.append({"a": f"P{area}", "b": aler})
         for i in range(1, lers_per_area + 1):
-            ler = f"LER{area}{i}"
-            nodes.append({"id": f"20.1.1.{area * 10 + i}", "name": ler,
-                          "role": "LER", "area": area})
+            ler = f"LER{area}{sep}{i}"
+            nodes.append({"id": _router_id(1, area * ler_stride + i),
+                          "name": ler, "role": "LER", "area": area})
             edges.append({"a": ler, "b": f"P{area}" if behind_lsr else aler})
-            regions[f"MR{area}{i}"] = {"ler": ler, "cells": ["c1", "c2"]}
+            regions[f"MR{area}{sep}{i}"] = {"ler": ler, "cells": ["c1", "c2"]}
     if ha_area is not None:
         twin = f"ALER{ha_area}B"
-        nodes.append({"id": f"20.1.2.{100 + ha_area}", "name": twin,
+        nodes.append({"id": _router_id(2, spare + ha_area), "name": twin,
                       "role": "ALER", "area": ha_area})
         edges.append({"a": twin, "b": "P0"})
         edges.append({"a": f"AMRR{ha_area}", "b": twin})
         for i in range(1, lers_per_area + 1):
-            edges.append({"a": f"LER{ha_area}{i}", "b": twin})
+            edges.append({"a": f"LER{ha_area}{sep}{i}", "b": twin})
     return {"nodes": nodes, "edges": edges, "regions": regions}
 
 

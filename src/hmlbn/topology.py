@@ -1,10 +1,13 @@
-"""Regionalized network graph and the pre-built infrastructure LSP mesh.
+"""Regionalized network graph and the infrastructure LSP mesh.
 
 The graph carries four node roles.  LER, ALER and LSR nodes forward data
 packets; AMRR nodes are control-plane only and never appear on a data path,
 although their edges participate in control-message latency.  Every
-forwarding node's router id is the FEC of one LSP in a full logical mesh,
-computed once at build time and immutable afterwards.
+forwarding node's router id is the FEC of one LSP in a full logical mesh.
+The graph is immutable once built.  The mesh and the control-latency matrix
+are filled on first use, one FEC or one source at a time, because a run only
+ever sends over a few of them; every value equals what a full computation at
+build time would give.
 """
 
 from __future__ import annotations
@@ -18,10 +21,11 @@ from .errors import (
     AreaWithoutAmrr,
     DisconnectedForwardingGraph,
     DuplicateRouterId,
+    LabelSpaceExhausted,
     NoRouteToNextHop,
     TopologyError,
 )
-from .labels import LabelAllocator
+from .labels import LABEL_MAX, LABEL_MIN
 
 RouterId = str  # dotted-quad text, e.g. "20.1.1.12"
 
@@ -63,6 +67,10 @@ class NetworkGraph:
     def __post_init__(self):
         if not self.names:
             self.names = {info.name: rid for rid, info in self.nodes.items()}
+        # the graph never changes after build_topology, so each adjacency is
+        # sorted once; interface numbers are positions in that order
+        self._neighbors = {rid: tuple(sorted(peers))
+                           for rid, peers in self.edges.items()}
 
     def rid_of(self, name_or_rid: str) -> RouterId:
         if name_or_rid in self.nodes:
@@ -80,8 +88,8 @@ class NetworkGraph:
     def area_of(self, rid: RouterId) -> int:
         return self.nodes[rid].area
 
-    def neighbors(self, rid: RouterId) -> list[RouterId]:
-        return sorted(self.edges.get(rid, ()))
+    def neighbors(self, rid: RouterId) -> tuple[RouterId, ...]:
+        return self._neighbors.get(rid, ())
 
     def forwarding_nodes(self) -> list[RouterId]:
         return sorted(r for r, n in self.nodes.items() if n.role in FORWARDING_ROLES)
@@ -203,31 +211,84 @@ POP = "pop"
 SWAP = "swap"
 
 
-@dataclass
 class LspTable:
     """Per-node infrastructure label state for the node-to-node LSP mesh.
 
+    Every node binds the same label to a FEC: ``16 + i`` for the ``i``-th
+    forwarding node in router-id order, which is what one monotonic
+    allocator per node hands out when the FECs are visited in that order.
+    Labels are therefore computed, not stored.
+
     ``fec_next[node][fec]`` gives the (out_label, next_hop) used to inject a
-    packet at ``node`` toward the router-id FEC; ``in_actions[node][label]``
-    resolves an arriving top label to a swap or a pop at the FEC owner.
+    packet at ``node`` toward the router-id FEC; the first lookup of a FEC
+    fills its entry at every node from one hop-count BFS.
+    ``in_actions[node][label]`` resolves an arriving top label to a swap or
+    a pop at the FEC owner; each entry is filled on its first lookup.
     """
 
-    fec_next: dict[RouterId, dict[RouterId, tuple[int, RouterId]]]
-    in_actions: dict[RouterId, dict[int, tuple]]
-    in_label: dict[RouterId, dict[RouterId, int]]  # fec -> node -> label
-    hop_distance: dict[RouterId, dict[RouterId, int]]
+    def __init__(self, graph: NetworkGraph):
+        self.fecs = graph.forwarding_nodes()
+        if len(self.fecs) > LABEL_MAX - LABEL_MIN + 1:
+            raise LabelSpaceExhausted(
+                f"{len(self.fecs)} FECs need more labels than 16..{LABEL_MAX}")
+        self._label = {fec: LABEL_MIN + i for i, fec in enumerate(self.fecs)}
+        self._unfilled = set(self.fecs)
+        self._adjacency = {
+            node: [p for p in graph.neighbors(node)
+                   if graph.nodes[p].role in FORWARDING_ROLES]
+            for node in self.fecs}
+        self.fec_next: dict[RouterId, dict[RouterId, tuple[int, RouterId]]] = {
+            node: {} for node in self.fecs}
+        self.in_actions: dict[RouterId, dict[int, tuple]] = {
+            node: {} for node in self.fecs}
 
     def next_hop(self, node: RouterId, fec: RouterId) -> tuple[int, RouterId]:
         try:
             return self.fec_next[node][fec]
         except KeyError:
-            raise NoRouteToNextHop(f"{node} has no trail toward {fec}")
+            if fec not in self._unfilled:
+                raise NoRouteToNextHop(f"{node} has no trail toward {fec}")
+        self._fill(fec)
+        return self.next_hop(node, fec)
+
+    def _fill(self, fec: RouterId):
+        """Shortest paths toward ``fec`` by hop count over the forwarding
+        subgraph; equal-cost ties resolve to the lowest next-hop router id
+        so runs are reproducible.
+
+        One BFS from ``fec`` visits each level in ascending router id, so
+        the first node to reach a peer is its lowest-id neighbour one hop
+        closer to ``fec``: the peer's next hop.
+        """
+        self._unfilled.discard(fec)
+        label = self._label[fec]
+        fec_next = self.fec_next
+        adjacency = self._adjacency
+        seen = {fec}
+        level = [fec]
+        while level:
+            reached = []
+            for node in level:
+                for peer in adjacency[node]:
+                    if peer not in seen:
+                        seen.add(peer)
+                        fec_next[peer][fec] = (label, node)
+                        reached.append(peer)
+            level = sorted(reached)
 
     def action(self, node: RouterId, label: int) -> tuple | None:
-        return self.in_actions.get(node, {}).get(label)
+        row = self.in_actions.get(node)
+        if row is None:
+            return None  # not a forwarding node
+        act = row.get(label)
+        if act is None and 0 <= label - LABEL_MIN < len(self.fecs):
+            fec = self.fecs[label - LABEL_MIN]
+            act = (POP,) if node == fec else (SWAP, label, self.next_hop(node, fec)[1])
+            row[label] = act
+        return act
 
     def in_label_for(self, node: RouterId, fec: RouterId) -> int:
-        return self.in_label[fec][node]
+        return self._label[fec]
 
     def trail(self, src: RouterId, fec: RouterId) -> list[RouterId]:
         """Node sequence src..fec, following the tables; raises on loops."""
@@ -244,58 +305,53 @@ class LspTable:
 
 
 def compute_infrastructure_lsps(graph: NetworkGraph) -> LspTable:
-    """Build the full mesh of node-to-node LSPs over the forwarding subgraph.
+    """The full mesh of node-to-node LSPs over the forwarding subgraph,
+    computed FEC by FEC as lookups need it."""
+    return LspTable(graph)
 
-    Paths are shortest by hop count; equal-cost ties resolve to the lowest
-    next-hop router id so runs are reproducible.
+
+class _LatencyRows(dict):
+    """Source -> {destination: ms}; a missing row is computed on first use.
+
+    Each row is a Dijkstra from its own source, never mirrored from another
+    row: float sums taken in another order could differ in the last bit.
+    Nodes are numbered in router-id order, so equal distances leave the
+    heap in router-id order.
     """
-    fwd = graph.forwarding_nodes()
-    allocators = {node: LabelAllocator() for node in fwd}
-    fec_next: dict[RouterId, dict[RouterId, tuple[int, RouterId]]] = {n: {} for n in fwd}
-    in_actions: dict[RouterId, dict[int, tuple]] = {n: {} for n in fwd}
-    in_label: dict[RouterId, dict[RouterId, int]] = {}
-    hop_distance: dict[RouterId, dict[RouterId, int]] = {}
 
-    for fec in fwd:
-        dist = _bfs_distances(graph, fec, FORWARDING_ROLES)
-        hop_distance[fec] = dist
-        labels = {node: allocators[node].allocate() for node in fwd}
-        in_label[fec] = labels
-        in_actions[fec][labels[fec]] = (POP,)
-        for node in fwd:
-            if node == fec:
+    def __init__(self, graph: NetworkGraph):
+        super().__init__()
+        self._rids = sorted(graph.nodes)
+        self._index = {rid: i for i, rid in enumerate(self._rids)}
+        self._links = [[(self._index[peer], graph.edges[rid][peer])
+                        for peer in graph.neighbors(rid)]
+                       for rid in self._rids]
+
+    def __missing__(self, src: RouterId) -> dict[RouterId, float]:
+        links = self._links
+        inf = float("inf")
+        dist = [inf] * len(links)
+        start = self._index[src]
+        dist[start] = 0.0
+        heap = [(0.0, start)]
+        pop, push = heapq.heappop, heapq.heappush
+        while heap:
+            d, node = pop(heap)
+            if d > dist[node]:
                 continue
-            nh = min(
-                (p for p in graph.neighbors(node)
-                 if graph.nodes[p].role in FORWARDING_ROLES and p in dist
-                 and dist[p] == dist[node] - 1),
-                default=None,
-            )
-            if nh is None:
-                raise NoRouteToNextHop(f"{node} cannot reach FEC {fec}")
-            fec_next[node][fec] = (labels[nh], nh)
-            in_actions[node][labels[node]] = (SWAP, labels[nh], nh)
-
-    return LspTable(fec_next, in_actions, in_label, hop_distance)
+            for peer, latency in links[node]:
+                nd = d + latency
+                if nd < dist[peer]:
+                    dist[peer] = nd
+                    push(heap, (nd, peer))
+        row = self[src] = {rid: d for rid, d in zip(self._rids, dist) if d < inf}
+        return row
 
 
 def control_latency_matrix(graph: NetworkGraph) -> dict[RouterId, dict[RouterId, float]]:
     """All-pairs minimum latency (ms) over the full graph, AMRR edges included.
 
-    Control sessions ride these values; the matrix is symmetric.
+    Control sessions ride these values; the matrix is symmetric.  Rows are
+    computed when first indexed, so iterating the result shows only those.
     """
-    out = {}
-    for src in sorted(graph.nodes):
-        dist = {src: 0.0}
-        heap = [(0.0, src)]
-        while heap:
-            d, node = heapq.heappop(heap)
-            if d > dist.get(node, float("inf")):
-                continue
-            for peer in graph.neighbors(node):
-                nd = d + graph.edges[node][peer]
-                if nd < dist.get(peer, float("inf")):
-                    dist[peer] = nd
-                    heapq.heappush(heap, (nd, peer))
-        out[src] = dist
-    return out
+    return _LatencyRows(graph)

@@ -1,3 +1,6 @@
+import heapq
+import ipaddress
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,17 +11,19 @@ from hmlbn.errors import (
     DisconnectedForwardingGraph,
     DuplicateRouterId,
     LabelSpaceExhausted,
+    NoRouteToNextHop,
 )
 from hmlbn.labels import LABEL_MAX, LabelAllocator
-from hmlbn.scenarios import base_topology
+from hmlbn.scenarios import CN, MN, base_topology, startup_scenario
 from hmlbn.topology import (
+    FORWARDING_ROLES,
     NodeRole,
     build_topology,
     compute_infrastructure_lsps,
     control_latency_matrix,
 )
 
-from conftest import floyd_warshall
+from conftest import floyd_warshall, run
 
 
 # ----------------------------------------------------------- label space
@@ -53,6 +58,19 @@ def test_reference_layout_builds():
     assert graph.areas() == [1, 2, 3]
     assert len(graph.by_role(NodeRole.ALER)) == 3
     assert len(graph.by_role(NodeRole.AMRR)) == 3
+
+
+@pytest.mark.parametrize("n_areas,lers_per_area,ha_area", [
+    (3, 11, None), (26, 2, 5), (30, 10, 30), (120, 1, 101), (260, 1, 7),
+    (1, 300, 1)])
+def test_base_topology_ids_and_names_distinct_at_any_size(
+        n_areas, lers_per_area, ha_area):
+    spec = base_topology(n_areas, lers_per_area, ha_area=ha_area)
+    graph = build_topology(spec)  # raises DuplicateRouterId on a clash
+    for rid in graph.nodes:
+        ipaddress.IPv4Address(rid)
+    assert len(spec["regions"]) == n_areas * lers_per_area
+    assert len(graph.by_role(NodeRole.LER)) == n_areas * lers_per_area
 
 
 def test_minimal_single_area_graph(minimal_topology):
@@ -194,3 +212,150 @@ def test_interface_names_follow_sorted_neighbors():
     assert graph.interface_name(aler1, neighbors[0]) == "GIG0/0/0"
     assert graph.interface_name(aler1, neighbors[-1]) == \
         f"GIG0/0/{len(neighbors) - 1}"
+
+
+# ------------------------------------------- lazy tables vs the full mesh
+
+def _eager_hop_distances(graph, source):
+    dist = {source: 0}
+    frontier = [source]
+    while frontier:
+        nxt = []
+        for node in frontier:
+            for peer in sorted(graph.edges[node]):
+                if graph.nodes[peer].role in FORWARDING_ROLES and peer not in dist:
+                    dist[peer] = dist[node] + 1
+                    nxt.append(peer)
+        frontier = nxt
+    return dist
+
+
+def eager_mesh(graph):
+    """The full mesh as it was built before the first event: one monotonic
+    label allocator per node, one BFS per FEC, lowest-router-id ties."""
+    fwd = graph.forwarding_nodes()
+    allocators = {node: LabelAllocator() for node in fwd}
+    fec_next = {n: {} for n in fwd}
+    in_actions = {n: {} for n in fwd}
+    in_label = {}
+    for fec in fwd:
+        dist = _eager_hop_distances(graph, fec)
+        labels = {node: allocators[node].allocate() for node in fwd}
+        in_label[fec] = labels
+        in_actions[fec][labels[fec]] = ("pop",)
+        for node in fwd:
+            if node == fec:
+                continue
+            nh = min(p for p in sorted(graph.edges[node])
+                     if graph.nodes[p].role in FORWARDING_ROLES and p in dist
+                     and dist[p] == dist[node] - 1)
+            fec_next[node][fec] = (labels[nh], nh)
+            in_actions[node][labels[node]] = ("swap", labels[nh], nh)
+    return fec_next, in_actions, in_label
+
+
+def eager_latencies(graph):
+    """All-pairs Dijkstra over the full graph, every source up front."""
+    out = {}
+    for src in sorted(graph.nodes):
+        dist = {src: 0.0}
+        heap = [(0.0, src)]
+        while heap:
+            d, node = heapq.heappop(heap)
+            if d > dist.get(node, float("inf")):
+                continue
+            for peer in sorted(graph.edges[node]):
+                nd = d + graph.edges[node][peer]
+                if nd < dist.get(peer, float("inf")):
+                    dist[peer] = nd
+                    heapq.heappush(heap, (nd, peer))
+        out[src] = dist
+    return out
+
+
+def assert_lazy_tables_match_eager(graph):
+    fec_next, in_actions, in_label = eager_mesh(graph)
+    fwd = graph.forwarding_nodes()
+    # one table answers next hops first, the other answers actions first,
+    # so both fill orders are exercised
+    by_fec = compute_infrastructure_lsps(graph)
+    for fec in reversed(fwd):
+        for node in fwd:
+            assert by_fec.in_label_for(node, fec) == in_label[fec][node]
+            if node == fec:
+                with pytest.raises(NoRouteToNextHop):
+                    by_fec.next_hop(node, fec)
+            else:
+                assert by_fec.next_hop(node, fec) == fec_next[node][fec]
+    by_label = compute_infrastructure_lsps(graph)
+    labels = range(15, 16 + len(fwd) + 1)  # both ends of the label range
+    for node in sorted(graph.nodes):  # AMRRs forward nothing
+        for label in labels:
+            expected = in_actions.get(node, {}).get(label)
+            assert by_label.action(node, label) == expected
+            assert by_fec.action(node, label) == expected
+
+    latency = control_latency_matrix(graph)
+    for src, row in sorted(eager_latencies(graph).items(), reverse=True):
+        assert latency[src] == row
+    with pytest.raises(KeyError):
+        latency["no-such-node"]
+
+
+@st.composite
+def shuffled_ids(draw, graphs):
+    """A drawn graph with its router ids permuted, so that BFS discovery
+    order no longer follows router-id order."""
+    spec = draw(graphs)
+    ids = draw(st.permutations([node["id"] for node in spec["nodes"]]))
+    for node, rid in zip(spec["nodes"], ids):
+        node["id"] = rid
+    return spec
+
+
+@settings(max_examples=60, deadline=None)
+@given(shuffled_ids(random_area_graph()))
+def test_lazy_tables_match_eager_mesh_on_random_graphs(spec):
+    assert_lazy_tables_match_eager(build_topology(spec))
+
+
+def crossed_ladder():
+    """E0 reaches Y over two equal paths, E0-A-Z-Y and E0-B-C-Y.  Z is found
+    before C although C has the lower router id, so Y's next hop toward E0
+    is C only if each BFS level is visited in router-id order."""
+    nodes = [("E0", "9.0.1.0", "LER"), ("A", "9.0.2.1", "LSR"),
+             ("B", "9.0.2.2", "LSR"), ("Z", "9.0.2.9", "LSR"),
+             ("C", "9.0.2.3", "LSR"), ("Y", "9.0.2.5", "LSR"),
+             ("AL", "9.0.0.1", "ALER"), ("RR", "9.0.0.2", "AMRR")]
+    links = ["E0-A", "E0-B", "A-Z", "B-C", "Z-Y", "C-Y", "Y-AL", "AL-RR"]
+    return {
+        "nodes": [{"id": rid, "name": name, "role": role, "area": 1}
+                  if role != "LSR" else {"id": rid, "name": name, "role": role}
+                  for name, rid, role in nodes],
+        "edges": [dict(zip("ab", link.split("-"))) for link in links],
+        "regions": {"MR0": {"ler": "E0", "cells": ["c1"]}},
+    }
+
+
+@pytest.mark.parametrize("spec", [base_topology(), base_topology(ha_area=1),
+                                  crossed_ladder()],
+                         ids=["base", "base_ha", "crossed_ladder"])
+def test_lazy_tables_match_eager_mesh(spec):
+    assert_lazy_tables_match_eager(build_topology(spec))
+
+
+def test_startup_run_fills_only_the_fecs_and_rows_it_uses():
+    doc = startup_scenario()
+    doc["topology"] = base_topology(n_areas=20, lers_per_area=15)
+    doc["mobility"]["attach"] = [
+        {"t": 0.0, "prefix": MN, "region": "MR1_2"},
+        {"t": 0.0, "prefix": CN, "region": "MR3_3"},
+    ]
+    sim = run(doc)
+    row = sim.metrics.finalize()["cn-to-mn"]
+    assert row["ingress"] > 0 and row["delivered"] == row["ingress"]
+    fwd = sim.graph.forwarding_nodes()
+    assert len(fwd) >= 300
+    filled = {fec for fecs in sim.lsp.fec_next.values() for fec in fecs}
+    assert 0 < len(filled) < len(fwd)
+    assert 0 < len(sim.latency) < len(sim.graph.nodes)
