@@ -16,6 +16,7 @@ from .forwarding import INFRA, DataPacket, Label
 from .labels import LabelAllocator
 from .messages import (
     ControlMessage,
+    ControlNode,
     MessageKind,
     MobilePrefix,
     MobilityBinding,
@@ -36,7 +37,6 @@ class FibEntry:
     out_interface_id: str
     next_hop: str
     expiry: float
-    prev_segment: tuple | None = None  # (cml, out_top, next_hop, keep_until)
 
     def dump_line(self, name_of) -> str:
         return (f"prefix={self.prefix} origin={self.origin_router_id}"
@@ -46,21 +46,30 @@ class FibEntry:
                 f" out_top={self.out_top_label} out_if={self.out_interface_id}")
 
 
-class AlerNode:
-    def __init__(self, rid, name, area, *, amrrs, services,
-                 replication=False, replication_window_s=1.0):
+class AlerNode(ControlNode):
+    HANDLERS = {
+        MessageKind.BINDING_UPDATE: "handle_update",
+        MessageKind.BINDING_WITHDRAWAL: "handle_withdrawal",
+        MessageKind.ALER_FAILOVER_BLANKET: "handle_blanket",
+    }
+
+    def __init__(self, rid, name, area, *, amrrs, services):
         self.rid = rid
         self.name = name
         self.area = area
         self.amrrs = sorted(amrrs)
         self.services = services
-        self.replication = replication
-        self.replication_window_s = replication_window_s
         self.allocator = LabelAllocator()
         self.fib: dict[str, FibEntry] = {}
         self.by_label: dict[int, FibEntry] = {}
 
     # ------------------------------------------------------------ control
+
+    def handle_update(self, msg: ControlMessage) -> FibEntry:
+        """Binding from an AMRR, internal or external by its update type."""
+        if msg.payload.binding.update_type is UpdateType.INTERNAL:
+            return self.handle_internal_update(msg)
+        return self.handle_external_update(msg)
 
     def handle_internal_update(self, msg: ControlMessage) -> FibEntry:
         """Binding for a mobile served inside this area, relayed by the AMRR.
@@ -129,10 +138,6 @@ class AlerNode:
             return entry, True
         changed = (entry.origin_router_id != binding.origin_next_hop
                    or entry.current_mobility_label != binding.label)
-        if changed and self.replication:
-            entry.prev_segment = (entry.current_mobility_label,
-                                  entry.out_top_label, entry.next_hop,
-                                  self.services.now() + self.replication_window_s)
         entry.origin_router_id = binding.origin_next_hop
         entry.current_mobility_label = binding.label
         entry.in_top_label = in_top
@@ -150,6 +155,9 @@ class AlerNode:
         if entry:
             self.by_label.pop(entry.local_mobility_label, None)
             self._emit_fib(entry, "withdrawn")
+
+    def handle_blanket(self, msg: ControlMessage):
+        self.apply_failover(msg.payload.survivor, msg.payload.failed)
 
     def apply_failover(self, survivor: str, failed: str):
         """Repoint every trail that terminated at a failed twin ALER."""
@@ -187,12 +195,6 @@ class AlerNode:
         if entry is None:
             self.services.drop(packet, self.rid, "unknown_local_mobility_label")
             return
-        if entry.prev_segment and self.services.now() <= entry.prev_segment[3]:
-            prev_cml, prev_top, prev_nh, _ = entry.prev_segment
-            twin = packet.replica()
-            twin.stack[0].value = prev_cml
-            twin.stack.insert(0, Label(prev_top, INFRA))
-            self.services.transmit(twin, self.rid, prev_nh)
         inner.value = entry.current_mobility_label
         packet.stack.insert(0, Label(entry.out_top_label, INFRA))
         self.services.transmit(packet, self.rid, entry.next_hop)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from .errors import NoAlerAvailable
 from .messages import (
     ControlMessage,
+    ControlNode,
     FailoverBlanketPayload,
     LastRequestorList,
     LrlReplyPayload,
@@ -61,7 +62,18 @@ class _PendingRequest:
     resolved: bool = False
 
 
-class AmrrNode:
+class AmrrNode(ControlNode):
+    HANDLERS = {
+        MessageKind.BINDING_UPDATE: "handle_update",
+        MessageKind.BINDING_REQUEST: "handle_request",
+        MessageKind.BINDING_REPLY_POSITIVE: "handle_reply",
+        MessageKind.BINDING_REPLY_NEGATIVE: "handle_reply",
+        MessageKind.LRL_REQUEST: "handle_lrl_request",
+        MessageKind.LRL_REPLY: "handle_lrl_reply",
+        MessageKind.BINDING_WITHDRAWAL: "handle_withdrawal",
+        MessageKind.ALER_FAILOVER_BLANKET: "handle_blanket",
+    }
+
     def __init__(self, rid, name, area, *, peers, ler_clients, aler_clients,
                  amrrs_by_area, ha_twin, services, reflect_to_previous=False):
         self.rid = rid

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InvalidDm, VertexNotFound
@@ -29,38 +28,6 @@ from .errors import InvalidDm, VertexNotFound
 class PathKind(str, Enum):
     FIXED_TO_MOBILE = "fixedToMobile"
     MOBILE_TO_MOBILE = "mobileToMobile"
-
-
-@dataclass(frozen=True)
-class PenaltyModel:
-    """Parameter bundle for one penalty evaluation."""
-
-    diameter_hops: int  # k, router-hop network diameter
-    kind: PathKind
-    per_hop_delay_mean_ms: float = 5.0  # alpha
-    per_hop_delay_std_ms: float = 2.0  # zeta
-    per_hop_loss_prob: float = 0.005  # p_l
-    dwell_rate: float = 0.1  # mu, 1/mean region dwell seconds
-    transition_prob: float = 0.5  # p
-
-    def __post_init__(self):
-        if self.diameter_hops < 1:
-            raise InvalidDm(f"diameter must be >= 1, got {self.diameter_hops}")
-        if not 0.0 <= self.per_hop_loss_prob <= 1.0:
-            raise ValueError("loss probability must lie in [0, 1]")
-
-    @property
-    def jump_rate(self) -> float:
-        """eta: rate of the exponential holding time of the difference chain."""
-        return self.transition_prob * self.dwell_rate
-
-    @property
-    def max_hop_difference(self) -> int:
-        return dm_upper_bound(self.diameter_hops, self.kind)[0]
-
-    @property
-    def mean_hop_difference(self) -> float:
-        return dm_upper_bound(self.diameter_hops, self.kind)[1]
 
 
 # ------------------------------------------------------------ graph side

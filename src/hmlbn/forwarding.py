@@ -38,7 +38,6 @@ class DataPacket:
     stack: list[Label] = field(default_factory=list)
     hop_trace: list[tuple] = field(default_factory=list)  # (t, node name, stack)
     ingressed: bool = False
-    is_replica: bool = False
     post_ingress_lookups: int = 0
     terminal: tuple | None = None  # ("delivered"|"dropped", detail, node, t)
 
@@ -56,15 +55,6 @@ class DataPacket:
 
     def path_string(self) -> str:
         return ">".join(name for _, name, _ in self.hop_trace)
-
-    def replica(self) -> "DataPacket":
-        twin = DataPacket(self.flow_id, self.seq, self.src_prefix, self.dst_prefix,
-                          self.created_at)
-        twin.stack = [Label(l.value, l.tag) for l in self.stack]
-        twin.hop_trace = list(self.hop_trace)
-        twin.ingressed = self.ingressed
-        twin.is_replica = True
-        return twin
 
 
 class ForwardingEngine:

@@ -18,6 +18,7 @@ from .forwarding import INFRA, MOBILITY, DataPacket, Label
 from .labels import LabelAllocator
 from .messages import (
     ControlMessage,
+    ControlNode,
     MessageKind,
     MobilePrefix,
     MobilityBinding,
@@ -39,14 +40,6 @@ class RegistrationRecord:
     assigned_label: int
     advertised_area: int
     last_heard: float
-    extra_interface: str | None = None  # replication across a move, if enabled
-    extra_until: float = 0.0
-
-    def interfaces(self, now: float) -> list[str]:
-        out = [self.interface_id]
-        if self.extra_interface and now <= self.extra_until:
-            out.append(self.extra_interface)
-        return out
 
 
 @dataclass
@@ -55,11 +48,17 @@ class _Pending:
     awaiting: set = field(default_factory=set)
 
 
-class LerNode:
+class LerNode(ControlNode):
+    HANDLERS = {
+        MessageKind.BINDING_UPDATE: "handle_unsolicited_update",
+        MessageKind.BINDING_REPLY_POSITIVE: "handle_binding_reply",
+        MessageKind.BINDING_REPLY_NEGATIVE: "handle_binding_reply",
+        MessageKind.BINDING_WITHDRAWAL: "handle_withdrawal_reflect",
+    }
+
     def __init__(self, rid, name, area, *, amrrs, interfaces, mobility_ranges,
                  dead_time_s, default_lifetime_s, services,
-                 queue_limit=DEFAULT_PENDING_QUEUE_LIMIT, replication=False,
-                 replication_window_s=1.0):
+                 queue_limit=DEFAULT_PENDING_QUEUE_LIMIT):
         self.rid = rid
         self.name = name
         self.area = area
@@ -69,8 +68,6 @@ class LerNode:
         self.dead_time_s = dead_time_s
         self.default_lifetime_s = default_lifetime_s
         self.queue_limit = queue_limit
-        self.replication = replication
-        self.replication_window_s = replication_window_s
         self.services = services
         self.allocator = LabelAllocator()
         self.registrations: dict[str, RegistrationRecord] = {}
@@ -131,9 +128,6 @@ class LerNode:
             raise UnknownInterface(f"{self.name} has no interface {new_interface}")
         now = self.services.now()
         if new_interface != record.interface_id:
-            if self.replication:
-                record.extra_interface = record.interface_id
-                record.extra_until = now + self.replication_window_s
             record.interface_id = new_interface
             self.services.emit("local_handoff", {"prefix": str(prefix),
                                                  "interface": new_interface})

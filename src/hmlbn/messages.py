@@ -27,7 +27,6 @@ class UpdateMode(IntEnum):
 class UpdateType(IntEnum):
     INTERNAL = 1
     EXTERNAL = 2
-    INTER_CARRIER = 3
 
 
 class MessageKind(str, Enum):
@@ -191,6 +190,19 @@ def make_withdrawal(binding: MobilityBinding, src: str = "", dst: str = "",
         send_time=send_time,
         payload=WithdrawalPayload(binding.prefix, binding.origin_next_hop),
     )
+
+
+class ControlNode:
+    """Base of the LER, ALER and AMRR state machines.  ``handle`` routes a
+    delivered control message to the method ``HANDLERS`` names for its kind,
+    looked up on the instance at call time; other kinds are ignored."""
+
+    HANDLERS: dict[MessageKind, str] = {}
+
+    def handle(self, msg: ControlMessage):
+        name = self.HANDLERS.get(msg.kind)
+        if name is not None:
+            getattr(self, name)(msg)
 
 
 # ---------------------------------------------------------------- encoding

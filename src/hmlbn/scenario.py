@@ -20,7 +20,7 @@ TIMER_DEFAULTS = {"keepalive_s": 3.0, "dead_s": 9.0, "lifetime_s": 300.0}
 _TOP_KEYS = {"name", "seed", "duration_s", "mobility_range", "timers",
              "topology", "mobility", "flows", "failures", "flags", "analysis"}
 _FLAG_KEYS = {"reflect_to_previous_ler", "overlap_attach", "overlap_s",
-              "ler_replication", "aler_replication", "ha_pairs"}
+              "ha_pairs"}
 
 
 @dataclass
@@ -32,11 +32,12 @@ class Timers:
 
 @dataclass
 class Flags:
+    """Protocol options.  ``overlap_attach`` is the make-before-break window:
+    after a move the old attachment stays reachable for ``overlap_s``."""
+
     reflect_to_previous_ler: bool = False
     overlap_attach: bool = False
     overlap_s: float = 1.0
-    ler_replication: bool = False
-    aler_replication: bool = False
     ha_pairs: list = field(default_factory=list)
 
 
@@ -422,8 +423,7 @@ def _parse_flags(obj, c, graph) -> Flags:
         return Flags()
     c.keys(obj, "flags", _FLAG_KEYS)
     flags = Flags()
-    for key in ("reflect_to_previous_ler", "overlap_attach",
-                "ler_replication", "aler_replication"):
+    for key in ("reflect_to_previous_ler", "overlap_attach"):
         if key in obj:
             if not isinstance(obj[key], bool):
                 c.err(f"flags.{key}", "expected boolean")

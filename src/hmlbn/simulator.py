@@ -20,13 +20,7 @@ from .amrr import AmrrNode
 from .errors import HmlbnError
 from .forwarding import DataPacket, ForwardingEngine
 from .ler import LerNode
-from .messages import (
-    ControlMessage,
-    MessageKind,
-    MobilePrefix,
-    UpdateType,
-    canonical_encode,
-)
+from .messages import ControlMessage, MessageKind, MobilePrefix, canonical_encode
 from .scenario import MoveSpec, Scenario
 from .topology import (
     NodeRole,
@@ -68,7 +62,6 @@ class Attachment:
 
 @dataclass
 class MobileState:
-    prefix_key: str
     l2: str
     area_hint: int = 0
     attachments: list = field(default_factory=list)
@@ -191,6 +184,9 @@ class Metrics:
 class _Services:
     """Per-node facade over the simulation: clock, messaging, data plane."""
 
+    # detail keys under which nodes report a router id; the trace names it
+    _ROUTER_KEYS = ("origin", "node", "from")
+
     def __init__(self, sim: "Simulation", rid: str):
         self.sim = sim
         self.rid = rid
@@ -202,6 +198,11 @@ class _Services:
         return self.sim.send_control(self.rid, kind, dst, payload)
 
     def emit(self, kind: str, detail: dict):
+        graph = self.sim.graph
+        for key in self._ROUTER_KEYS:
+            value = detail.get(key)
+            if value in graph.nodes:
+                detail[key] = graph.name_of(value)
         self.sim.trace_event(kind, src=self.rid, detail=detail)
 
     def transmit(self, packet: DataPacket, from_node: str, to_node: str):
@@ -241,7 +242,8 @@ class Simulation:
         self.trace: list[dict] = []
         self.metrics = Metrics()
         self.failed: set[str] = set()
-        self.mobiles: dict[str, MobileState] = {}
+        self.mobiles: dict[MobilePrefix, MobileState] = {}
+        self._movers = set(scenario.model.prefixes) if scenario.model else set()
         self.nodes: dict[str, object] = {}
         self._build_nodes()
         self.engine = ForwardingEngine(self.graph, self.lsp,
@@ -273,16 +275,12 @@ class Simulation:
                     dead_time_s=sc.timers.dead_s,
                     default_lifetime_s=sc.timers.lifetime_s,
                     services=services,
-                    replication=sc.flags.ler_replication,
-                    replication_window_s=sc.flags.overlap_s,
                 )
             elif info.role is NodeRole.ALER:
                 self.nodes[rid] = AlerNode(
                     rid, info.name, info.area,
                     amrrs=amrrs_by_area.get(info.area, []),
                     services=services,
-                    replication=sc.flags.aler_replication,
-                    replication_window_s=sc.flags.overlap_s,
                 )
             elif info.role is NodeRole.AMRR:
                 peers = [r for r in self.graph.by_role(NodeRole.AMRR)
@@ -348,22 +346,15 @@ class Simulation:
 
     # ------------------------------------------------------------- tracing
 
-    _NAME_DETAIL_KEYS = ("origin", "node", "survivor", "failed", "from", "ler")
-
     def trace_event(self, kind: str, src=None, dst=None, detail=None):
         self._trace_seq += 1
-        detail = dict(detail) if detail else {}
-        for key in self._NAME_DETAIL_KEYS:
-            value = detail.get(key)
-            if isinstance(value, str) and value in self.graph.nodes:
-                detail[key] = self.graph.name_of(value)
         self.trace.append({
             "t": round(self.now, 9),
             "seq": self._trace_seq,
             "kind": kind,
             "src": self.graph.name_of(src) if src in self.graph.nodes else src,
             "dst": self.graph.name_of(dst) if dst in self.graph.nodes else dst,
-            "detail": detail,
+            "detail": detail or {},
         })
 
     def trace_jsonl(self) -> str:
@@ -405,57 +396,15 @@ class Simulation:
             return
         self.trace_event("ctl_recv", src=msg.src, dst=msg.dst,
                          detail={"msg": msg.kind.value})
-        node = self.nodes.get(msg.dst)
-        role = self.graph.role_of(msg.dst)
-        if role is NodeRole.LER:
-            if msg.kind is MessageKind.BINDING_UPDATE:
-                node.handle_unsolicited_update(msg)
-            elif msg.kind in (MessageKind.BINDING_REPLY_POSITIVE,
-                              MessageKind.BINDING_REPLY_NEGATIVE):
-                node.handle_binding_reply(msg)
-            elif msg.kind is MessageKind.BINDING_WITHDRAWAL:
-                node.handle_withdrawal_reflect(msg)
-        elif role is NodeRole.ALER:
-            if msg.kind is MessageKind.BINDING_UPDATE:
-                if msg.payload.binding.update_type is UpdateType.INTERNAL:
-                    node.handle_internal_update(msg)
-                else:
-                    node.handle_external_update(msg)
-            elif msg.kind is MessageKind.BINDING_WITHDRAWAL:
-                node.handle_withdrawal(msg)
-            elif msg.kind is MessageKind.ALER_FAILOVER_BLANKET:
-                node.apply_failover(msg.payload.survivor, msg.payload.failed)
-        elif role is NodeRole.AMRR:
-            if msg.kind is MessageKind.BINDING_UPDATE:
-                node.handle_update(msg)
-            elif msg.kind is MessageKind.BINDING_REQUEST:
-                node.handle_request(msg)
-            elif msg.kind in (MessageKind.BINDING_REPLY_POSITIVE,
-                              MessageKind.BINDING_REPLY_NEGATIVE):
-                node.handle_reply(msg)
-            elif msg.kind is MessageKind.LRL_REQUEST:
-                node.handle_lrl_request(msg)
-            elif msg.kind is MessageKind.LRL_REPLY:
-                node.handle_lrl_reply(msg)
-            elif msg.kind is MessageKind.BINDING_WITHDRAWAL:
-                node.handle_withdrawal(msg)
-            elif msg.kind is MessageKind.ALER_FAILOVER_BLANKET:
-                node.handle_blanket(msg)
+        self.nodes[msg.dst].handle(msg)
 
     # ------------------------------------------------------------ mobility
-
-    def _mobile(self, prefix_key: str, l2="") -> MobileState:
-        mobile = self.mobiles.get(prefix_key)
-        if mobile is None:
-            mobile = MobileState(prefix_key, l2)
-            self.mobiles[prefix_key] = mobile
-        return mobile
 
     def _on_attach(self, spec):
         region = self.graph.regions[spec.region]
         cell = spec.cell or region.cells[0]
         interface = f"{spec.region}/{cell}"
-        mobile = self._mobile(str(spec.prefix), spec.l2)
+        mobile = self.mobiles.setdefault(spec.prefix, MobileState(spec.l2))
         mobile.attachments = [Attachment(spec.region, cell, interface, region.ler)]
         ler: LerNode = self.nodes[region.ler]
         self.trace_event("attach", src=region.ler,
@@ -467,13 +416,12 @@ class Simulation:
         interval = self.scenario.timers.keepalive_s
         if self.now + interval <= self.scenario.duration_s:
             self.schedule(self.now + interval, EventKind.TIMER_FIRE,
-                          ("keepalive", str(spec.prefix)))
-        model = self.scenario.model
-        if model and any(str(p) == str(spec.prefix) for p in model.prefixes):
-            self._arm_move_decision(str(spec.prefix))
+                          ("keepalive", spec.prefix))
+        if spec.prefix in self._movers:
+            self._arm_move_decision(spec.prefix)
 
     def _on_move(self, spec):
-        mobile = self.mobiles.get(str(spec.prefix))
+        mobile = self.mobiles.get(spec.prefix)
         if mobile is None or not mobile.attachments:
             return
         region = self.graph.regions[spec.region]
@@ -505,22 +453,22 @@ class Simulation:
         mobile.area_hint = reply_area
 
     def _on_detach(self, spec):
-        mobile = self.mobiles.get(str(spec.prefix))
+        mobile = self.mobiles.get(spec.prefix)
         if mobile is None:
             return
         mobile.attachments = []
         mobile.area_hint = 0  # a reset mobile starts over
         self.trace_event("detach", detail={"prefix": str(spec.prefix)})
 
-    def _arm_move_decision(self, prefix_key: str):
+    def _arm_move_decision(self, prefix: MobilePrefix):
         model = self.scenario.model
         dwell = self.rng.expovariate(model.mu)
         t = self.now + dwell
         if t <= self.scenario.duration_s:
-            self.schedule(t, EventKind.TIMER_FIRE, ("move_decision", prefix_key))
+            self.schedule(t, EventKind.TIMER_FIRE, ("move_decision", prefix))
 
-    def _on_move_decision(self, prefix_key: str):
-        mobile = self.mobiles.get(prefix_key)
+    def _on_move_decision(self, prefix: MobilePrefix):
+        mobile = self.mobiles.get(prefix)
         model = self.scenario.model
         if mobile is None or not mobile.attachments or model is None:
             return
@@ -528,16 +476,15 @@ class Simulation:
         neighbors = sorted(model.adjacency.get(current, []))
         if neighbors and self.rng.random() < model.p:
             target = neighbors[self.rng.randrange(len(neighbors))]
-            self._on_move(MoveSpec(self.now, MobilePrefix.parse(prefix_key),
-                                   target, None))
-        self._arm_move_decision(prefix_key)
+            self._on_move(MoveSpec(self.now, prefix, target, None))
+        self._arm_move_decision(prefix)
 
     # ----------------------------------------------------------- data plane
 
     def _on_ingress(self, flow, seq: int):
         packet = DataPacket(flow.flow_id, seq, flow.src, flow.dst, self.now)
         self.metrics.record_ingress(flow.flow_id, seq, self.now)
-        mobile = self.mobiles.get(str(flow.src))
+        mobile = self.mobiles.get(flow.src)
         attachment = mobile.primary() if mobile else None
         if attachment is None:
             self.trace_event("data_ingress", detail={"flow": flow.flow_id,
@@ -577,24 +524,26 @@ class Simulation:
         self.trace_event("data_drop", src=node,
                          detail={"flow": packet.flow_id, "seq": packet.seq,
                                  "reason": reason,
-                                 "replica": packet.is_replica})
+                                 # trace.jsonl keeps the field of the removed
+                                 # replication mode; no packet is a replica
+                                 "replica": False})
         self.metrics.record_outcome(packet, "dropped", reason, self.now)
 
     def deliver_local(self, packet: DataPacket, ler: LerNode, record):
-        mobile = self.mobiles.get(str(record.prefix))
+        mobile = self.mobiles.get(record.prefix)
+        interface = record.interface_id
         active = mobile.active_interfaces(ler.rid, self.now) if mobile else set()
-        match = next((i for i in record.interfaces(self.now) if i in active), None)
-        if match is None:
+        if interface not in active:
             self.drop(packet, ler.rid, "stale_location")
             return
         if packet.terminal is None:
-            packet.terminal = ("delivered", match, ler.name, self.now)
+            packet.terminal = ("delivered", interface, ler.name, self.now)
         self.trace_event("data_deliver", src=ler.rid,
                          detail={"flow": packet.flow_id, "seq": packet.seq,
-                                 "interface": match,
+                                 "interface": interface,
                                  "path": packet.path_string(),
-                                 "replica": packet.is_replica})
-        self.metrics.record_outcome(packet, "delivered", match, self.now)
+                                 "replica": False})  # see drop()
+        self.metrics.record_outcome(packet, "delivered", interface, self.now)
 
     # -------------------------------------------------------------- timers
 
@@ -619,15 +568,13 @@ class Simulation:
                 self.schedule(self.now + interval, EventKind.TIMER_FIRE,
                               ("expiry",))
         elif what == "keepalive":
-            prefix_key = args[0]
-            mobile = self.mobiles.get(prefix_key)
+            prefix = args[0]
+            mobile = self.mobiles.get(prefix)
             if mobile and mobile.attachments:
-                attachment = mobile.primary()
-                self.nodes[attachment.ler].keepalive(
-                    MobilePrefix.parse(prefix_key), self.now)
+                self.nodes[mobile.primary().ler].keepalive(prefix, self.now)
                 if self.now + interval <= self.scenario.duration_s:
                     self.schedule(self.now + interval, EventKind.TIMER_FIRE,
-                                  ("keepalive", prefix_key))
+                                  ("keepalive", prefix))
         elif what == "move_decision":
             self._on_move_decision(args[0])
 

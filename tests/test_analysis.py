@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from hmlbn import analysis
 from hmlbn.analysis import (
     PathKind,
-    PenaltyModel,
     bfs_hops,
     delay_penalty,
     dm_upper_bound,
@@ -108,16 +107,6 @@ def test_loss_penalty_formula():
     assert loss_penalty(0, 0.5) == 0.0
     with pytest.raises(ValueError):
         loss_penalty(3, 1.5)
-
-
-def test_model_bundle_derives_chain_parameters():
-    model = PenaltyModel(10, PathKind.MOBILE_TO_MOBILE, dwell_rate=0.1,
-                         transition_prob=0.5)
-    assert model.jump_rate == 0.05
-    assert model.max_hop_difference == 28
-    assert model.mean_hop_difference == 14.0
-    with pytest.raises(InvalidDm):
-        PenaltyModel(0, PathKind.FIXED_TO_MOBILE)
 
 
 # ------------------------------------------------------------ graph side

@@ -1,5 +1,6 @@
 """Bundled scenarios: the files match their builders, and each one's
-``trace.jsonl`` and ``metrics.csv`` are pinned byte for byte at its own seed.
+``trace.jsonl`` and ``metrics.csv`` are pinned byte for byte at its own seed
+(``random_walk`` also at seeds 1 and 7).
 
 A change that alters simulator output on purpose updates ``PINNED`` and
 says why in CHANGES.md; any other change must leave every hash as it is.
@@ -46,6 +47,18 @@ PINNED = {
         "8f792b43176e71feb38152754eaeeda3db243bcd47c6a438257481c082b1aaa0"),
 }
 
+# (scenario name, seed) -> sha256 of (trace.jsonl, metrics.csv) at a seed other
+# than the scenario's own; random_walk is the only bundled scenario whose
+# outputs depend on the seed
+PINNED_AT_SEED = {
+    ("random_walk", 1): (
+        "625f9c029682e7516af333cd6a8fbc21d79f93de57816dc18925777a4732e906",
+        "3136203f4ad248a1148bec4af319dffb1776148bd4d87fe1c42a0df3e76eafcf"),
+    ("random_walk", 7): (
+        "c5c7547c15e642e7fdfa18ab4d37dec0f7a2d82b2e1612309c9bf48464bc2813",
+        "0f7a754cee0302fdf0242e28577a2203c942933a8bcfbafc3b4b85a8a334f380"),
+}
+
 
 def _as_written(doc) -> str:
     """The text scripts/write_scenarios.py writes for a document."""
@@ -76,3 +89,10 @@ def test_every_bundled_scenario_is_pinned():
 def test_outputs_match_pinned_hashes(name):
     sim = run_scenario(load_scenario(SCENARIO_DIR / f"{name}.json"))
     assert (_sha256(sim.trace_jsonl()), _sha256(sim.metrics.to_csv())) == PINNED[name]
+
+
+@pytest.mark.parametrize("name,seed", sorted(PINNED_AT_SEED))
+def test_outputs_match_pinned_hashes_at_seed(name, seed):
+    sim = run_scenario(load_scenario(SCENARIO_DIR / f"{name}.json"), seed=seed)
+    assert (_sha256(sim.trace_jsonl()),
+            _sha256(sim.metrics.to_csv())) == PINNED_AT_SEED[(name, seed)]

@@ -116,6 +116,19 @@ def test_bad_magic_rejected():
         canonical_decode(b"\x00\x01")
 
 
+def test_unknown_update_type_rejected():
+    binding = MobilityBinding(MobilePrefix.parse("10.1.1.1/32"), "20.1.1.12",
+                              116, 1)
+    raw = bytearray(canonical_encode(ControlMessage(
+        MessageKind.BINDING_UPDATE, "20.1.1.12", "20.1.3.1", 1.5,
+        UpdatePayload(binding))))
+    # the update-type byte sits just before the 8-byte lifetime
+    assert raw[-9] == UpdateType.INTERNAL
+    raw[-9] = 3
+    with pytest.raises(DecodeError):
+        canonical_decode(bytes(raw))
+
+
 # ------------------------------------------------------------- withdrawal
 
 def test_withdrawal_carries_prefix_and_origin():

@@ -3,7 +3,24 @@ import random
 import pytest
 
 from hmlbn import scenarios as lib
+from hmlbn.aler import AlerNode
+from hmlbn.amrr import AmrrNode
 from hmlbn.errors import ScenarioInvalid
+from hmlbn.ler import LerNode
+from hmlbn.messages import (
+    ControlMessage,
+    FailoverBlanketPayload,
+    LrlReplyPayload,
+    LrlRequestPayload,
+    MessageKind,
+    MobilePrefix,
+    MobilityBinding,
+    NegativeReplyPayload,
+    RequestPayload,
+    UpdatePayload,
+    UpdateType,
+    WithdrawalPayload,
+)
 from hmlbn.scenario import parse_scenario, validate_scenario
 from hmlbn.sequences import (
     assert_sequence,
@@ -12,7 +29,8 @@ from hmlbn.sequences import (
     roles_from_graph,
     startup_pattern,
 )
-from hmlbn.simulator import run_scenario
+from hmlbn.simulator import EventKind, Simulation, run_scenario
+from hmlbn.topology import NodeRole
 
 from conftest import ctl_sends, delivered_paths, run
 
@@ -251,3 +269,86 @@ def test_ha_amrr_pair_stores_converge():
         assert ra.lrl.internal == rb.lrl.internal
     rows = sim.metrics.finalize()["cn-to-mn"]
     assert rows["delivered"] == rows["ingress"]
+
+
+# ------------------------------------------------------------- dispatch
+
+_MN = MobilePrefix.parse("10.1.1.9/32")
+_BLANKET = FailoverBlanketPayload("20.1.2.1", "20.1.2.2")
+_PAYLOADS = {
+    MessageKind.BINDING_WITHDRAWAL: WithdrawalPayload(_MN, "20.1.1.1"),
+    MessageKind.BINDING_REQUEST: RequestPayload(_MN, 1),
+    MessageKind.BINDING_REPLY_POSITIVE: UpdatePayload(
+        MobilityBinding(_MN, "20.1.1.1", 116, 1)),
+    MessageKind.BINDING_REPLY_NEGATIVE: NegativeReplyPayload(_MN),
+    MessageKind.LRL_REQUEST: LrlRequestPayload(_MN),
+    MessageKind.LRL_REPLY: LrlReplyPayload(_MN, (2,)),
+    MessageKind.ALER_FAILOVER_BLANKET: _BLANKET,
+}
+# (role, kind, update type of a BindingUpdate, class, handler): every
+# control route, including the ALER's internal/external update split
+_ROUTES = [
+    (NodeRole.LER, MessageKind.BINDING_UPDATE, UpdateType.INTERNAL,
+     LerNode, "handle_unsolicited_update"),
+    (NodeRole.LER, MessageKind.BINDING_REPLY_POSITIVE, None,
+     LerNode, "handle_binding_reply"),
+    (NodeRole.LER, MessageKind.BINDING_REPLY_NEGATIVE, None,
+     LerNode, "handle_binding_reply"),
+    (NodeRole.LER, MessageKind.BINDING_WITHDRAWAL, None,
+     LerNode, "handle_withdrawal_reflect"),
+    (NodeRole.ALER, MessageKind.BINDING_UPDATE, UpdateType.INTERNAL,
+     AlerNode, "handle_internal_update"),
+    (NodeRole.ALER, MessageKind.BINDING_UPDATE, UpdateType.EXTERNAL,
+     AlerNode, "handle_external_update"),
+    (NodeRole.ALER, MessageKind.BINDING_WITHDRAWAL, None,
+     AlerNode, "handle_withdrawal"),
+    (NodeRole.ALER, MessageKind.ALER_FAILOVER_BLANKET, None,
+     AlerNode, "apply_failover"),
+    (NodeRole.AMRR, MessageKind.BINDING_UPDATE, UpdateType.INTERNAL,
+     AmrrNode, "handle_update"),
+    (NodeRole.AMRR, MessageKind.BINDING_REQUEST, None,
+     AmrrNode, "handle_request"),
+    (NodeRole.AMRR, MessageKind.BINDING_REPLY_POSITIVE, None,
+     AmrrNode, "handle_reply"),
+    (NodeRole.AMRR, MessageKind.BINDING_REPLY_NEGATIVE, None,
+     AmrrNode, "handle_reply"),
+    (NodeRole.AMRR, MessageKind.LRL_REQUEST, None,
+     AmrrNode, "handle_lrl_request"),
+    (NodeRole.AMRR, MessageKind.LRL_REPLY, None,
+     AmrrNode, "handle_lrl_reply"),
+    (NodeRole.AMRR, MessageKind.BINDING_WITHDRAWAL, None,
+     AmrrNode, "handle_withdrawal"),
+    (NodeRole.AMRR, MessageKind.ALER_FAILOVER_BLANKET, None,
+     AmrrNode, "handle_blanket"),
+]
+
+
+@pytest.mark.parametrize(
+    "role,kind,update_type,cls,handler", _ROUTES,
+    ids=[f"{r.value}-{k.value}" + (f"-{u.name}" if u and r is NodeRole.ALER else "")
+         for r, k, u, _, _ in _ROUTES])
+def test_control_message_reaches_its_handler(monkeypatch, role, kind,
+                                             update_type, cls, handler):
+    calls = []
+    # patched on the class before the simulation exists, as the benchmark's
+    # per-layer timers are; dispatch must look the handler up at call time
+    monkeypatch.setattr(cls, handler,
+                        lambda self, *args: calls.append((self.rid, args)))
+    doc = lib.startup_scenario()
+    doc["mobility"] = {}
+    doc["flows"] = []
+    sim = Simulation(parse_scenario(doc))
+    dst = sim.graph.by_role(role)[0]
+    src = sim.graph.by_role(NodeRole.AMRR if role is not NodeRole.AMRR
+                            else NodeRole.LER)[0]
+    if kind is MessageKind.BINDING_UPDATE:
+        payload = UpdatePayload(MobilityBinding(_MN, src, 116, 1,
+                                                update_type=update_type))
+    else:
+        payload = _PAYLOADS[kind]
+    msg = ControlMessage(kind, src, dst, 0.0, payload)
+    sim.schedule(0.5, EventKind.CONTROL_DELIVER, (msg,))
+    sim.run()
+    expected = ((_BLANKET.survivor, _BLANKET.failed) if handler == "apply_failover"
+                else (msg,))
+    assert calls == [(dst, expected)]
