@@ -36,10 +36,9 @@ class DataPacket:
     dst_prefix: MobilePrefix
     created_at: float
     stack: list[Label] = field(default_factory=list)
-    hop_trace: list[tuple] = field(default_factory=list)  # (t, node name, stack)
+    hop_trace: list[tuple] = field(default_factory=list)  # (t, node name)
     ingressed: bool = False
     post_ingress_lookups: int = 0
-    terminal: tuple | None = None  # ("delivered"|"dropped", detail, node, t)
 
     def dst(self) -> MobilePrefix:
         """Destination lookup; counted when it happens after ingress."""
@@ -51,10 +50,10 @@ class DataPacket:
         return "/".join(label.render() for label in self.stack) or "-"
 
     def record_hop(self, t: float, node_name: str):
-        self.hop_trace.append((t, node_name, self.render_stack()))
+        self.hop_trace.append((t, node_name))
 
     def path_string(self) -> str:
-        return ">".join(name for _, name, _ in self.hop_trace)
+        return ">".join(name for _, name in self.hop_trace)
 
 
 class ForwardingEngine:

@@ -13,6 +13,7 @@ import ipaddress
 import struct
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
+from functools import cached_property
 
 from .errors import DecodeError
 
@@ -58,9 +59,14 @@ class MobilePrefix:
         family = 4 if net.version == 4 else 6
         return cls(family, net.network_address.packed, net.prefixlen)
 
+    @cached_property
+    def _text(self) -> str:
+        # rendered on first use and kept in the instance ``__dict__``;
+        # equality, hash and repr stay on the fields
+        return f"{ipaddress.ip_address(self.address)}/{self.prefix_len}"
+
     def __str__(self) -> str:
-        addr = ipaddress.ip_address(self.address)
-        return f"{addr}/{self.prefix_len}"
+        return self._text
 
     def __post_init__(self):
         size = 4 if self.family == 4 else 16
@@ -71,11 +77,20 @@ class MobilePrefix:
         if not 0 <= self.prefix_len <= size * 8:
             raise ValueError(f"bad prefix length {self.prefix_len}")
 
+    def _network(self) -> int:
+        """The address as an integer; ``ValueError`` if host bits are set."""
+        value = int.from_bytes(self.address, "big")
+        if value & ((1 << (len(self.address) * 8 - self.prefix_len)) - 1):
+            raise ValueError(f"{self} has host bits set")
+        return value
+
     def covered_by(self, ranges: list["MobilePrefix"]) -> bool:
-        me = ipaddress.ip_network(str(self))
+        me = self._network()
+        bits = len(self.address) * 8
         for r in ranges:
-            other = ipaddress.ip_network(str(r))
-            if me.version == other.version and me.subnet_of(other):
+            other = r._network()
+            if (r.family == self.family and r.prefix_len <= self.prefix_len
+                    and (me ^ other) >> (bits - r.prefix_len) == 0):
                 return True
         return False
 
@@ -207,30 +222,6 @@ class ControlNode:
 
 # ---------------------------------------------------------------- encoding
 
-class _Writer:
-    def __init__(self):
-        self.parts: list[bytes] = []
-
-    def u8(self, v: int):
-        self.parts.append(struct.pack(">B", v))
-
-    def u32(self, v: int):
-        self.parts.append(struct.pack(">I", v))
-
-    def f64(self, v: float):
-        self.parts.append(struct.pack(">d", v))
-
-    def text(self, s: str):
-        raw = s.encode("utf-8")
-        self.parts.append(struct.pack(">H", len(raw)) + raw)
-
-    def raw(self, b: bytes):
-        self.parts.append(b)
-
-    def done(self) -> bytes:
-        return b"".join(self.parts)
-
-
 class _Reader:
     def __init__(self, data: bytes):
         self.data = data
@@ -264,12 +255,6 @@ class _Reader:
             raise DecodeError(f"{len(self.data) - self.pos} trailing bytes")
 
 
-def _write_prefix(w: _Writer, p: MobilePrefix):
-    w.u8(p.family)
-    w.u8(p.prefix_len)
-    w.raw(p.address)
-
-
 def _read_prefix(r: _Reader) -> MobilePrefix:
     family = r.u8()
     if family not in (4, 6):
@@ -280,16 +265,6 @@ def _read_prefix(r: _Reader) -> MobilePrefix:
         return MobilePrefix(family, addr, plen)
     except ValueError as exc:
         raise DecodeError(str(exc))
-
-
-def _write_binding(w: _Writer, b: MobilityBinding):
-    _write_prefix(w, b.prefix)
-    w.text(b.origin_next_hop)
-    w.u32(b.label)
-    w.u32(b.area_id)
-    w.u8(int(b.update_mode))
-    w.u8(int(b.update_type))
-    w.f64(b.lifetime_s)
 
 
 def _read_binding(r: _Reader) -> MobilityBinding:
@@ -306,37 +281,55 @@ def _read_binding(r: _Reader) -> MobilityBinding:
     return MobilityBinding(prefix, origin, label, area, mode, utype, lifetime)
 
 
+_HEADER = {kind: bytes((MAGIC, code)) for kind, code in _KIND_CODE.items()}
+_U16 = struct.Struct(">H").pack
+_U32 = struct.Struct(">I").pack
+_F64 = struct.Struct(">d").pack
+_PREFIX_HEAD = struct.Struct(">BB").pack
+_BINDING_TAIL = struct.Struct(">IIBBd").pack  # label, area, mode, type, lifetime
+
+
+def _text(s: str) -> bytes:
+    raw = s.encode("utf-8")
+    return _U16(len(raw)) + raw
+
+
+def _prefix(p: MobilePrefix) -> bytes:
+    return _PREFIX_HEAD(p.family, p.prefix_len) + p.address
+
+
+def _binding(p: UpdatePayload) -> bytes:
+    b = p.binding
+    return (_prefix(b.prefix) + _text(b.origin_next_hop)
+            + _BINDING_TAIL(b.label, b.area_id, b.update_mode, b.update_type,
+                            b.lifetime_s))
+
+
+def _lrl_reply(p: LrlReplyPayload) -> bytes:
+    return (_prefix(p.prefix) + _U32(len(p.area_ids))
+            + b"".join(map(_U32, p.area_ids)))
+
+
+# payload bytes per kind, in the field order ``canonical_decode`` reads
+_BODY = {
+    MessageKind.BINDING_UPDATE: _binding,
+    MessageKind.BINDING_REPLY_POSITIVE: _binding,
+    MessageKind.BINDING_WITHDRAWAL:
+        lambda p: _prefix(p.prefix) + _text(p.origin_next_hop),
+    MessageKind.BINDING_REQUEST:
+        lambda p: _prefix(p.prefix) + _U32(p.requestor_area),
+    MessageKind.BINDING_REPLY_NEGATIVE: lambda p: _prefix(p.prefix),
+    MessageKind.LRL_REQUEST: lambda p: _prefix(p.prefix),
+    MessageKind.LRL_REPLY: _lrl_reply,
+    MessageKind.ALER_FAILOVER_BLANKET:
+        lambda p: _text(p.survivor) + _text(p.failed),
+}
+
+
 def canonical_encode(msg: ControlMessage) -> bytes:
-    w = _Writer()
-    w.u8(MAGIC)
-    w.u8(_KIND_CODE[msg.kind])
-    w.text(msg.src)
-    w.text(msg.dst)
-    w.f64(msg.send_time)
-    p = msg.payload
-    if msg.kind in (MessageKind.BINDING_UPDATE, MessageKind.BINDING_REPLY_POSITIVE):
-        _write_binding(w, p.binding)
-    elif msg.kind is MessageKind.BINDING_WITHDRAWAL:
-        _write_prefix(w, p.prefix)
-        w.text(p.origin_next_hop)
-    elif msg.kind is MessageKind.BINDING_REQUEST:
-        _write_prefix(w, p.prefix)
-        w.u32(p.requestor_area)
-    elif msg.kind is MessageKind.BINDING_REPLY_NEGATIVE:
-        _write_prefix(w, p.prefix)
-    elif msg.kind is MessageKind.LRL_REQUEST:
-        _write_prefix(w, p.prefix)
-    elif msg.kind is MessageKind.LRL_REPLY:
-        _write_prefix(w, p.prefix)
-        w.u32(len(p.area_ids))
-        for a in p.area_ids:
-            w.u32(a)
-    elif msg.kind is MessageKind.ALER_FAILOVER_BLANKET:
-        w.text(p.survivor)
-        w.text(p.failed)
-    else:  # pragma: no cover - kinds are exhaustive
-        raise ValueError(f"unencodable kind {msg.kind}")
-    return w.done()
+    kind = msg.kind
+    return b"".join((_HEADER[kind], _text(msg.src), _text(msg.dst),
+                     _F64(msg.send_time), _BODY[kind](msg.payload)))
 
 
 def canonical_decode(data: bytes) -> ControlMessage:

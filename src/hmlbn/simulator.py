@@ -40,14 +40,6 @@ class EventKind(str, Enum):
     NODE_FAIL = "NodeFail"
 
 
-@dataclass(order=True)
-class _QueuedEvent:
-    time: float
-    seq: int
-    kind: EventKind = field(compare=False)
-    payload: tuple = field(compare=False)
-
-
 @dataclass
 class Attachment:
     region: str
@@ -198,11 +190,11 @@ class _Services:
         return self.sim.send_control(self.rid, kind, dst, payload)
 
     def emit(self, kind: str, detail: dict):
-        graph = self.sim.graph
+        names = self.sim._names
         for key in self._ROUTER_KEYS:
             value = detail.get(key)
-            if value in graph.nodes:
-                detail[key] = graph.name_of(value)
+            if value in names:
+                detail[key] = names[value]
         self.sim.trace_event(kind, src=self.rid, detail=detail)
 
     def transmit(self, packet: DataPacket, from_node: str, to_node: str):
@@ -233,12 +225,15 @@ class Simulation:
         self.seed = scenario.seed if seed_override is None else seed_override
         self.rng = random.Random(self.seed)
         self.graph = scenario.build_graph()
+        self._names = {rid: info.name for rid, info in self.graph.nodes.items()}
         self.lsp = compute_infrastructure_lsps(self.graph)
         self.latency = control_latency_matrix(self.graph)
         self.now = 0.0
         self._event_seq = 0
         self._trace_seq = 0
-        self._heap: list[_QueuedEvent] = []
+        # (time, seq, kind, payload): the unique seq settles equal times in
+        # scheduling order, so kinds and payloads are never compared
+        self._heap: list[tuple] = []
         self.trace: list[dict] = []
         self.metrics = Metrics()
         self.failed: set[str] = set()
@@ -325,7 +320,7 @@ class Simulation:
 
     def schedule(self, t: float, kind: EventKind, payload: tuple):
         self._event_seq += 1
-        heapq.heappush(self._heap, _QueuedEvent(t, self._event_seq, kind, payload))
+        heapq.heappush(self._heap, (t, self._event_seq, kind, payload))
 
     def run(self):
         handlers = {
@@ -338,28 +333,30 @@ class Simulation:
             EventKind.TIMER_FIRE: self._on_timer,
             EventKind.NODE_FAIL: self._on_fail,
         }
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            self.now = event.time
-            handlers[event.kind](*event.payload)
+        heap = self._heap
+        pop = heapq.heappop
+        while heap:
+            self.now, _, kind, payload = pop(heap)
+            handlers[kind](*payload)
         return self
 
     # ------------------------------------------------------------- tracing
 
     def trace_event(self, kind: str, src=None, dst=None, detail=None):
         self._trace_seq += 1
+        names = self._names
         self.trace.append({
             "t": round(self.now, 9),
             "seq": self._trace_seq,
             "kind": kind,
-            "src": self.graph.name_of(src) if src in self.graph.nodes else src,
-            "dst": self.graph.name_of(dst) if dst in self.graph.nodes else dst,
+            "src": names.get(src, src),
+            "dst": names.get(dst, dst),
             "detail": detail or {},
         })
 
     def trace_jsonl(self) -> str:
-        return "".join(json.dumps(entry, sort_keys=True) + "\n"
-                       for entry in self.trace)
+        encode = json.JSONEncoder(sort_keys=True).encode
+        return "".join(encode(entry) + "\n" for entry in self.trace)
 
     # ------------------------------------------------------- control plane
 
@@ -373,8 +370,8 @@ class Simulation:
         binding = getattr(msg.payload, "binding", None)
         if binding is not None:
             detail["update_type"] = binding.update_type.name
-            detail["origin"] = self.graph.name_of(binding.origin_next_hop) \
-                if binding.origin_next_hop in self.graph.nodes else binding.origin_next_hop
+            detail["origin"] = self._names.get(binding.origin_next_hop,
+                                               binding.origin_next_hop)
             detail["label"] = binding.label
             detail["area_id"] = binding.area_id
         crossing = self.graph.area_of(src) != self.graph.area_of(dst)
@@ -514,13 +511,10 @@ class Simulation:
         if node in self.failed:
             self.drop(packet, node, "node_failed")
             return
-        packet.record_hop(self.now, self.graph.name_of(node))
+        packet.record_hop(self.now, self._names[node])
         self.engine.step(packet, node)
 
     def drop(self, packet: DataPacket, node: str | None, reason: str):
-        if packet.terminal is None:
-            packet.terminal = ("dropped", reason,
-                               self.graph.name_of(node) if node else None, self.now)
         self.trace_event("data_drop", src=node,
                          detail={"flow": packet.flow_id, "seq": packet.seq,
                                  "reason": reason,
@@ -536,8 +530,6 @@ class Simulation:
         if interface not in active:
             self.drop(packet, ler.rid, "stale_location")
             return
-        if packet.terminal is None:
-            packet.terminal = ("delivered", interface, ler.name, self.now)
         self.trace_event("data_deliver", src=ler.rid,
                          detail={"flow": packet.flow_id, "seq": packet.seq,
                                  "interface": interface,

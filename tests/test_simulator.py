@@ -352,3 +352,21 @@ def test_control_message_reaches_its_handler(monkeypatch, role, kind,
     expected = ((_BLANKET.survivor, _BLANKET.failed) if handler == "apply_failover"
                 else (msg,))
     assert calls == [(dst, expected)]
+
+
+def test_events_at_one_time_fire_in_scheduling_order():
+    doc = lib.startup_scenario()
+    doc["mobility"] = {}
+    doc["flows"] = []
+    sim = Simulation(parse_scenario(doc))
+    fired = []
+    sim._on_timer = lambda *args: fired.append(args)
+    sim._on_hop = lambda *args: fired.append(args)
+    # dict payloads cannot be ordered, and the two kinds sort differently
+    # from their scheduling order, so only the sequence number may settle ties
+    for i in range(6):
+        kind = EventKind.TIMER_FIRE if i % 2 else EventKind.DATA_HOP
+        sim.schedule(0.5, kind, ({"i": i},))
+    sim.run()
+    assert [args[0]["i"] for args in fired if isinstance(args[0], dict)] \
+        == list(range(6))
