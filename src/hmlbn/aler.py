@@ -78,35 +78,25 @@ class AlerNode(ControlNode):
         outward (external update, our router id as next hop).  Known
         prefixes only have their trail refreshed; the alias is stable.
         """
-        binding = msg.payload.binding
-        entry, created = self._upsert(binding)
-        if created:
-            external = binding.reoriginated(
-                origin=self.rid,
-                label=entry.local_mobility_label,
-                update_type=UpdateType.EXTERNAL,
-                update_mode=UpdateMode.SELECTIVE_DOWNSTREAM_PUSH,
-            )
-            for amrr in self.amrrs:
-                self.services.send(MessageKind.BINDING_UPDATE, amrr,
-                                   UpdatePayload(external))
-        return entry
+        return self._alias(msg.payload.binding, UpdateType.EXTERNAL)
 
     def handle_external_update(self, msg: ControlMessage) -> FibEntry:
         """Binding for a mobile in another area; mirror of the internal path:
         new prefixes are aliased and re-announced inward."""
-        binding = msg.payload.binding
+        return self._alias(msg.payload.binding, UpdateType.INTERNAL)
+
+    def _alias(self, binding: MobilityBinding, announce_as: UpdateType) -> FibEntry:
         entry, created = self._upsert(binding)
         if created:
-            internal = binding.reoriginated(
+            announced = binding.reoriginated(
                 origin=self.rid,
                 label=entry.local_mobility_label,
-                update_type=UpdateType.INTERNAL,
+                update_type=announce_as,
                 update_mode=UpdateMode.SELECTIVE_DOWNSTREAM_PUSH,
             )
             for amrr in self.amrrs:
                 self.services.send(MessageKind.BINDING_UPDATE, amrr,
-                                   UpdatePayload(internal))
+                                   UpdatePayload(announced))
         return entry
 
     def _upsert(self, binding: MobilityBinding) -> tuple[FibEntry, bool]:

@@ -292,17 +292,9 @@ class AmrrNode(ControlNode):
             return  # a twin AMRR already answered
         pending.resolved = True
         pending.awaiting.clear()
-        binding = msg.payload.binding
-        rec = self.records.get(key)
-        if rec is None:
-            rec = AmrrRecord(prefix, binding, binding.area_id)
-            self.records[key] = rec
-        else:
-            rec.binding = binding
-            rec.area_id = binding.area_id
-        rec.expiry = self.services.now() + binding.lifetime_s
-        self._reflect_to_alers(binding, UpdateType.EXTERNAL)
-        # the LERs are answered once the ALER re-originates inward
+        # stored and reflected like a peer's update; the LERs are answered
+        # once the ALER re-originates inward
+        self._external_from_peer(msg.payload.binding, msg.src)
 
     # ------------------------------------------------------ LRL exchange
 
@@ -364,29 +356,22 @@ class AmrrNode(ControlNode):
         rec = self._live_record(key)
         if rec is None:
             return
-        payload = WithdrawalPayload(msg.payload.prefix, msg.payload.origin_next_hop)
-        if msg.src in self.ler_clients:
-            if rec.binding.origin_next_hop != msg.src:
-                # the mobile already re-registered elsewhere; the old LER's
-                # withdrawal must not tear down the fresh state
-                self.services.emit("ignored_withdrawal",
-                                   {"prefix": key, "from": msg.src})
-                return
-            for ler in rec.lrl.internal:
-                self.services.send(MessageKind.BINDING_WITHDRAWAL, ler, payload)
-            for aler in self._live_alers():
-                self.services.send(MessageKind.BINDING_WITHDRAWAL, aler, payload)
-            for area in rec.lrl.external:
-                for amrr in self.amrrs_by_area.get(area, []):
-                    self.services.send(MessageKind.BINDING_WITHDRAWAL, amrr,
-                                       payload)
-            del self.records[key]
+        from_ler = msg.src in self.ler_clients
+        if from_ler and rec.binding.origin_next_hop != msg.src:
+            # the mobile already re-registered elsewhere; the old LER's
+            # withdrawal must not tear down the fresh state
+            self.services.emit("ignored_withdrawal",
+                               {"prefix": key, "from": msg.src})
             return
-        # from a peer AMRR: purely local fan-out, never re-forwarded
-        for ler in rec.lrl.internal:
-            self.services.send(MessageKind.BINDING_WITHDRAWAL, ler, payload)
-        for aler in self._live_alers():
-            self.services.send(MessageKind.BINDING_WITHDRAWAL, aler, payload)
+        # a peer AMRR's withdrawal fans out locally and is never
+        # re-forwarded; only the owner's reaches the requesting areas
+        targets = rec.lrl.internal + self._live_alers()
+        if from_ler:
+            targets += [amrr for area in rec.lrl.external
+                        for amrr in self.amrrs_by_area.get(area, [])]
+        payload = WithdrawalPayload(msg.payload.prefix, msg.payload.origin_next_hop)
+        for dst in targets:
+            self.services.send(MessageKind.BINDING_WITHDRAWAL, dst, payload)
         del self.records[key]
 
     # ---------------------------------------------------- high availability

@@ -24,9 +24,6 @@ class Label:
     value: int
     tag: str  # INFRA or MOBILITY, diagnostic only
 
-    def render(self) -> str:
-        return f"{self.tag}{self.value}"
-
 
 @dataclass
 class DataPacket:
@@ -47,7 +44,8 @@ class DataPacket:
         return self.dst_prefix
 
     def render_stack(self) -> str:
-        return "/".join(label.render() for label in self.stack) or "-"
+        return "/".join([f"{label.tag}{label.value}"
+                         for label in self.stack]) or "-"
 
     def record_hop(self, t: float, node_name: str):
         self.hop_trace.append((t, node_name))

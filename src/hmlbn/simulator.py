@@ -14,6 +14,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from enum import Enum
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .aler import AlerNode
 from .amrr import AmrrNode
@@ -173,6 +174,19 @@ class Metrics:
         return "\n".join(lines) + "\n"
 
 
+def _json_encoder():
+    """``JSONEncoder(sort_keys=True).encode`` whose C encoder, which
+    ``encode`` makes anew per value, is made once and reused."""
+    encoder = json.JSONEncoder(sort_keys=True)
+    if c_make_encoder is None:
+        return encoder.encode
+    iterencode = c_make_encoder(
+        {}, encoder.default, encode_basestring_ascii, encoder.indent,
+        encoder.key_separator, encoder.item_separator, encoder.sort_keys,
+        encoder.skipkeys, encoder.allow_nan)
+    return lambda value: "".join(iterencode(value, 0))
+
+
 class _Services:
     """Per-node facade over the simulation: clock, messaging, data plane."""
 
@@ -230,11 +244,11 @@ class Simulation:
         self.latency = control_latency_matrix(self.graph)
         self.now = 0.0
         self._event_seq = 0
-        self._trace_seq = 0
         # (time, seq, kind, payload): the unique seq settles equal times in
         # scheduling order, so kinds and payloads are never compared
         self._heap: list[tuple] = []
-        self.trace: list[dict] = []
+        # (now, kind, src, dst, detail) per trace record; seq is position + 1
+        self._records: list[tuple] = []
         self.metrics = Metrics()
         self.failed: set[str] = set()
         self.mobiles: dict[MobilePrefix, MobileState] = {}
@@ -343,20 +357,35 @@ class Simulation:
     # ------------------------------------------------------------- tracing
 
     def trace_event(self, kind: str, src=None, dst=None, detail=None):
-        self._trace_seq += 1
+        self._records.append((self.now, kind, src, dst, detail))
+
+    def _trace_rows(self):
+        """Each record as ``(t, seq, kind, src, dst, detail)``, time rounded
+        and router ids named: the rows of ``trace`` and ``trace_jsonl``."""
         names = self._names
-        self.trace.append({
-            "t": round(self.now, 9),
-            "seq": self._trace_seq,
-            "kind": kind,
-            "src": names.get(src, src),
-            "dst": names.get(dst, dst),
-            "detail": detail or {},
-        })
+        for seq, (t, kind, src, dst, detail) in enumerate(self._records, 1):
+            yield (round(t, 9), seq, kind, names.get(src, src),
+                   names.get(dst, dst), detail or {})
+
+    @property
+    def trace(self) -> list[dict]:
+        """The records as dicts, built anew on each access."""
+        return [{"t": t, "seq": seq, "kind": kind, "src": src, "dst": dst,
+                 "detail": detail}
+                for t, seq, kind, src, dst, detail in self._trace_rows()]
 
     def trace_jsonl(self) -> str:
-        encode = json.JSONEncoder(sort_keys=True).encode
-        return "".join(encode(entry) + "\n" for entry in self.trace)
+        """One line per record, byte for byte what ``JSONEncoder(sort_keys=
+        True).encode`` writes for its ``trace`` dict; a time that is not
+        finite goes through the encoder, which writes ``Infinity``/``NaN``."""
+        encode, text = _json_encoder(), encode_basestring_ascii
+        return "".join([
+            f'{{"detail": {encode(detail)}, '
+            f'"dst": {"null" if dst is None else text(dst)}, '
+            f'"kind": {text(kind)}, "seq": {seq}, '
+            f'"src": {"null" if src is None else text(src)}, '
+            f'"t": {repr(t) if t - t == 0 else encode(t)}}}\n'
+            for t, seq, kind, src, dst, detail in self._trace_rows()])
 
     # ------------------------------------------------------- control plane
 
@@ -581,17 +610,15 @@ class Simulation:
     # ----------------------------------------------------------------- dumps
 
     def fib_dump(self, name_or_rid: str) -> list[str]:
-        rid = self.graph.rid_of(name_or_rid)
-        node = self.nodes[rid]
-        if not isinstance(node, AlerNode):
-            raise HmlbnError(f"{name_or_rid} is not an ALER")
-        return node.dump(self.graph.name_of)
+        return self._dump(name_or_rid, AlerNode, "an ALER")
 
     def binding_dump(self, name_or_rid: str) -> list[str]:
-        rid = self.graph.rid_of(name_or_rid)
-        node = self.nodes[rid]
-        if not isinstance(node, AmrrNode):
-            raise HmlbnError(f"{name_or_rid} is not an AMRR")
+        return self._dump(name_or_rid, AmrrNode, "an AMRR")
+
+    def _dump(self, name_or_rid: str, cls: type, what: str) -> list[str]:
+        node = self.nodes[self.graph.rid_of(name_or_rid)]
+        if not isinstance(node, cls):
+            raise HmlbnError(f"{name_or_rid} is not {what}")
         return node.dump(self.graph.name_of)
 
 
