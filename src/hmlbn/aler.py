@@ -10,6 +10,7 @@ by local label (data plane).
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 from .forwarding import INFRA, DataPacket, Label
@@ -88,12 +89,10 @@ class AlerNode(ControlNode):
     def _alias(self, binding: MobilityBinding, announce_as: UpdateType) -> FibEntry:
         entry, created = self._upsert(binding)
         if created:
-            announced = binding.reoriginated(
-                origin=self.rid,
-                label=entry.local_mobility_label,
-                update_type=announce_as,
-                update_mode=UpdateMode.SELECTIVE_DOWNSTREAM_PUSH,
-            )
+            announced = dataclasses.replace(
+                binding, origin_next_hop=self.rid,
+                label=entry.local_mobility_label, update_type=announce_as,
+                update_mode=UpdateMode.SELECTIVE_DOWNSTREAM_PUSH)
             for amrr in self.amrrs:
                 self.services.send(MessageKind.BINDING_UPDATE, amrr,
                                    UpdatePayload(announced))

@@ -4,8 +4,10 @@ A packet carries at most two labels: an infrastructure (top) label selecting
 the LSP toward a router id, and a mobility (inner) label naming the mobile
 prefix or the next LSP segment.  Intermediate nodes act on label position
 and table lookups only; the tag on each label exists purely so traces are
-readable.  Reading the destination prefix after ingress is recorded on the
-packet, which lets tests prove that no interior node does an IP lookup.
+readable.  A swap rewrites the top label's value in place, as an ALER does
+the inner one's: only imposition and an ALER's new top label allocate one.
+Reading the destination prefix after ingress is recorded on the packet,
+which lets tests prove that no interior node does an IP lookup.
 """
 
 from __future__ import annotations
@@ -70,26 +72,22 @@ class ForwardingEngine:
         self.transport = transport
 
     def step(self, packet: DataPacket, node: str):
-        role = self.graph.role_of(node)
-        if not packet.stack:
-            self.transport.drop(packet, node, "no_label_entry")
-            return
-        top = packet.stack[0]
-        action = self.lsp.action(node, top.value)
+        stack = packet.stack
+        action = self.lsp.action(node, stack[0].value) if stack else None
         if action is None:
             self.transport.drop(packet, node, "no_label_entry")
             return
         if action[0] == topology.SWAP:
-            _, out_label, next_hop = action
-            packet.stack[0] = Label(out_label, INFRA)
+            _, stack[0].value, next_hop = action  # the top label, in place
             self.transport.transmit(packet, node, next_hop)
             return
         # top label pops here: this node terminates the LSP segment
-        packet.stack.pop(0)
+        stack.pop(0)
+        role = self.graph.role_of(node)
         handler = self.node_of(node)
-        if role is topology.NodeRole.ALER and packet.stack:
+        if role is topology.NodeRole.ALER and stack:
             handler.forward_transit(packet)
-        elif role is topology.NodeRole.LER and packet.stack:
+        elif role is topology.NodeRole.LER and stack:
             handler.egress_deliver(packet)
         else:
             self.transport.drop(packet, node, "no_label_entry")

@@ -107,19 +107,6 @@ class MobilityBinding:
     update_type: UpdateType = UpdateType.INTERNAL
     lifetime_s: float = 300.0
 
-    def reoriginated(self, *, origin: str, label: int, update_type: UpdateType,
-                     area_id: int | None = None,
-                     update_mode: UpdateMode | None = None) -> "MobilityBinding":
-        return MobilityBinding(
-            prefix=self.prefix,
-            origin_next_hop=origin,
-            label=label,
-            area_id=self.area_id if area_id is None else area_id,
-            update_mode=self.update_mode if update_mode is None else update_mode,
-            update_type=update_type,
-            lifetime_s=self.lifetime_s,
-        )
-
 
 @dataclass
 class LastRequestorList:

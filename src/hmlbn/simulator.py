@@ -5,6 +5,12 @@ machine.  Control messages ride fixed per-pair latencies (reliable, FIFO),
 data packets move edge by edge, and all randomness flows from a single
 seeded generator, so equal (scenario, seed) pairs produce byte-identical
 traces and metrics.
+
+Every trace record enters through ``Simulation.trace_event`` as one tuple:
+``(now, kind, src, dst, detail)`` with a dict or None, or, for a kind in
+``FLAT_KEYS``, ``(now, kind, src, dst, *values)`` with no dict and a string
+first.  That table is the flat records' only schema: ``trace`` rebuilds
+their dicts from it, and ``trace_jsonl`` one line template per kind.
 """
 
 from __future__ import annotations
@@ -149,29 +155,43 @@ class Metrics:
                   + ["mean_hops", "mean_latency_ms", "max_gap_s",
                      "ctl_total", "ctl_area_crossing", "ctl_intra_area"])
         lines = [",".join(header)]
-        totals = {"ingress": 0, "delivered": 0, "in_flight": 0}
-        total_drops = {r: 0 for r in DROP_REASONS}
+        totals = [0] * (3 + len(DROP_REASONS))
         for flow_id, row in rows.items():
-            for key in totals:
-                totals[key] += row[key]
-            for r in DROP_REASONS:
-                total_drops[r] += row["drops"][r]
+            counts = ([row["ingress"], row["delivered"], row["in_flight"]]
+                      + [row["drops"][r] for r in DROP_REASONS])
+            totals = [a + b for a, b in zip(totals, counts)]
             mean_hops = (sum(row["hops"]) / len(row["hops"])) if row["hops"] else 0.0
             mean_lat = (sum(row["latencies"]) / len(row["latencies"]) * 1000.0
                         if row["latencies"] else 0.0)
             lines.append(",".join(
-                [flow_id, str(row["ingress"]), str(row["delivered"]),
-                 str(row["in_flight"])]
-                + [str(row["drops"][r]) for r in DROP_REASONS]
-                + [f"{mean_hops:.4f}", f"{mean_lat:.4f}", f"{row['max_gap_s']:.6f}",
-                   "", "", ""]))
+                [flow_id, *map(str, counts), f"{mean_hops:.4f}",
+                 f"{mean_lat:.4f}", f"{row['max_gap_s']:.6f}", "", "", ""]))
         lines.append(",".join(
-            ["TOTAL", str(totals["ingress"]), str(totals["delivered"]),
-             str(totals["in_flight"])]
-            + [str(total_drops[r]) for r in DROP_REASONS]
-            + ["", "", "", str(self.control_total), str(self.control_crossing),
-               str(self.control_intra)]))
+            ["TOTAL", *map(str, totals), "", "", "", str(self.control_total),
+             str(self.control_crossing), str(self.control_intra)]))
         return "\n".join(lines) + "\n"
+
+
+# detail keys of each kind a hot path records flat, sorted as trace.jsonl
+# writes them; a data_hop "stack" (two labels deep) is four values, the top
+# label's tag and value, then the inner label's, written as STACK
+FLAT_KEYS = {
+    "ctl_recv": ("msg",),
+    "data_deliver": ("flow", "interface", "path", "replica", "seq"),
+    "data_hop": ("flow", "seq", "stack"),
+    "data_ingress": ("flow", "seq"),
+}
+STACK = "%s%s/%s%s"
+
+
+class _Memo(dict):
+    """``memo[key]`` is ``render(key)``, rendered on first use only."""
+
+    def __init__(self, render):
+        self.render = render
+
+    def __missing__(self, key):
+        return self.setdefault(key, self.render(key))
 
 
 def _json_encoder():
@@ -323,12 +343,9 @@ class Simulation:
                     break
                 self.schedule(t, EventKind.DATA_INGRESS, (flow, i))
                 i += 1
-        interval = sc.timers.keepalive_s
         for rid in self.graph.by_role(NodeRole.LER):
-            if interval <= sc.duration_s:
-                self.schedule(interval, EventKind.TIMER_FIRE, ("dead_scan", rid))
-        if interval <= sc.duration_s:
-            self.schedule(interval, EventKind.TIMER_FIRE, ("expiry",))
+            self._tick("dead_scan", rid)
+        self._tick("expiry")
 
     # ---------------------------------------------------------- event loop
 
@@ -356,14 +373,23 @@ class Simulation:
 
     # ------------------------------------------------------------- tracing
 
-    def trace_event(self, kind: str, src=None, dst=None, detail=None):
-        self._records.append((self.now, kind, src, dst, detail))
+    def trace_event(self, kind: str, src=None, dst=None, *values,
+                    detail=None):
+        """Record ``detail``, or the ``values`` of a kind in ``FLAT_KEYS``."""
+        self._records.append((self.now, kind, src, dst) + values if values
+                             else (self.now, kind, src, dst, detail))
 
     def _trace_rows(self):
         """Each record as ``(t, seq, kind, src, dst, detail)``, time rounded
-        and router ids named: the rows of ``trace`` and ``trace_jsonl``."""
+        and router ids named: the rows of ``trace``."""
         names = self._names
-        for seq, (t, kind, src, dst, detail) in enumerate(self._records, 1):
+        for seq, (t, kind, src, dst, *values) in enumerate(self._records, 1):
+            detail = values[0]
+            if type(detail) is str:
+                keys = FLAT_KEYS[kind]
+                if keys[-1] == "stack":
+                    values[-4:] = [STACK % tuple(values[-4:])]
+                detail = dict(zip(keys, values))
             yield (round(t, 9), seq, kind, names.get(src, src),
                    names.get(dst, dst), detail or {})
 
@@ -377,15 +403,36 @@ class Simulation:
     def trace_jsonl(self) -> str:
         """One line per record, byte for byte what ``JSONEncoder(sort_keys=
         True).encode`` writes for its ``trace`` dict; a time that is not
-        finite goes through the encoder, which writes ``Infinity``/``NaN``."""
-        encode, text = _json_encoder(), encode_basestring_ascii
-        return "".join([
-            f'{{"detail": {encode(detail)}, '
-            f'"dst": {"null" if dst is None else text(dst)}, '
-            f'"kind": {text(kind)}, "seq": {seq}, '
-            f'"src": {"null" if src is None else text(src)}, '
-            f'"t": {repr(t) if t - t == 0 else encode(t)}}}\n'
-            for t, seq, kind, src, dst, detail in self._trace_rows()])
+        finite goes through the encoder, which writes ``Infinity``/``NaN``.
+        A flat record fills its kind's template, whose slots render each value
+        once per call.  Only nonzero float times are memoised: 3 and 3.0, or
+        0.0 and -0.0, are one key but two texts."""
+        encode, text, names = _json_encoder(), encode_basestring_ascii, self._names
+        router = _Memo(lambda rid: "null" if rid is None
+                       else text(names.get(rid, rid)))
+        kinds, bare = _Memo(text), (lambda tag: text(tag)[1:-1])
+        times = _Memo(lambda t: repr(round(t, 9)) if t - t == 0 else encode(t))
+        line = ('{"detail": %s, "dst": %s, "kind": %s, "seq": %d, "src": %s, '
+                '"t": %s}\n')
+        flat = {}
+        for kind, keys in FLAT_KEYS.items():
+            fields = ", ".join(f'"stack": "{STACK}"' if key == "stack"
+                               else f"{text(key)}: %s" for key in keys)
+            flat[kind] = (line.replace("%s", "{%s}" % fields, 1),
+                          [_Memo(render) for key in keys for render in
+                           ((bare, str) * 2 if key == "stack" else (encode,))])
+        getitem, lines = dict.__getitem__, []
+        for seq, rec in enumerate(self._records, 1):
+            t, kind = rec[0], rec[1]
+            if type(rec[4]) is str:
+                template, slots = flat[kind]
+                detail = map(getitem, slots, rec[4:])
+            else:
+                template, detail = line, (encode(rec[4] or {}),)
+            lines.append(template % (
+                *detail, router[rec[3]], kinds[kind], seq, router[rec[2]],
+                times[t] if type(t) is float and t else times.render(t)))
+        return "".join(lines)
 
     # ------------------------------------------------------- control plane
 
@@ -420,8 +467,7 @@ class Simulation:
             self.trace_event("ctl_drop", src=msg.src, dst=msg.dst,
                              detail={"msg": msg.kind.value, "why": "node_failed"})
             return
-        self.trace_event("ctl_recv", src=msg.src, dst=msg.dst,
-                         detail={"msg": msg.kind.value})
+        self.trace_event("ctl_recv", msg.src, msg.dst, msg.kind.value)
         self.nodes[msg.dst].handle(msg)
 
     # ------------------------------------------------------------ mobility
@@ -439,10 +485,7 @@ class Simulation:
         _, reply_area = ler.handle_registration(spec.prefix, spec.l2, interface,
                                                 mobile.area_hint)
         mobile.area_hint = reply_area
-        interval = self.scenario.timers.keepalive_s
-        if self.now + interval <= self.scenario.duration_s:
-            self.schedule(self.now + interval, EventKind.TIMER_FIRE,
-                          ("keepalive", spec.prefix))
+        self._tick("keepalive", spec.prefix)
         if spec.prefix in self._movers:
             self._arm_move_decision(spec.prefix)
 
@@ -519,8 +562,8 @@ class Simulation:
             self.drop(packet, None, "source_not_attached")
             return
         ler: LerNode = self.nodes[attachment.ler]
-        self.trace_event("data_ingress", src=attachment.ler,
-                         detail={"flow": flow.flow_id, "seq": seq})
+        self.trace_event("data_ingress", attachment.ler, None, flow.flow_id,
+                         seq)
         packet.record_hop(self.now, ler.name)
         ler.keepalive(flow.src, self.now)  # uplink traffic doubles as liveness
         ler.ingress_forward(packet)
@@ -530,9 +573,15 @@ class Simulation:
         self.metrics.max_stack_depth = max(self.metrics.max_stack_depth, depth)
         if depth > 2:
             self.metrics.stack_violations += 1
-        self.trace_event("data_hop", src=from_node, dst=to_node,
-                         detail={"flow": packet.flow_id, "seq": packet.seq,
-                                 "stack": packet.render_stack()})
+        if depth == 2:
+            top, inner = packet.stack
+            self.trace_event("data_hop", from_node, to_node, packet.flow_id,
+                             packet.seq, top.tag, top.value, inner.tag,
+                             inner.value)
+        else:
+            self.trace_event("data_hop", src=from_node, dst=to_node,
+                             detail={"flow": packet.flow_id, "seq": packet.seq,
+                                     "stack": packet.render_stack()})
         latency_s = self.graph.edges[from_node][to_node] / 1000.0
         self.schedule(self.now + latency_s, EventKind.DATA_HOP, (packet, to_node))
 
@@ -559,23 +608,24 @@ class Simulation:
         if interface not in active:
             self.drop(packet, ler.rid, "stale_location")
             return
-        self.trace_event("data_deliver", src=ler.rid,
-                         detail={"flow": packet.flow_id, "seq": packet.seq,
-                                 "interface": interface,
-                                 "path": packet.path_string(),
-                                 "replica": False})  # see drop()
+        self.trace_event("data_deliver", ler.rid, None, packet.flow_id,
+                         interface, packet.path_string(), False,  # see drop()
+                         packet.seq)
         self.metrics.record_outcome(packet, "delivered", interface, self.now)
 
     # -------------------------------------------------------------- timers
 
+    def _tick(self, *timer):
+        """Fire ``timer`` one keepalive interval from now, if the run lasts
+        that long."""
+        t = self.now + self.scenario.timers.keepalive_s
+        if t <= self.scenario.duration_s:
+            self.schedule(t, EventKind.TIMER_FIRE, timer)
+
     def _on_timer(self, what: str, *args):
-        interval = self.scenario.timers.keepalive_s
         if what == "dead_scan":
-            rid = args[0]
-            self.nodes[rid].scan_dead_registrations(self.now)
-            if self.now + interval <= self.scenario.duration_s:
-                self.schedule(self.now + interval, EventKind.TIMER_FIRE,
-                              ("dead_scan", rid))
+            self.nodes[args[0]].scan_dead_registrations(self.now)
+            self._tick(what, *args)
         elif what == "expiry":
             for rid in sorted(self.nodes):
                 node = self.nodes[rid]
@@ -585,17 +635,13 @@ class Simulation:
                     node.expire(self.now)
                 elif isinstance(node, AmrrNode):
                     node.expire_records(self.now)
-            if self.now + interval <= self.scenario.duration_s:
-                self.schedule(self.now + interval, EventKind.TIMER_FIRE,
-                              ("expiry",))
+            self._tick(what)
         elif what == "keepalive":
             prefix = args[0]
             mobile = self.mobiles.get(prefix)
             if mobile and mobile.attachments:
                 self.nodes[mobile.primary().ler].keepalive(prefix, self.now)
-                if self.now + interval <= self.scenario.duration_s:
-                    self.schedule(self.now + interval, EventKind.TIMER_FIRE,
-                                  ("keepalive", prefix))
+                self._tick(what, prefix)
         elif what == "move_decision":
             self._on_move_decision(args[0])
 

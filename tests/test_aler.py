@@ -13,7 +13,7 @@ from hmlbn.messages import (
     WithdrawalPayload,
 )
 
-from conftest import FakeServices, prefix
+from helpers import FakeServices, prefix
 
 MN = prefix("10.1.1.1/32")
 LER12 = "20.1.1.12"

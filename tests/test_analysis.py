@@ -22,7 +22,7 @@ from hmlbn.analysis import (
 )
 from hmlbn.errors import InvalidDm, VertexNotFound
 
-from conftest import floyd_warshall
+from helpers import floyd_warshall
 
 
 def random_connected_graph(rng, n):

@@ -3,7 +3,7 @@ import random
 from hmlbn.forwarding import INFRA, MOBILITY, DataPacket, Label
 from hmlbn.scenarios import base_topology, MOBILITY_RANGE
 
-from conftest import delivered_paths, prefix, run
+from helpers import delivered_paths, prefix, run
 
 
 def two_mobile_scenario():

@@ -12,7 +12,7 @@ from hmlbn.messages import (
     UpdateType,
 )
 
-from conftest import FakeServices, prefix
+from helpers import FakeServices, prefix
 
 MN = prefix("10.1.1.1/32")
 RANGES = [prefix("10.0.0.0/8")]

@@ -32,7 +32,7 @@ from hmlbn.sequences import (
 from hmlbn.simulator import EventKind, Simulation, run_scenario
 from hmlbn.topology import NodeRole
 
-from conftest import ctl_sends, delivered_paths, run
+from helpers import ctl_sends, delivered_paths, run
 
 
 # ---------------------------------------------------------- determinism
@@ -159,6 +159,20 @@ def test_intra_area_handoff_stays_inside_the_area():
     post = ctl_sends(sim, t_min=0.2)
     assert len(post) == 2
     assert all(not m["detail"]["area_crossing"] for m in post)
+
+
+@pytest.mark.parametrize("areas", range(3, 11))
+def test_handoff_cost_does_not_grow_with_uninvolved_areas(areas):
+    """Scalable Mobility Label distribution: an intra-area hand-off costs 2
+    control messages and an inter-area one 9, which touch only the AMRRs of
+    the three areas involved, whatever the number of other areas."""
+    intra = ctl_sends(run(lib.scaling_intra_scenario(areas)), t_min=0.2)
+    inter = ctl_sends(run(lib.scaling_inter_scenario(areas)), t_min=0.2)
+    assert len(intra) == 2
+    assert len(inter) == 9
+    touched = {e[end] for e in inter for end in ("src", "dst")
+               if e[end].startswith("AMRR")}
+    assert touched == {"AMRR1", "AMRR2", "AMRR3"}
 
 
 def test_inter_area_handoff_has_three_path_phases():

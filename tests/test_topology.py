@@ -23,7 +23,7 @@ from hmlbn.topology import (
     control_latency_matrix,
 )
 
-from conftest import floyd_warshall, run
+from helpers import floyd_warshall, run
 
 
 # ----------------------------------------------------------- label space

@@ -1,6 +1,7 @@
 """The trace renderer: ``trace_jsonl`` against a copy of the encoder it
 replaced (a list of dicts through ``JSONEncoder(sort_keys=True)``), and
-``trace`` against the rendered lines on every bundled scenario."""
+``trace`` against the rendered lines on every bundled scenario.  Flat
+records are checked against the dicts their kinds were once recorded as."""
 
 import json
 from pathlib import Path
@@ -8,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from hmlbn import simulator
+from hmlbn.forwarding import INFRA, MOBILITY, DataPacket, Label
+from hmlbn.messages import MobilePrefix
 from hmlbn.scenario import load_scenario
 from hmlbn.scenarios import BUNDLED_SCENARIOS
 from hmlbn.simulator import Simulation, run_scenario
@@ -35,17 +38,20 @@ RECORDS = [
 ]
 
 
+def _reference_trace(sim, records) -> list:
+    """The dicts the list-of-dicts trace kept for ``records``."""
+    names = {rid: info.name for rid, info in sim.graph.nodes.items()}
+    return [{"t": round(now, 9), "seq": seq, "kind": kind,
+             "src": names.get(src, src), "dst": names.get(dst, dst),
+             "detail": detail or {}}
+            for seq, (now, kind, src, dst, detail) in enumerate(records, 1)]
+
+
 def _reference_jsonl(sim, records) -> str:
     """What the list-of-dicts trace wrote for ``records``."""
-    names = {rid: info.name for rid, info in sim.graph.nodes.items()}
     encode = json.JSONEncoder(sort_keys=True).encode
-    lines = []
-    for seq, (now, kind, src, dst, detail) in enumerate(records, 1):
-        entry = {"t": round(now, 9), "seq": seq, "kind": kind,
-                 "src": names.get(src, src), "dst": names.get(dst, dst),
-                 "detail": detail or {}}
-        lines.append(encode(entry) + "\n")
-    return "".join(lines)
+    return "".join(encode(entry) + "\n"
+                   for entry in _reference_trace(sim, records))
 
 
 def _fresh_sim() -> Simulation:
@@ -130,3 +136,81 @@ def test_trace_equals_the_parsed_jsonl(name):
     lines = sim.trace_jsonl().splitlines()
     assert lines
     assert sim.trace == [json.loads(line) for line in lines]
+
+
+TOP = 2 ** 20 - 1  # the highest label value
+
+# (now, kind, src, dst, values, detail): a record of a hot kind, once as the
+# flat values its hot path passes to trace_event and once as the detail dict
+# that kind was recorded with before; values None records the dict itself
+HOT = [
+    (0.5, "data_ingress", "LER", None, (ODD, 0), {"flow": ODD, "seq": 0}),
+    (0.5, "data_ingress", "LER", None, None, {"flow": "f", "seq": 1}),
+    (0.5, "data_hop", "LER", "AMRR", ("f1", 7, "i", 16, "m", TOP),
+     {"flow": "f1", "seq": 7, "stack": f"i16/m{TOP}"}),
+    (3.0, "data_hop", "AMRR", "LER", (ODD, 7, "i", TOP, "m", 16),
+     {"flow": ODD, "seq": 7, "stack": f"i{TOP}/m16"}),
+    (3, "data_hop", "AMRR", "LER", (ODD, 8, ODD, 16, "", TOP),
+     {"flow": ODD, "seq": 8, "stack": f"{ODD}16/{TOP}"}),
+    (3.0, "data_hop", "LER", "AMRR", None,
+     {"flow": ODD, "seq": 9, "stack": "i16"}),
+    (0.0, "ctl_recv", "AMRR", "LER", ("BindingRequest",),
+     {"msg": "BindingRequest"}),
+    (-0.0, "ctl_recv", "LER", "AMRR", (ODD,), {"msg": ODD}),
+    (-0.0, "ctl_recv", "LER", "AMRR", None, {"msg": "LrlReply"}),
+    (0.0, "data_deliver", "LER", None, (ODD, "MR1/c1", "LER1>P0", False, 0),
+     {"flow": ODD, "seq": 0, "interface": "MR1/c1", "path": "LER1>P0",
+      "replica": False}),
+    (1e-10, "data_deliver", "LER", None, ("", ODD, ODD, False, 3),
+     {"flow": "", "seq": 3, "interface": ODD, "path": ODD, "replica": False}),
+    (1e-10, "data_deliver", "LER", None, None,
+     {"flow": "g", "seq": 4, "interface": "x", "path": "", "replica": True}),
+]
+
+
+def test_flat_keys_are_sorted_as_the_lines_write_them():
+    for keys in simulator.FLAT_KEYS.values():
+        assert list(keys) == sorted(keys)
+
+
+@pytest.mark.parametrize("c_encoder", [True, False])
+def test_flat_records_render_as_their_dicts_did(c_encoder, monkeypatch):
+    if not c_encoder:
+        monkeypatch.setattr(simulator, "c_make_encoder", None)
+    sim = _fresh_sim()
+    hot = _real_ids(sim, [(now, kind, src, dst, (values, detail))
+                          for now, kind, src, dst, values, detail in HOT])
+    for now, kind, src, dst, (values, detail) in hot:
+        sim.now = now
+        if values is None:
+            sim.trace_event(kind, src=src, dst=dst, detail=detail)
+        else:
+            sim.trace_event(kind, src, dst, *values)
+    assert [len(rec) > 5 or type(rec[4]) is str for rec in sim._records] == \
+        [values is not None for *_, values, _ in HOT]
+    records = [(now, kind, src, dst, detail)
+               for now, kind, src, dst, (_, detail) in hot]
+    assert sim.trace_jsonl() == _reference_jsonl(sim, records)
+    assert sim.trace == _reference_trace(sim, records)
+    lines = sim.trace_jsonl().splitlines()
+    assert lines[3].endswith('"t": 3.0}') and lines[4].endswith('"t": 3}')
+    assert lines[6].endswith('"t": 0.0}') and lines[7].endswith('"t": -0.0}')
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_transmit_records_a_stack_of_any_depth(depth):
+    sim = _fresh_sim()
+    src = sim.graph.by_role(NodeRole.LER)[0]
+    dst = sim.graph.neighbors(src)[0]
+    host = MobilePrefix.parse("10.0.0.1/32")
+    packet = DataPacket(ODD, 5, host, host, 0.0)
+    packet.stack = [Label(16, INFRA), Label(TOP, MOBILITY),
+                    Label(17, MOBILITY)][:depth]
+    detail = {"flow": ODD, "seq": 5, "stack": packet.render_stack()}
+    sim.now = 0.25
+    sim.transmit(packet, src, dst)
+    packet.stack[0].value = 99  # a later swap rewrites the label in place
+    records = [(0.25, "data_hop", src, dst, detail)]
+    assert sim.trace == _reference_trace(sim, records)
+    assert sim.trace_jsonl() == _reference_jsonl(sim, records)
+    assert len(sim._records[0]) == (10 if depth == 2 else 5)
