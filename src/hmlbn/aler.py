@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from .forwarding import INFRA, DataPacket, Label
+from .forwarding import DataPacket, Label
 from .labels import LabelAllocator
 from .messages import (
     ControlMessage,
@@ -170,10 +170,10 @@ class AlerNode(ControlNode):
 
     # --------------------------------------------------------------- data
 
-    def forward_transit(self, packet: DataPacket):
+    def forward_transit(self, packet: DataPacket, top: Label):
         """Terminating segment: swap the mobility label through the FIB and
-        push the next segment's top label.  The top label was popped by the
-        engine before delegation."""
+        push the next segment's top label.  The engine popped ``top`` before
+        delegation; it goes back on the stack carrying that label."""
         inner = packet.stack[0]
         entry = self.by_label.get(inner.value)
         if entry is not None and self.services.now() > entry.expiry:
@@ -185,7 +185,8 @@ class AlerNode(ControlNode):
             self.services.drop(packet, self.rid, "unknown_local_mobility_label")
             return
         inner.value = entry.current_mobility_label
-        packet.stack.insert(0, Label(entry.out_top_label, INFRA))
+        top.value = entry.out_top_label
+        packet.stack.insert(0, top)
         self.services.transmit(packet, self.rid, entry.next_hop)
 
     # ---------------------------------------------------------------- misc

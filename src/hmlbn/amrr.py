@@ -228,15 +228,8 @@ class AmrrNode(ControlNode):
                                        msg.src, NegativeReplyPayload(prefix))
                     return
                 rec.lrl.add_external(msg.payload.requestor_area, self.area)
-                reply = MobilityBinding(
-                    prefix=prefix,
-                    origin_next_hop=aler,
-                    label=rec.aler_labels[aler],
-                    area_id=self.area,
-                    update_mode=UpdateMode.SELECTIVE_DOWNSTREAM_PUSH,
-                    update_type=UpdateType.EXTERNAL,
-                    lifetime_s=rec.binding.lifetime_s,
-                )
+                reply = self._alias_binding(
+                    rec, aler, UpdateMode.SELECTIVE_DOWNSTREAM_PUSH)
                 self.services.send(MessageKind.BINDING_REPLY_POSITIVE, msg.src,
                                    UpdatePayload(reply))
             else:
@@ -335,19 +328,19 @@ class AmrrNode(ControlNode):
                                    UpdatePayload(content))
 
     def _own_external_content(self, rec: AmrrRecord) -> MobilityBinding | None:
-        alers = self._live_alers()
-        for aler in alers:
+        for aler in self._live_alers():
             if aler in rec.aler_labels:
-                return MobilityBinding(
-                    prefix=rec.prefix,
-                    origin_next_hop=aler,
-                    label=rec.aler_labels[aler],
-                    area_id=self.area,
-                    update_mode=UpdateMode.UNSOLICITED_DOWNSTREAM_PUSH,
-                    update_type=UpdateType.EXTERNAL,
-                    lifetime_s=rec.binding.lifetime_s,
-                )
+                return self._alias_binding(
+                    rec, aler, UpdateMode.UNSOLICITED_DOWNSTREAM_PUSH)
         return None
+
+    def _alias_binding(self, rec: AmrrRecord, aler: str,
+                       mode: UpdateMode) -> MobilityBinding:
+        """The external binding of ``rec`` through one local ALER alias."""
+        return MobilityBinding(
+            prefix=rec.prefix, origin_next_hop=aler,
+            label=rec.aler_labels[aler], area_id=self.area, update_mode=mode,
+            update_type=UpdateType.EXTERNAL, lifetime_s=rec.binding.lifetime_s)
 
     # --------------------------------------------------------- withdrawal
 

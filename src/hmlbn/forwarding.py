@@ -4,8 +4,9 @@ A packet carries at most two labels: an infrastructure (top) label selecting
 the LSP toward a router id, and a mobility (inner) label naming the mobile
 prefix or the next LSP segment.  Intermediate nodes act on label position
 and table lookups only; the tag on each label exists purely so traces are
-readable.  A swap rewrites the top label's value in place, as an ALER does
-the inner one's: only imposition and an ALER's new top label allocate one.
+readable.  A swap rewrites the top label's value in place; an ALER
+rewrites the inner label and pushes the popped top label back with a new
+value, so only imposition allocates labels.
 Reading the destination prefix after ingress is recorded on the packet,
 which lets tests prove that no interior node does an IP lookup.
 """
@@ -35,7 +36,7 @@ class DataPacket:
     dst_prefix: MobilePrefix
     created_at: float
     stack: list[Label] = field(default_factory=list)
-    hop_trace: list[tuple] = field(default_factory=list)  # (t, node name)
+    hop_trace: list[str] = field(default_factory=list)  # node names
     ingressed: bool = False
     post_ingress_lookups: int = 0
 
@@ -49,11 +50,11 @@ class DataPacket:
         return "/".join([f"{label.tag}{label.value}"
                          for label in self.stack]) or "-"
 
-    def record_hop(self, t: float, node_name: str):
-        self.hop_trace.append((t, node_name))
+    def record_hop(self, node_name: str):
+        self.hop_trace.append(node_name)
 
     def path_string(self) -> str:
-        return ">".join(name for _, name in self.hop_trace)
+        return ">".join(self.hop_trace)
 
 
 class ForwardingEngine:
@@ -82,11 +83,11 @@ class ForwardingEngine:
             self.transport.transmit(packet, node, next_hop)
             return
         # top label pops here: this node terminates the LSP segment
-        stack.pop(0)
+        top = stack.pop(0)
         role = self.graph.role_of(node)
         handler = self.node_of(node)
         if role is topology.NodeRole.ALER and stack:
-            handler.forward_transit(packet)
+            handler.forward_transit(packet, top)
         elif role is topology.NodeRole.LER and stack:
             handler.egress_deliver(packet)
         else:

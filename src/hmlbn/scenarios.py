@@ -185,37 +185,17 @@ def ha_failover_scenario() -> dict:
 
 def scaling_intra_scenario(n_areas: int) -> dict:
     """Intra-area hand-off with a variable number of uninvolved areas."""
-    doc = _skeleton("scaling_intra", duration=0.4)
-    doc["name"] = f"scaling_intra_{n_areas}"
-    doc["topology"] = base_topology(n_areas=n_areas)
-    doc["mobility"]["attach"] = [
-        {"t": 0.0, "prefix": MN, "region": "MR12"},
-        {"t": 0.0, "prefix": CN, "region": "MR33"},
-    ]
-    doc["mobility"]["move"] = [
-        {"t": 0.2, "prefix": MN, "region": "MR13"},
-    ]
-    doc["flows"] = [{"id": "cn-to-mn", "src": CN, "dst": MN,
-                     "rate_pps": 200, "start_s": 0.05, "stop_s": 0.35}]
-    doc["flags"] = {"overlap_attach": True}
-    return doc
+    return _scaled(intra_area_scenario(), "scaling_intra", n_areas)
 
 
 def scaling_inter_scenario(n_areas: int) -> dict:
     """Inter-area hand-off with a variable number of uninvolved areas."""
-    doc = _skeleton("scaling_inter", duration=0.35)
-    doc["name"] = f"scaling_inter_{n_areas}"
+    return _scaled(inter_area_scenario(), "scaling_inter", n_areas)
+
+
+def _scaled(doc: dict, name: str, n_areas: int) -> dict:
+    doc["name"] = f"{name}_{n_areas}"
     doc["topology"] = base_topology(n_areas=n_areas)
-    doc["mobility"]["attach"] = [
-        {"t": 0.0, "prefix": MN, "region": "MR13"},
-        {"t": 0.0, "prefix": CN, "region": "MR33"},
-    ]
-    doc["mobility"]["move"] = [
-        {"t": 0.2, "prefix": MN, "region": "MR21"},
-    ]
-    doc["flows"] = [{"id": "cn-to-mn", "src": CN, "dst": MN,
-                     "rate_pps": 1000, "start_s": 0.05, "stop_s": 0.3}]
-    doc["flags"] = {"overlap_attach": True}
     return doc
 
 

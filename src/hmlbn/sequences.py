@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-_META_KEYS = {"event", "src", "dst", "src_role", "dst_role"}
-
 
 @dataclass
 class MatchResult:

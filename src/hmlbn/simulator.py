@@ -564,7 +564,7 @@ class Simulation:
         ler: LerNode = self.nodes[attachment.ler]
         self.trace_event("data_ingress", attachment.ler, None, flow.flow_id,
                          seq)
-        packet.record_hop(self.now, ler.name)
+        packet.record_hop(ler.name)
         ler.keepalive(flow.src, self.now)  # uplink traffic doubles as liveness
         ler.ingress_forward(packet)
 
@@ -589,7 +589,7 @@ class Simulation:
         if node in self.failed:
             self.drop(packet, node, "node_failed")
             return
-        packet.record_hop(self.now, self._names[node])
+        packet.record_hop(self._names[node])
         self.engine.step(packet, node)
 
     def drop(self, packet: DataPacket, node: str | None, reason: str):

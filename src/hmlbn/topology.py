@@ -4,10 +4,10 @@ The graph carries four node roles.  LER, ALER and LSR nodes forward data
 packets; AMRR nodes are control-plane only and never appear on a data path,
 although their edges participate in control-message latency.  Every
 forwarding node's router id is the FEC of one LSP in a full logical mesh.
-The graph is immutable once built.  The mesh and the control-latency matrix
-are filled on first use, one FEC or one source at a time, because a run only
-ever sends over a few of them; every value equals what a full computation at
-build time would give.
+The graph is immutable once built.  A run only ever sends over a few paths,
+so each FEC of the mesh keeps one BFS and each row of the control-latency
+matrix one Dijkstra, resumed by a missing entry just until it is found;
+every value equals what a full computation at build time would give.
 """
 
 from __future__ import annotations
@@ -220,8 +220,8 @@ class LspTable:
     Labels are therefore computed, not stored.
 
     ``fec_next[node][fec]`` gives the (out_label, next_hop) used to inject a
-    packet at ``node`` toward the router-id FEC; the first lookup of a FEC
-    fills its entry at every node from one hop-count BFS.
+    packet at ``node`` toward the router-id FEC; a FEC has entries only at
+    nodes no farther from it than the farthest node looked up.
     ``in_actions[node][label]`` resolves an arriving top label to a swap or
     a pop at the FEC owner; each entry is filled on its first lookup.
     """
@@ -232,11 +232,12 @@ class LspTable:
             raise LabelSpaceExhausted(
                 f"{len(self.fecs)} FECs need more labels than 16..{LABEL_MAX}")
         self._label = {fec: LABEL_MIN + i for i, fec in enumerate(self.fecs)}
-        self._unfilled = set(self.fecs)
         self._adjacency = {
             node: [p for p in graph.neighbors(node)
                    if graph.nodes[p].role in FORWARDING_ROLES]
             for node in self.fecs}
+        # fec -> (nodes seen, next level to expand) of its paused BFS
+        self._searches: dict[RouterId, tuple[set, list]] = {}
         self.fec_next: dict[RouterId, dict[RouterId, tuple[int, RouterId]]] = {
             node: {} for node in self.fecs}
         self.in_actions: dict[RouterId, dict[int, tuple]] = {
@@ -246,35 +247,37 @@ class LspTable:
         try:
             return self.fec_next[node][fec]
         except KeyError:
-            if fec not in self._unfilled:
+            if node not in self.fec_next or node == fec or fec not in self._label:
                 raise NoRouteToNextHop(f"{node} has no trail toward {fec}")
-        self._fill(fec)
-        return self.next_hop(node, fec)
+        return self._search(node, fec)
 
-    def _fill(self, fec: RouterId):
-        """Shortest paths toward ``fec`` by hop count over the forwarding
-        subgraph; equal-cost ties resolve to the lowest next-hop router id
-        so runs are reproducible.
+    def _search(self, node: RouterId, fec: RouterId) -> tuple[int, RouterId]:
+        """Resume the hop-count BFS from ``fec`` over the forwarding
+        subgraph until ``node`` has its next hop.
 
-        One BFS from ``fec`` visits each level in ascending router id, so
-        the first node to reach a peer is its lowest-id neighbour one hop
-        closer to ``fec``: the peer's next hop.
+        Each level is visited whole and in ascending router id, so the first
+        node to reach a peer is its lowest-id neighbour one hop closer to
+        ``fec``: ties resolve the same in every run.  The search pauses only
+        between levels, so every entry is the one an uninterrupted BFS sets.
         """
-        self._unfilled.discard(fec)
         label = self._label[fec]
         fec_next = self.fec_next
         adjacency = self._adjacency
-        seen = {fec}
-        level = [fec]
-        while level:
+        row = fec_next[node]
+        seen, level = self._searches.get(fec) or ({fec}, [fec])
+        while level and fec not in row:
             reached = []
-            for node in level:
-                for peer in adjacency[node]:
+            for hop in level:
+                for peer in adjacency[hop]:
                     if peer not in seen:
                         seen.add(peer)
-                        fec_next[peer][fec] = (label, node)
+                        fec_next[peer][fec] = (label, hop)
                         reached.append(peer)
             level = sorted(reached)
+        self._searches[fec] = (seen, level)
+        if fec not in row:
+            raise NoRouteToNextHop(f"{node} has no trail toward {fec}")
+        return row[fec]
 
     def action(self, node: RouterId, label: int) -> tuple | None:
         row = self.in_actions.get(node)
@@ -311,7 +314,7 @@ def compute_infrastructure_lsps(graph: NetworkGraph) -> LspTable:
 
 
 class _LatencyRows(dict):
-    """Source -> {destination: ms}; a missing row is computed on first use.
+    """Source -> {destination: ms}; a missing row starts empty.
 
     Each row is a Dijkstra from its own source, never mirrored from another
     row: float sums taken in another order could differ in the last bit.
@@ -327,31 +330,49 @@ class _LatencyRows(dict):
                         for peer in graph.neighbors(rid)]
                        for rid in self._rids]
 
-    def __missing__(self, src: RouterId) -> dict[RouterId, float]:
-        links = self._links
-        inf = float("inf")
-        dist = [inf] * len(links)
-        start = self._index[src]
-        dist[start] = 0.0
-        heap = [(0.0, start)]
+    def __missing__(self, src: RouterId) -> _LatencyRow:
+        row = self[src] = _LatencyRow(self, self._index[src])
+        return row
+
+
+class _LatencyRow(dict):
+    """Destination -> ms for the nodes one source's Dijkstra has popped; a
+    missing destination resumes it until that node is popped.  A popped
+    distance is final and a resumed search runs the same pops and
+    relaxations as an uninterrupted one, so every value is the same."""
+
+    def __init__(self, rows: _LatencyRows, start: int):
+        super().__init__()
+        self._rows = rows
+        self._dist = [float("inf")] * len(rows._rids)
+        self._dist[start] = 0.0
+        self._heap = [(0.0, start)]
+
+    def __missing__(self, dst: RouterId) -> float:
+        rows = self._rows
+        target = rows._index[dst]
+        rids, links = rows._rids, rows._links
+        dist, heap = self._dist, self._heap
         pop, push = heapq.heappop, heapq.heappush
         while heap:
             d, node = pop(heap)
             if d > dist[node]:
                 continue
+            self[rids[node]] = d
             for peer, latency in links[node]:
                 nd = d + latency
                 if nd < dist[peer]:
                     dist[peer] = nd
                     push(heap, (nd, peer))
-        row = self[src] = {rid: d for rid, d in zip(self._rids, dist) if d < inf}
-        return row
+            if node == target:
+                return d
+        raise KeyError(dst)
 
 
 def control_latency_matrix(graph: NetworkGraph) -> dict[RouterId, dict[RouterId, float]]:
     """All-pairs minimum latency (ms) over the full graph, AMRR edges included.
 
-    Control sessions ride these values; the matrix is symmetric.  Rows are
-    computed when first indexed, so iterating the result shows only those.
+    Control sessions ride these values; the matrix is symmetric.  Iterating
+    the result shows only the rows and entries indexed so far.
     """
     return _LatencyRows(graph)

@@ -116,6 +116,6 @@ def test_packet_trace_renders_stack_and_path():
     pkt = DataPacket("f", 0, prefix("10.0.0.1/32"), prefix("10.0.0.2/32"), 0.0)
     pkt.stack = [Label(17, INFRA), Label(116, MOBILITY)]
     assert pkt.render_stack() == "i17/m116"
-    pkt.record_hop(0.0, "LER33")
-    pkt.record_hop(0.001, "ALER3")
+    pkt.record_hop("LER33")
+    pkt.record_hop("ALER3")
     assert pkt.path_string() == "LER33>ALER3"

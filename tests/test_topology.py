@@ -1,5 +1,7 @@
+import copy
 import heapq
 import ipaddress
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -273,20 +275,30 @@ def eager_latencies(graph):
     return out
 
 
-def assert_lazy_tables_match_eager(graph):
+def seeded_shuffle(pairs):
+    return random.Random(0).sample(pairs, len(pairs))
+
+
+def assert_lazy_tables_match_eager(graph, permute=seeded_shuffle):
+    """Every lookup, and then every whole table, equals the eager one.
+
+    The (node, fec) and (src, dst) pairs are read in ``permute`` order and
+    the latencies once more in descending order, so that paused searches
+    are resumed from the middle.
+    """
     fec_next, in_actions, in_label = eager_mesh(graph)
     fwd = graph.forwarding_nodes()
     # one table answers next hops first, the other answers actions first,
     # so both fill orders are exercised
     by_fec = compute_infrastructure_lsps(graph)
-    for fec in reversed(fwd):
-        for node in fwd:
-            assert by_fec.in_label_for(node, fec) == in_label[fec][node]
-            if node == fec:
-                with pytest.raises(NoRouteToNextHop):
-                    by_fec.next_hop(node, fec)
-            else:
-                assert by_fec.next_hop(node, fec) == fec_next[node][fec]
+    for node, fec in permute([(node, fec) for node in fwd for fec in fwd]):
+        assert by_fec.in_label_for(node, fec) == in_label[fec][node]
+        if node == fec:
+            with pytest.raises(NoRouteToNextHop):
+                by_fec.next_hop(node, fec)
+        else:
+            assert by_fec.next_hop(node, fec) == fec_next[node][fec]
+    assert by_fec.fec_next == fec_next
     by_label = compute_infrastructure_lsps(graph)
     labels = range(15, 16 + len(fwd) + 1)  # both ends of the label range
     for node in sorted(graph.nodes):  # AMRRs forward nothing
@@ -295,11 +307,18 @@ def assert_lazy_tables_match_eager(graph):
             assert by_label.action(node, label) == expected
             assert by_fec.action(node, label) == expected
 
-    latency = control_latency_matrix(graph)
-    for src, row in sorted(eager_latencies(graph).items(), reverse=True):
-        assert latency[src] == row
-    with pytest.raises(KeyError):
-        latency["no-such-node"]
+    eager = eager_latencies(graph)
+    pairs = [(src, dst) for src in eager for dst in eager[src]]
+    for order in (sorted(pairs, reverse=True), permute(pairs)):
+        latency = control_latency_matrix(graph)
+        for src, dst in order:
+            assert latency[src][dst] == eager[src][dst]
+        for src, row in eager.items():
+            assert latency[src] == row
+        with pytest.raises(KeyError):
+            latency["no-such-node"]
+        with pytest.raises(KeyError):
+            latency[src]["no-such-node"]
 
 
 @st.composite
@@ -314,9 +333,10 @@ def shuffled_ids(draw, graphs):
 
 
 @settings(max_examples=60, deadline=None)
-@given(shuffled_ids(random_area_graph()))
-def test_lazy_tables_match_eager_mesh_on_random_graphs(spec):
-    assert_lazy_tables_match_eager(build_topology(spec))
+@given(shuffled_ids(random_area_graph()), st.data())
+def test_lazy_tables_match_eager_mesh_on_random_graphs(spec, data):
+    assert_lazy_tables_match_eager(
+        build_topology(spec), lambda pairs: data.draw(st.permutations(pairs)))
 
 
 def crossed_ladder():
@@ -342,6 +362,60 @@ def crossed_ladder():
                          ids=["base", "base_ha", "crossed_ladder"])
 def test_lazy_tables_match_eager_mesh(spec):
     assert_lazy_tables_match_eager(build_topology(spec))
+
+
+LAZY_SPEC = base_topology(n_areas=4, lers_per_area=3, ha_area=2)
+
+
+def test_latency_row_fills_only_up_to_the_destination_read():
+    graph = build_topology(LAZY_SPEC)
+    eager = eager_latencies(graph)
+    src = graph.rid_of("LER21")
+    for dst in sorted(graph.nodes):
+        latency = control_latency_matrix(graph)
+        assert latency[src][dst] == eager[src][dst]
+        assert list(latency) == [src]
+        assert {node for node, ms in eager[src].items()
+                if ms <= eager[src][dst]} >= set(latency[src])
+    latency = control_latency_matrix(graph)
+    latency[src][graph.rid_of("ALER2")]
+    assert 1 < len(latency[src]) < len(graph.nodes) // 2
+    before = dict(latency[src])
+    with pytest.raises(KeyError):
+        latency[src]["no-such-node"]
+    assert latency[src] == before
+
+
+def test_fec_fills_only_up_to_the_node_read():
+    graph = build_topology(LAZY_SPEC)
+    fec = graph.rid_of("ALER2")
+    hops = _eager_hop_distances(graph, fec)
+    for node in graph.forwarding_nodes():
+        if node == fec:
+            continue
+        lsp = compute_infrastructure_lsps(graph)
+        lsp.next_hop(node, fec)
+        filled = {n for n, row in lsp.fec_next.items() if row}
+        assert all(set(lsp.fec_next[n]) == {fec} for n in filled)
+        assert {n for n in hops if hops[n] <= hops[node]} >= filled
+    nearest = graph.rid_of("LER21")
+    lsp = compute_infrastructure_lsps(graph)
+    lsp.next_hop(nearest, fec)
+    assert 0 < sum(map(len, lsp.fec_next.values())) < len(hops) - 1
+
+
+def test_failed_lookups_leave_the_fill_as_it_was():
+    graph = build_topology(LAZY_SPEC)
+    fec, amrr = graph.rid_of("ALER2"), graph.rid_of("AMRR2")
+    for warm in (False, True):
+        lsp = compute_infrastructure_lsps(graph)
+        if warm:
+            lsp.next_hop(graph.rid_of("LER21"), fec)
+        before = copy.deepcopy(lsp.fec_next)
+        for node, target in ((fec, fec), (amrr, fec), (fec, amrr)):
+            with pytest.raises(NoRouteToNextHop):
+                lsp.next_hop(node, target)
+            assert lsp.fec_next == before
 
 
 def test_startup_run_fills_only_the_fecs_and_rows_it_uses():
