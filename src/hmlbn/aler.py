@@ -192,13 +192,10 @@ class AlerNode(ControlNode):
     # ---------------------------------------------------------------- misc
 
     def _emit_fib(self, entry: FibEntry, what: str):
-        self.services.emit("fib_update", {
-            "what": what,
-            "prefix": str(entry.prefix),
-            "lml": entry.local_mobility_label,
-            "cml": entry.current_mobility_label,
-            "origin": entry.origin_router_id,
-        })
+        # flat, in the sorted key order of the trace's FLAT_KEYS entry
+        self.services.emit("fib_update", entry.current_mobility_label,
+                           entry.local_mobility_label, entry.origin_router_id,
+                           str(entry.prefix), what)
 
     def dump(self, name_of) -> list[str]:
         return [self.fib[key].dump_line(name_of) for key in sorted(self.fib)]

@@ -215,7 +215,7 @@ def measure_simulated_penalty(scenario, ha_node: str | None = None) -> list[dict
     ha_name = ha_node or base.analysis.get("ha_node")
     if not ha_name:
         raise ValueError("no anchor vertex designated")
-    graph = base.build_graph()
+    graph = base.graph
     ha_rid = graph.rid_of(str(ha_name))
     adjacency = {rid: [p for p in graph.neighbors(rid)
                        if graph.nodes[p].role in FORWARDING_ROLES]

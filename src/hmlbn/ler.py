@@ -107,8 +107,8 @@ class LerNode(ControlNode):
             update_type=UpdateType.INTERNAL,
             lifetime_s=self.default_lifetime_s,
         )
-        self.services.emit("register", {"prefix": key, "interface": interface_id,
-                                        "label": label, "area_sent": binding_area})
+        # flat, in the sorted key order of the trace's FLAT_KEYS entry
+        self.services.emit("register", binding_area, interface_id, label, key)
         for amrr in self.amrrs:
             self.services.send(MessageKind.BINDING_UPDATE, amrr, UpdatePayload(binding))
         return record, self.area

@@ -95,7 +95,7 @@ class Scenario:
     duration_s: float
     mobility_ranges: list
     timers: Timers
-    topology_spec: dict
+    graph: NetworkGraph  # built once, by validation; immutable
     attaches: list
     moves: list
     detaches: list
@@ -105,9 +105,6 @@ class Scenario:
     flags: Flags
     analysis: dict
     raw: dict
-
-    def build_graph(self) -> NetworkGraph:
-        return build_topology(self.topology_spec)
 
 
 class _Checker:
@@ -196,7 +193,7 @@ def _parse(data: dict) -> Scenario:
         c.err("mobility_range", "at least one mobility prefix range required")
 
     timers = _parse_timers(data.get("timers", {}), c)
-    topo_spec, graph, regions = _parse_topology(data.get("topology"), c)
+    graph, regions = _parse_topology(data.get("topology"), c)
     attaches, moves, detaches, model = _parse_mobility(
         data.get("mobility", {}), c, regions, ranges)
     flows = _parse_flows(data.get("flows", []), c)
@@ -216,7 +213,7 @@ def _parse(data: dict) -> Scenario:
 
     if c.problems:
         raise ScenarioInvalid(c.problems)
-    return Scenario(name, seed, duration, ranges, timers, topo_spec,
+    return Scenario(name, seed, duration, ranges, timers, graph,
                     attaches, moves, detaches, model, flows, failures,
                     flags, analysis, data)
 
@@ -241,16 +238,16 @@ def _parse_timers(obj, c) -> Timers:
 def _parse_topology(obj, c):
     if not isinstance(obj, dict):
         c.err("topology", "missing or not an object")
-        return {}, None, {}
+        return None, {}
     c.keys(obj, "topology", {"nodes", "edges", "regions"})
     for section, kind in (("nodes", list), ("edges", list), ("regions", dict)):
         if not isinstance(obj.get(section, kind()), kind):
             c.err(f"topology.{section}", f"expected {kind.__name__}")
-            return {}, None, {}
+            return None, {}
     for i, node in enumerate(obj.get("nodes", [])):
         if not isinstance(node, dict):
             c.err(f"topology.nodes[{i}]", "expected object")
-            return {}, None, {}
+            return None, {}
         c.keys(node, f"topology.nodes[{i}]", {"id", "name", "role", "area"})
         for required in ("id", "role"):
             if required not in node:
@@ -258,21 +255,21 @@ def _parse_topology(obj, c):
     for i, edge in enumerate(obj.get("edges", [])):
         if not isinstance(edge, dict):
             c.err(f"topology.edges[{i}]", "expected object")
-            return {}, None, {}
+            return None, {}
         c.keys(edge, f"topology.edges[{i}]", {"a", "b", "latency_ms"})
     for rname, rdef in obj.get("regions", {}).items():
         if not isinstance(rdef, dict):
             c.err(f"topology.regions.{rname}", "expected object")
-            return {}, None, {}
+            return None, {}
         c.keys(rdef, f"topology.regions.{rname}", {"ler", "cells"})
     if c.problems:
-        return obj, None, {}
+        return None, {}
     try:
         graph = build_topology(obj)
     except TopologyError as exc:
         c.err("topology", f"{type(exc).__name__}: {exc}")
-        return obj, None, {}
-    return obj, graph, graph.regions
+        return None, {}
+    return graph, graph.regions
 
 
 def _parse_mobility(obj, c, regions, ranges):

@@ -6,11 +6,12 @@ data packets move edge by edge, and all randomness flows from a single
 seeded generator, so equal (scenario, seed) pairs produce byte-identical
 traces and metrics.
 
-Every trace record enters through ``Simulation.trace_event`` as one tuple:
-``(now, kind, src, dst, detail)`` with a dict or None, or, for a kind in
-``FLAT_KEYS``, ``(now, kind, src, dst, *values)`` with no dict and a string
-first.  That table is the flat records' only schema: ``trace`` rebuilds
-their dicts from it, and ``trace_jsonl`` one line template per kind.
+Every trace record enters through ``Simulation.trace_event`` as one tuple.
+One whose fifth slot is a dict or None is ``(now, kind, src, dst, detail)``;
+any other is flat, ``(now, kind, src, dst, *values)`` with atomic values
+only (router ids raw), schema ``FLAT_KEYS[kind, len(record)]``.  From that
+table alone ``trace`` rebuilds the dicts and ``trace_jsonl`` builds one line
+template per entry; both name router ids as they render.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from .amrr import AmrrNode
 from .errors import HmlbnError
 from .forwarding import DataPacket, ForwardingEngine
 from .ler import LerNode
-from .messages import ControlMessage, MessageKind, MobilePrefix, canonical_encode
+from .messages import (ControlMessage, MessageKind, MobilePrefix, UpdateType,
+                       canonical_encode)
 from .scenario import MoveSpec, Scenario
 from .topology import (
     NodeRole,
@@ -107,9 +109,8 @@ class Metrics:
         self.post_ingress_ip_lookups += packet.post_ingress_lookups
         packet.post_ingress_lookups = 0
 
-    def record_control(self, msg: ControlMessage, crossing: bool):
-        key = msg.kind.value
-        self.control_by_kind[key] = self.control_by_kind.get(key, 0) + 1
+    def record_control(self, kind: str, crossing: bool):
+        self.control_by_kind[kind] = self.control_by_kind.get(kind, 0) + 1
         if crossing:
             self.control_crossing += 1
         else:
@@ -172,16 +173,29 @@ class Metrics:
         return "\n".join(lines) + "\n"
 
 
-# detail keys of each kind a hot path records flat, sorted as trace.jsonl
-# writes them; a data_hop "stack" (two labels deep) is four values, the top
-# label's tag and value, then the inner label's, written as STACK
+# detail keys of each flat record by (kind, record length), sorted as
+# trace.jsonl writes them; no first value may be a dict or None.  A data_hop
+# "stack" (two labels deep) is four values, the top label's tag and value,
+# then the inner label's, written as STACK.
 FLAT_KEYS = {
-    "ctl_recv": ("msg",),
-    "data_deliver": ("flow", "interface", "path", "replica", "seq"),
-    "data_hop": ("flow", "seq", "stack"),
-    "data_ingress": ("flow", "seq"),
+    ("ctl_recv", 5): ("msg",),
+    ("ctl_send", 7): ("area_crossing", "hex", "msg"),
+    ("ctl_send", 8): ("area_crossing", "hex", "msg", "prefix"),
+    ("ctl_send", 12): ("area_crossing", "area_id", "hex", "label", "msg",
+                       "origin", "prefix", "update_type"),
+    ("data_deliver", 9): ("flow", "interface", "path", "replica", "seq"),
+    ("data_hop", 10): ("flow", "seq", "stack"),
+    ("data_ingress", 6): ("flow", "seq"),
+    ("fib_update", 9): ("cml", "lml", "origin", "prefix", "what"),
+    ("move", 8): ("from_region", "prefix", "region", "same_ler"),
+    ("register", 8): ("area_sent", "interface", "label", "prefix"),
 }
 STACK = "%s%s/%s%s"
+# detail keys that hold a router id: named at render in a flat record, by
+# _Services.emit in a dict; and the text of each enum, read as a plain value
+ROUTER_KEYS = ("origin", "node", "from")
+MSG_TEXT = {kind: kind.value for kind in MessageKind}
+UPDATE_TYPE_TEXT = {utype: utype.name for utype in UpdateType}
 
 
 class _Memo(dict):
@@ -192,6 +206,12 @@ class _Memo(dict):
 
     def __missing__(self, key):
         return self.setdefault(key, self.render(key))
+
+
+class _Fresh(dict):
+    """``fresh[text]`` is the JSON string of ``text``, rendered anew on every
+    use: for strings that seldom repeat, where a memo would only grow."""
+    __missing__ = staticmethod(encode_basestring_ascii)
 
 
 def _json_encoder():
@@ -210,9 +230,6 @@ def _json_encoder():
 class _Services:
     """Per-node facade over the simulation: clock, messaging, data plane."""
 
-    # detail keys under which nodes report a router id; the trace names it
-    _ROUTER_KEYS = ("origin", "node", "from")
-
     def __init__(self, sim: "Simulation", rid: str):
         self.sim = sim
         self.rid = rid
@@ -223,13 +240,15 @@ class _Services:
     def send(self, kind: MessageKind, dst: str, payload) -> ControlMessage:
         return self.sim.send_control(self.rid, kind, dst, payload)
 
-    def emit(self, kind: str, detail: dict):
-        names = self.sim._names
-        for key in self._ROUTER_KEYS:
-            value = detail.get(key)
-            if value in names:
-                detail[key] = names[value]
-        self.sim.trace_event(kind, src=self.rid, detail=detail)
+    def emit(self, kind: str, *values):
+        """Record a detail dict, router ids named now, or flat values."""
+        detail = values[0]
+        if type(detail) is dict:
+            names = self.sim._names
+            for key in ROUTER_KEYS:
+                if detail.get(key) in names:
+                    detail[key] = names[detail[key]]
+        self.sim.trace_event(kind, self.rid, None, *values)
 
     def transmit(self, packet: DataPacket, from_node: str, to_node: str):
         self.sim.transmit(packet, from_node, to_node)
@@ -258,7 +277,7 @@ class Simulation:
         self.scenario = scenario
         self.seed = scenario.seed if seed_override is None else seed_override
         self.rng = random.Random(self.seed)
-        self.graph = scenario.build_graph()
+        self.graph = scenario.graph
         self._names = {rid: info.name for rid, info in self.graph.nodes.items()}
         self.lsp = compute_infrastructure_lsps(self.graph)
         self.latency = control_latency_matrix(self.graph)
@@ -343,8 +362,7 @@ class Simulation:
                     break
                 self.schedule(t, EventKind.DATA_INGRESS, (flow, i))
                 i += 1
-        for rid in self.graph.by_role(NodeRole.LER):
-            self._tick("dead_scan", rid)
+        self._tick("dead_scan")
         self._tick("expiry")
 
     # ---------------------------------------------------------- event loop
@@ -375,7 +393,7 @@ class Simulation:
 
     def trace_event(self, kind: str, src=None, dst=None, *values,
                     detail=None):
-        """Record ``detail``, or the ``values`` of a kind in ``FLAT_KEYS``."""
+        """Record ``detail``, or the ``values`` of a ``FLAT_KEYS`` entry."""
         self._records.append((self.now, kind, src, dst) + values if values
                              else (self.now, kind, src, dst, detail))
 
@@ -385,11 +403,14 @@ class Simulation:
         names = self._names
         for seq, (t, kind, src, dst, *values) in enumerate(self._records, 1):
             detail = values[0]
-            if type(detail) is str:
-                keys = FLAT_KEYS[kind]
+            if detail is not None and type(detail) is not dict:
+                keys = FLAT_KEYS[kind, len(values) + 4]
                 if keys[-1] == "stack":
                     values[-4:] = [STACK % tuple(values[-4:])]
                 detail = dict(zip(keys, values))
+                for key in ROUTER_KEYS:
+                    if key in detail:
+                        detail[key] = names.get(detail[key], detail[key])
             yield (round(t, 9), seq, kind, names.get(src, src),
                    names.get(dst, dst), detail or {})
 
@@ -404,33 +425,39 @@ class Simulation:
         """One line per record, byte for byte what ``JSONEncoder(sort_keys=
         True).encode`` writes for its ``trace`` dict; a time that is not
         finite goes through the encoder, which writes ``Infinity``/``NaN``.
-        A flat record fills its kind's template, whose slots render each value
-        once per call.  Only nonzero float times are memoised: 3 and 3.0, or
-        0.0 and -0.0, are one key but two texts."""
+        A flat record fills its schema's template, whose slots render each
+        value once per call (a wire hex, seldom repeated, on every use).
+        Only nonzero float times are memoised: 3 and 3.0, or 0.0 and -0.0,
+        are one key but two texts."""
         encode, text, names = _json_encoder(), encode_basestring_ascii, self._names
-        router = _Memo(lambda rid: "null" if rid is None
-                       else text(names.get(rid, rid)))
-        kinds, bare = _Memo(text), (lambda tag: text(tag)[1:-1])
+        named = lambda rid: encode(names.get(rid, rid))
+        router, bare = _Memo(named), (lambda tag: text(tag)[1:-1])
         times = _Memo(lambda t: repr(round(t, 9)) if t - t == 0 else encode(t))
-        line = ('{"detail": %s, "dst": %s, "kind": %s, "seq": %d, "src": %s, '
-                '"t": %s}\n')
+        # a kind's line, kind written in, and its flat templates by length
+        line = _Memo(lambda kind: (
+            '{"detail": %s, "dst": %s, "kind": ' + text(kind).replace("%", "%%")
+            + ', "seq": %d, "src": %s, "t": %s}\n'))
         flat = {}
-        for kind, keys in FLAT_KEYS.items():
+        for (kind, length), keys in FLAT_KEYS.items():
             fields = ", ".join(f'"stack": "{STACK}"' if key == "stack"
                                else f"{text(key)}: %s" for key in keys)
-            flat[kind] = (line.replace("%s", "{%s}" % fields, 1),
-                          [_Memo(render) for key in keys for render in
-                           ((bare, str) * 2 if key == "stack" else (encode,))])
+            flat.setdefault(kind, {})[length] = (
+                line[kind].replace("%s", "{%s}" % fields, 1),
+                [slot for key in keys for slot in
+                 ([_Memo(bare), _Memo(str)] * 2 if key == "stack" else
+                  [_Fresh()] if key == "hex" else
+                  [_Memo(named if key in ROUTER_KEYS else encode)])])
         getitem, lines = dict.__getitem__, []
+        append = lines.append
         for seq, rec in enumerate(self._records, 1):
-            t, kind = rec[0], rec[1]
-            if type(rec[4]) is str:
-                template, slots = flat[kind]
-                detail = map(getitem, slots, rec[4:])
+            t, detail = rec[0], rec[4]
+            if detail is None or type(detail) is dict:
+                template, detail = line[rec[1]], (encode(detail or {}),)
             else:
-                template, detail = line, (encode(rec[4] or {}),)
-            lines.append(template % (
-                *detail, router[rec[3]], kinds[kind], seq, router[rec[2]],
+                template, slots = flat[rec[1]][len(rec)]
+                detail = map(getitem, slots, rec[4:])
+            append(template % (
+                *detail, router[rec[3]], seq, router[rec[2]],
                 times[t] if type(t) is float and t else times.render(t)))
         return "".join(lines)
 
@@ -439,24 +466,23 @@ class Simulation:
     def send_control(self, src: str, kind: MessageKind, dst: str,
                      payload) -> ControlMessage:
         msg = ControlMessage(kind, src, dst, self.now, payload)
-        detail = {"msg": kind.value, "hex": canonical_encode(msg).hex()}
-        prefix = msg.prefix
-        if prefix is not None:
-            detail["prefix"] = str(prefix)
-        binding = getattr(msg.payload, "binding", None)
-        if binding is not None:
-            detail["update_type"] = binding.update_type.name
-            detail["origin"] = self._names.get(binding.origin_next_hop,
-                                               binding.origin_next_hop)
-            detail["label"] = binding.label
-            detail["area_id"] = binding.area_id
+        text, wire = MSG_TEXT[kind], canonical_encode(msg).hex()
         crossing = self.graph.area_of(src) != self.graph.area_of(dst)
-        detail["area_crossing"] = crossing
-        self.trace_event("ctl_send", src=src, dst=dst, detail=detail)
-        self.metrics.record_control(msg, crossing)
+        binding = getattr(payload, "binding", None)
+        if binding is not None:
+            self.trace_event("ctl_send", src, dst, crossing, binding.area_id,
+                             wire, binding.label, text,
+                             binding.origin_next_hop, str(binding.prefix),
+                             UPDATE_TYPE_TEXT[binding.update_type])
+        elif getattr(payload, "prefix", None) is not None:
+            self.trace_event("ctl_send", src, dst, crossing, wire, text,
+                             str(payload.prefix))
+        else:
+            self.trace_event("ctl_send", src, dst, crossing, wire, text)
+        self.metrics.record_control(text, crossing)
         if dst in self.failed:
             self.trace_event("ctl_drop", src=src, dst=dst,
-                             detail={"msg": kind.value, "why": "node_failed"})
+                             detail={"msg": text, "why": "node_failed"})
             return msg
         latency_s = self.latency[src][dst] / 1000.0
         self.schedule(self.now + latency_s, EventKind.CONTROL_DELIVER, (msg,))
@@ -465,9 +491,10 @@ class Simulation:
     def _on_control(self, msg: ControlMessage):
         if msg.dst in self.failed:
             self.trace_event("ctl_drop", src=msg.src, dst=msg.dst,
-                             detail={"msg": msg.kind.value, "why": "node_failed"})
+                             detail={"msg": MSG_TEXT[msg.kind],
+                                     "why": "node_failed"})
             return
-        self.trace_event("ctl_recv", msg.src, msg.dst, msg.kind.value)
+        self.trace_event("ctl_recv", msg.src, msg.dst, MSG_TEXT[msg.kind])
         self.nodes[msg.dst].handle(msg)
 
     # ------------------------------------------------------------ mobility
@@ -498,10 +525,8 @@ class Simulation:
         interface = f"{spec.region}/{cell}"
         old = mobile.primary()
         new_attach = Attachment(spec.region, cell, interface, region.ler)
-        self.trace_event("move", src=region.ler,
-                         detail={"prefix": str(spec.prefix), "region": spec.region,
-                                 "from_region": old.region,
-                                 "same_ler": old.ler == region.ler})
+        self.trace_event("move", region.ler, None, old.region,
+                         str(spec.prefix), spec.region, old.ler == region.ler)
         if old.ler == region.ler:
             # movement among this LER's RAN cells: pure local tracking
             retained = []
@@ -624,8 +649,9 @@ class Simulation:
 
     def _on_timer(self, what: str, *args):
         if what == "dead_scan":
-            self.nodes[args[0]].scan_dead_registrations(self.now)
-            self._tick(what, *args)
+            for rid in self.graph.by_role(NodeRole.LER):
+                self.nodes[rid].scan_dead_registrations(self.now)
+            self._tick(what)
         elif what == "expiry":
             for rid in sorted(self.nodes):
                 node = self.nodes[rid]

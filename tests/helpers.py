@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from hmlbn.messages import ControlMessage, MobilePrefix
 from hmlbn.scenario import parse_scenario
-from hmlbn.simulator import run_scenario
+from hmlbn.simulator import FLAT_KEYS, run_scenario
 
 
 def floyd_warshall(adjacency: dict) -> dict:
@@ -55,7 +55,11 @@ class FakeServices:
         self.sent.append(msg)
         return msg
 
-    def emit(self, kind, detail):
+    def emit(self, kind, *values):
+        # a flat record is kept as the dict its FLAT_KEYS entry names
+        detail = values[0]
+        if type(detail) is not dict:
+            detail = dict(zip(FLAT_KEYS[kind, len(values) + 4], values))
         self.events.append((kind, detail))
 
     def transmit(self, packet, from_node, to_node):

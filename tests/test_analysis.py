@@ -248,7 +248,7 @@ def test_measured_triangular_matches_oracle_distances():
     doc = penalty_probe_scenario()
     rows = analysis.measure_simulated_penalty(doc)
     base = parse_scenario(doc)
-    graph = base.build_graph()
+    graph = base.graph
     adjacency = {r: [p for p in graph.neighbors(r)
                      if graph.nodes[p].role in FORWARDING_ROLES]
                  for r in graph.forwarding_nodes()}

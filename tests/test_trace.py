@@ -1,8 +1,10 @@
 """The trace renderer: ``trace_jsonl`` against a copy of the encoder it
 replaced (a list of dicts through ``JSONEncoder(sort_keys=True)``), and
 ``trace`` against the rendered lines on every bundled scenario.  Flat
-records are checked against the dicts their kinds were once recorded as."""
+records are checked against the dicts their kinds were once recorded as,
+and for holding nothing the cyclic garbage collector has to track."""
 
+import gc
 import json
 from pathlib import Path
 
@@ -35,6 +37,7 @@ RECORDS = [
     (7.5, "odd_values", "AMRR", "AMRR",
      {"inf": float("inf"), "ninf": float("-inf"), "nan": float("nan")}),
     (float("inf"), "never", None, None, None),
+    (5.0, "50%s%%", None, None, {"a": "%s%d"}),  # no format in a kind
 ]
 
 
@@ -165,12 +168,49 @@ HOT = [
      {"flow": "", "seq": 3, "interface": ODD, "path": ODD, "replica": False}),
     (1e-10, "data_deliver", "LER", None, None,
      {"flow": "g", "seq": 4, "interface": "x", "path": "", "replica": True}),
+    # ctl_send in each of its three shapes; "origin" holds a router id,
+    # which the old dict named when it was recorded ("LER" stands for one)
+    (0.25, "ctl_send", "LER", "AMRR",
+     (False, 3, "b1010a", 17, "BindingUpdate", "LER", "10.0.0.1/32",
+      "INTERNAL"),
+     {"area_crossing": False, "area_id": 3, "hex": "b1010a", "label": 17,
+      "msg": "BindingUpdate", "origin": "LER", "prefix": "10.0.0.1/32",
+      "update_type": "INTERNAL"}),
+    (0.25, "ctl_send", "AMRR", "LER", (True, 0, ODD, TOP, ODD, ODD, ODD, ODD),
+     {"area_crossing": True, "area_id": 0, "hex": ODD, "label": TOP,
+      "msg": ODD, "origin": ODD, "prefix": ODD, "update_type": ODD}),
+    (0.5, "ctl_send", "LER", "AMRR", (True, "b103", "BindingRequest", ODD),
+     {"area_crossing": True, "hex": "b103", "msg": "BindingRequest",
+      "prefix": ODD}),
+    (0.5, "ctl_send", "AMRR", "AMRR", (False, ODD, "AlerFailoverBlanket"),
+     {"area_crossing": False, "hex": ODD, "msg": "AlerFailoverBlanket"}),
+    (0.5, "ctl_send", "AMRR", "AMRR", None,
+     {"area_crossing": False, "hex": "", "msg": ODD}),
+    (1.0, "fib_update", "AMRR", None, (TOP, 16, "LER", "10.0.0.1/32", ODD),
+     {"cml": TOP, "lml": 16, "origin": "LER", "prefix": "10.0.0.1/32",
+      "what": ODD}),
+    (1.0, "fib_update", "AMRR", None, (16, 17, "unknown-id", ODD, "created"),
+     {"cml": 16, "lml": 17, "origin": "unknown-id", "prefix": ODD,
+      "what": "created"}),
+    (1.5, "register", "LER", None, (0, ODD, 16, "10.0.0.1/32"),
+     {"area_sent": 0, "interface": ODD, "label": 16, "prefix": "10.0.0.1/32"}),
+    (2.0, "move", "LER", None, (ODD, "10.0.0.1/32", "MR1", True),
+     {"from_region": ODD, "prefix": "10.0.0.1/32", "region": "MR1",
+      "same_ler": True}),
+    (2.0, "move", "LER", None, ("MR1", ODD, ODD, False),
+     {"from_region": "MR1", "prefix": ODD, "region": ODD, "same_ler": False}),
 ]
 
 
 def test_flat_keys_are_sorted_as_the_lines_write_them():
     for keys in simulator.FLAT_KEYS.values():
         assert list(keys) == sorted(keys)
+    # each entry's length is that of its records: a stack is four values
+    for (kind, length), keys in simulator.FLAT_KEYS.items():
+        assert length == 4 + len(keys) + 3 * ("stack" in keys)
+    # every entry, each ctl_send shape included, is rendered in HOT
+    assert {(kind, 4 + len(values)) for _, kind, _, _, values, _ in HOT
+            if values is not None} == set(simulator.FLAT_KEYS)
 
 
 @pytest.mark.parametrize("c_encoder", [True, False])
@@ -180,6 +220,13 @@ def test_flat_records_render_as_their_dicts_did(c_encoder, monkeypatch):
     sim = _fresh_sim()
     hot = _real_ids(sim, [(now, kind, src, dst, (values, detail))
                           for now, kind, src, dst, values, detail in HOT])
+    # a router id is recorded raw under "origin"; the old dict held its name
+    rid = sim.graph.by_role(NodeRole.LER)[0]
+    hot = [(now, kind, src, dst,
+            (values and tuple(rid if v == "LER" else v for v in values),
+             {k: sim.graph.name_of(rid) if v == "LER" else v
+              for k, v in detail.items()}))
+           for now, kind, src, dst, (values, detail) in hot]
     for now, kind, src, dst, (values, detail) in hot:
         sim.now = now
         if values is None:
@@ -214,3 +261,21 @@ def test_transmit_records_a_stack_of_any_depth(depth):
     assert sim.trace == _reference_trace(sim, records)
     assert sim.trace_jsonl() == _reference_jsonl(sim, records)
     assert len(sim._records[0]) == (10 if depth == 2 else 5)
+
+
+def test_flat_records_hold_only_untracked_atomic_values():
+    """Every flat record is a tuple of str/int/float/bool/None, which the
+    cyclic collector stops tracking after one pass; a message, payload,
+    prefix or enum member kept in one would be tracked for the whole run."""
+    seen = set()
+    for name in ("ha_failover", "inter_area_handoff"):  # blanket, move
+        sim = run_scenario(load_scenario(SCENARIO_DIR / f"{name}.json"))
+        gc.collect()
+        for rec in sim._records:
+            if rec[4] is None or type(rec[4]) is dict:
+                continue
+            seen.add((rec[1], len(rec)))
+            assert all(type(v) in (str, int, float, bool, type(None))
+                       for v in rec), rec
+            assert not gc.is_tracked(rec), rec
+    assert seen == set(simulator.FLAT_KEYS)
