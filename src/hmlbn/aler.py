@@ -48,6 +48,7 @@ class FibEntry:
 
 
 class AlerNode(ControlNode):
+    EXPIRE = "expire"
     HANDLERS = {
         MessageKind.BINDING_UPDATE: "handle_update",
         MessageKind.BINDING_WITHDRAWAL: "handle_withdrawal",

@@ -63,6 +63,7 @@ class _PendingRequest:
 
 
 class AmrrNode(ControlNode):
+    EXPIRE = "expire_records"
     HANDLERS = {
         MessageKind.BINDING_UPDATE: "handle_update",
         MessageKind.BINDING_REQUEST: "handle_request",
@@ -155,14 +156,19 @@ class AmrrNode(ControlNode):
             else:
                 rec.pending_lrl_target = target_area
 
-    def _external_from_aler(self, binding: MobilityBinding, sender: str):
+    def _record_or_warn(self, binding: MobilityBinding, sender: str, what: str):
+        """The prefix's record; a missing one is warned of and created."""
         key = str(binding.prefix)
         rec = self.records.get(key)
         if rec is None:
-            self.services.emit("warn", {"what": "external_before_internal",
-                                        "prefix": key, "from": sender})
-            rec = AmrrRecord(binding.prefix, binding, binding.area_id)
-            self.records[key] = rec
+            self.services.emit("warn", {"what": what, "prefix": key,
+                                        "from": sender})
+            rec = self.records[key] = AmrrRecord(binding.prefix, binding,
+                                                 binding.area_id)
+        return rec
+
+    def _external_from_aler(self, binding: MobilityBinding, sender: str):
+        rec = self._record_or_warn(binding, sender, "external_before_internal")
         rec.aler_labels[sender] = binding.label
         rec.area_id = binding.area_id  # stored as received, no area-id check
         rec.expiry = self.services.now() + binding.lifetime_s
@@ -174,17 +180,11 @@ class AmrrNode(ControlNode):
     def _internal_from_aler(self, binding: MobilityBinding, sender: str):
         """An ALER re-announced an outside mobile inward; answer any LER
         requests that were parked on the resolution."""
-        key = str(binding.prefix)
-        rec = self.records.get(key)
-        if rec is None:
-            self.services.emit("warn", {"what": "internal_before_record",
-                                        "prefix": key, "from": sender})
-            rec = AmrrRecord(binding.prefix, binding, binding.area_id)
-            self.records[key] = rec
+        rec = self._record_or_warn(binding, sender, "internal_before_record")
         rec.resolved_local = binding
         rec.aler_labels.setdefault(sender, binding.label)
         rec.expiry = self.services.now() + binding.lifetime_s
-        pending = self.pending.pop(key, None)
+        pending = self.pending.pop(str(binding.prefix), None)
         if pending:
             for ler in pending.lers:
                 rec.lrl.add_internal(ler)

@@ -96,8 +96,8 @@ def cmd_run(args) -> int:
     rows = sim.metrics.finalize()
     ingress = sum(r["ingress"] for r in rows.values())
     delivered = sum(r["delivered"] for r in rows.values())
-    hops = [h for r in rows.values() for h in r["hops"]]
-    mean_hops = sum(hops) / len(hops) if hops else 0.0
+    hops = sum(h * n for r in rows.values() for h, n in r["hops"].items())
+    mean_hops = hops / delivered if delivered else 0.0
     pct = 100.0 * delivered / ingress if ingress else 100.0
     print(f"{scenario.name}: delivered {delivered}/{ingress} ({pct:.1f}%), "
           f"mean hops {mean_hops:.2f}, control messages "

@@ -49,6 +49,7 @@ class _Pending:
 
 
 class LerNode(ControlNode):
+    EXPIRE = "expire_cache"
     HANDLERS = {
         MessageKind.BINDING_UPDATE: "handle_unsolicited_update",
         MessageKind.BINDING_REPLY_POSITIVE: "handle_binding_reply",

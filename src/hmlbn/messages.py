@@ -13,7 +13,7 @@ import ipaddress
 import struct
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import DecodeError
 
@@ -197,9 +197,11 @@ def make_withdrawal(binding: MobilityBinding, src: str = "", dst: str = "",
 class ControlNode:
     """Base of the LER, ALER and AMRR state machines.  ``handle`` routes a
     delivered control message to the method ``HANDLERS`` names for its kind,
-    looked up on the instance at call time; other kinds are ignored."""
+    looked up on the instance at call time; other kinds are ignored.  The
+    periodic expiry sweep calls the method ``EXPIRE`` names the same way."""
 
     HANDLERS: dict[MessageKind, str] = {}
+    EXPIRE: str
 
     def handle(self, msg: ControlMessage):
         name = self.HANDLERS.get(msg.kind)
@@ -276,6 +278,7 @@ _PREFIX_HEAD = struct.Struct(">BB").pack
 _BINDING_TAIL = struct.Struct(">IIBBd").pack  # label, area, mode, type, lifetime
 
 
+@lru_cache(maxsize=4096)  # router ids: a fixed set per run
 def _text(s: str) -> bytes:
     raw = s.encode("utf-8")
     return _U16(len(raw)) + raw

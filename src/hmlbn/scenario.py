@@ -21,6 +21,13 @@ _TOP_KEYS = {"name", "seed", "duration_s", "mobility_range", "timers",
              "topology", "mobility", "flows", "failures", "flags", "analysis"}
 _FLAG_KEYS = {"reflect_to_previous_ler", "overlap_attach", "overlap_s",
               "ha_pairs"}
+_ENTRY_TYPES = {  # the keys of each topology entry and the types they take
+    "nodes": {"id": str, "name": str, "role": str, "area": int},
+    "edges": {"a": str, "b": str, "latency_ms": (int, float)},
+    "regions": {"ler": str, "cells": list},
+}
+_REQUIRED = {"id", "role", "a", "b", "ler"}
+_ROLES = {role.value for role in NodeRole}
 
 
 @dataclass
@@ -142,6 +149,14 @@ class _Checker:
             return None
         return float(v)
 
+    def items(self, obj, path, key) -> list:
+        """``obj[key]``, a list (missing: empty); anything else is a problem."""
+        value = obj.get(key, [])
+        if not isinstance(value, list):
+            self.err(f"{path}.{key}" if path else key, "expected list")
+            return []
+        return value
+
     def prefix(self, text, path):
         try:
             return MobilePrefix.parse(str(text))
@@ -185,7 +200,7 @@ def _parse(data: dict) -> Scenario:
     duration = c.number(data, "", "duration_s", positive=True) or 1.0
 
     ranges = []
-    for i, text in enumerate(data.get("mobility_range", [])):
+    for i, text in enumerate(c.items(data, "", "mobility_range")):
         p = c.prefix(text, f"mobility_range[{i}]")
         if p:
             ranges.append(p)
@@ -196,8 +211,8 @@ def _parse(data: dict) -> Scenario:
     graph, regions = _parse_topology(data.get("topology"), c)
     attaches, moves, detaches, model = _parse_mobility(
         data.get("mobility", {}), c, regions, ranges)
-    flows = _parse_flows(data.get("flows", []), c)
-    failures = _parse_failures(data.get("failures", []), c, graph)
+    flows = _parse_flows(c.items(data, "", "flows"), c)
+    failures = _parse_failures(c.items(data, "", "failures"), c, graph)
     flags = _parse_flags(data.get("flags", {}), c, graph)
     analysis = data.get("analysis", {})
     if not isinstance(analysis, dict):
@@ -239,29 +254,30 @@ def _parse_topology(obj, c):
     if not isinstance(obj, dict):
         c.err("topology", "missing or not an object")
         return None, {}
-    c.keys(obj, "topology", {"nodes", "edges", "regions"})
+    c.keys(obj, "topology", _ENTRY_TYPES)
     for section, kind in (("nodes", list), ("edges", list), ("regions", dict)):
         if not isinstance(obj.get(section, kind()), kind):
             c.err(f"topology.{section}", f"expected {kind.__name__}")
             return None, {}
-    for i, node in enumerate(obj.get("nodes", [])):
-        if not isinstance(node, dict):
-            c.err(f"topology.nodes[{i}]", "expected object")
+    entries = [(f"topology.{section}[{i}]", section, entry)
+               for section in ("nodes", "edges")
+               for i, entry in enumerate(obj.get(section, []))]
+    entries += [(f"topology.regions.{name}", "regions", entry)
+                for name, entry in obj.get("regions", {}).items()]
+    for path, section, entry in entries:
+        if not isinstance(entry, dict):
+            c.err(path, "expected object")
             return None, {}
-        c.keys(node, f"topology.nodes[{i}]", {"id", "name", "role", "area"})
-        for required in ("id", "role"):
-            if required not in node:
-                c.err(f"topology.nodes[{i}].{required}", "missing")
-    for i, edge in enumerate(obj.get("edges", [])):
-        if not isinstance(edge, dict):
-            c.err(f"topology.edges[{i}]", "expected object")
-            return None, {}
-        c.keys(edge, f"topology.edges[{i}]", {"a", "b", "latency_ms"})
-    for rname, rdef in obj.get("regions", {}).items():
-        if not isinstance(rdef, dict):
-            c.err(f"topology.regions.{rname}", "expected object")
-            return None, {}
-        c.keys(rdef, f"topology.regions.{rname}", {"ler", "cells"})
+        c.keys(entry, path, _ENTRY_TYPES[section])
+        for key, kind in _ENTRY_TYPES[section].items():
+            if key not in entry:
+                if key in _REQUIRED:
+                    c.err(f"{path}.{key}", "missing")
+            elif type(value := entry[key]) is bool or not isinstance(value, kind):
+                c.err(f"{path}.{key}", f"expected {getattr(kind, '__name__', 'number')}"
+                      f", got {type(value).__name__}")
+        if isinstance(entry.get("role"), str) and entry["role"] not in _ROLES:
+            c.err(f"{path}.role", f"unknown role {entry['role']!r}")
     if c.problems:
         return None, {}
     try:
@@ -289,7 +305,7 @@ def _parse_mobility(obj, c, regions, ranges):
 
     def check_region(path, entry):
         region = entry.get("region")
-        if region not in regions:
+        if not isinstance(region, str) or region not in regions:
             c.err(f"{path}.region", f"unknown region {region!r}")
             return None, None
         cell = entry.get("cell")
@@ -306,7 +322,7 @@ def _parse_mobility(obj, c, regions, ranges):
         region, cell = check_region(path, entry)
         if prefix and not prefix.covered_by(ranges):
             c.err(f"{path}.prefix", "outside the mobility address range")
-        if prefix and region:
+        if t is not None and prefix and region:
             known_prefixes.add(str(prefix))
             attaches.append(AttachSpec(t, prefix, region, cell,
                                        str(entry.get("l2", f"mac-{prefix}"))))
@@ -341,7 +357,7 @@ def _parse_mobility(obj, c, regions, ranges):
             if p is not None and p > 1.0:
                 c.err(f"{path}.p", "transition probability must be <= 1")
             prefixes = []
-            for j, text in enumerate(entry.get("prefixes", [])):
+            for j, text in enumerate(c.items(entry, path, "prefixes")):
                 pfx = c.prefix(text, f"{path}.prefixes[{j}]")
                 if pfx:
                     if str(pfx) not in known_prefixes:
@@ -351,11 +367,11 @@ def _parse_mobility(obj, c, regions, ranges):
             if not isinstance(adjacency, dict):
                 c.err(f"{path}.adjacency", "expected object")
                 adjacency = {}
-            for region, nbrs in adjacency.items():
+            for region in adjacency:
                 if region not in regions:
                     c.err(f"{path}.adjacency.{region}", "unknown region")
-                for nbr in nbrs if isinstance(nbrs, list) else []:
-                    if nbr not in regions:
+                for nbr in c.items(adjacency, f"{path}.adjacency", region):
+                    if not isinstance(nbr, str) or nbr not in regions:
                         c.err(f"{path}.adjacency.{region}",
                               f"unknown neighbor region {nbr!r}")
             if mu is not None and p is not None:
@@ -367,16 +383,17 @@ def _parse_mobility(obj, c, regions, ranges):
 
 
 def _parse_flows(entries, c):
-    flows = []
-    if not isinstance(entries, list):
-        c.err("flows", "expected list")
-        return flows
+    flows, ids = [], set()
     for i, entry in enumerate(entries):
         path = f"flows[{i}]"
         if not isinstance(entry, dict):
             c.err(path, "expected object")
             continue
         c.keys(entry, path, {"id", "src", "dst", "rate_pps", "start_s", "stop_s"})
+        flow_id = str(entry.get("id", f"f{i}"))
+        if flow_id in ids:
+            c.err(f"{path}.id", f"duplicate flow id {flow_id!r}")
+        ids.add(flow_id)
         src = c.prefix(entry.get("src"), f"{path}.src")
         dst = c.prefix(entry.get("dst"), f"{path}.dst")
         rate = c.number(entry, path, "rate_pps", positive=True)
@@ -385,16 +402,12 @@ def _parse_flows(entries, c):
         if start is not None and stop is not None and stop <= start:
             c.err(f"{path}.stop_s", "must be after start_s")
         if src and dst and rate and start is not None and stop is not None:
-            flows.append(FlowSpec(str(entry.get("id", f"f{i}")), src, dst,
-                                  rate, start, stop))
+            flows.append(FlowSpec(flow_id, src, dst, rate, start, stop))
     return flows
 
 
 def _parse_failures(entries, c, graph):
     out = []
-    if not isinstance(entries, list):
-        c.err("failures", "expected list")
-        return out
     for i, entry in enumerate(entries):
         path = f"failures[{i}]"
         if not isinstance(entry, dict):
@@ -427,7 +440,7 @@ def _parse_flags(obj, c, graph) -> Flags:
             else:
                 setattr(flags, key, obj[key])
     flags.overlap_s = c.number(obj, "flags", "overlap_s", 1.0, positive=True) or 1.0
-    for i, pair in enumerate(obj.get("ha_pairs", [])):
+    for i, pair in enumerate(c.items(obj, "flags", "ha_pairs")):
         path = f"flags.ha_pairs[{i}]"
         if not isinstance(pair, list) or len(pair) != 2:
             c.err(path, "expected a two-node list")

@@ -9,9 +9,10 @@ traces and metrics.
 Every trace record enters through ``Simulation.trace_event`` as one tuple.
 One whose fifth slot is a dict or None is ``(now, kind, src, dst, detail)``;
 any other is flat, ``(now, kind, src, dst, *values)`` with atomic values
-only (router ids raw), schema ``FLAT_KEYS[kind, len(record)]``.  From that
-table alone ``trace`` rebuilds the dicts and ``trace_jsonl`` builds one line
-template per entry; both name router ids as they render.
+only, schema ``FLAT_KEYS[kind, len(record)]``.  Router ids are kept raw in
+both forms.  ``trace_jsonl`` alone renders records, naming router ids as it
+goes, from one line template per ``FLAT_KEYS`` entry; ``trace`` parses its
+lines back into dicts.
 """
 
 from __future__ import annotations
@@ -19,8 +20,10 @@ from __future__ import annotations
 import heapq
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import count
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .aler import AlerNode
@@ -83,70 +86,60 @@ DROP_REASONS = (
 
 
 class Metrics:
+    """Per-flow counters.  A packet counts once at ingress and once when it
+    ends, delivered or dropped; ``in_flight`` is what is left.  Latencies are
+    kept by seq and summed in seq order; deliveries come in time order."""
+
     def __init__(self):
-        self.flows: dict[str, dict] = {}
-        self.control_by_kind: dict[str, int] = {}
+        self.flows: dict[str, dict] = _Memo(lambda flow_id: {
+            "ingress": 0, "drops": Counter(), "hops": Counter(),
+            "latencies": {}, "max_gap_s": 0.0, "last": None})
+        self.control_by_kind: Counter[str] = Counter()
         self.control_crossing = 0
-        self.control_intra = 0
         self.post_ingress_ip_lookups = 0
         self.max_stack_depth = 0
         self.stack_violations = 0
 
-    def flow(self, flow_id: str) -> dict:
-        return self.flows.setdefault(flow_id, {"packets": {}, "order": []})
+    def record_ingress(self, flow_id: str):
+        self.flows[flow_id]["ingress"] += 1
 
-    def record_ingress(self, flow_id: str, seq: int, t: float):
-        flow = self.flow(flow_id)
-        if seq not in flow["packets"]:
-            flow["packets"][seq] = {"t": t, "outcomes": []}
-            flow["order"].append(seq)
+    def record_drop(self, packet: DataPacket, reason: str):
+        self._end(packet)["drops"][reason] += 1
 
-    def record_outcome(self, packet: DataPacket, kind: str, detail: str, t: float):
-        flow = self.flow(packet.flow_id)
-        entry = flow["packets"].setdefault(packet.seq, {"t": packet.created_at,
-                                                        "outcomes": []})
-        entry["outcomes"].append((kind, detail, t, len(packet.hop_trace) - 1))
+    def record_delivery(self, packet: DataPacket, t: float):
+        flow = self._end(packet)
+        flow["hops"][len(packet.hop_trace) - 1] += 1
+        flow["latencies"][packet.seq] = t - packet.created_at
+        if flow["last"] is not None:
+            flow["max_gap_s"] = max(flow["max_gap_s"], t - flow["last"])
+        flow["last"] = t
+
+    def _end(self, packet: DataPacket) -> dict:
         self.post_ingress_ip_lookups += packet.post_ingress_lookups
-        packet.post_ingress_lookups = 0
+        return self.flows[packet.flow_id]
 
     def record_control(self, kind: str, crossing: bool):
-        self.control_by_kind[kind] = self.control_by_kind.get(kind, 0) + 1
-        if crossing:
-            self.control_crossing += 1
-        else:
-            self.control_intra += 1
+        self.control_by_kind[kind] += 1
+        self.control_crossing += crossing
 
     @property
     def control_total(self) -> int:
         return sum(self.control_by_kind.values())
 
     def finalize(self) -> dict:
-        """Classify every packet exactly once: delivered, dropped or in flight."""
+        """Each flow's row: counts, drops by reason (every ``DROP_REASONS``
+        entry first), a histogram of hop counts and latencies in seq order."""
         rows = {}
         for flow_id in sorted(self.flows):
             flow = self.flows[flow_id]
-            row = {"ingress": 0, "delivered": 0, "in_flight": 0,
-                   "drops": {r: 0 for r in DROP_REASONS},
-                   "hops": [], "latencies": [], "delivery_times": []}
-            for seq in flow["order"]:
-                entry = flow["packets"][seq]
-                row["ingress"] += 1
-                delivered = [o for o in entry["outcomes"] if o[0] == "delivered"]
-                if delivered:
-                    first = delivered[0]
-                    row["delivered"] += 1
-                    row["hops"].append(first[3])
-                    row["latencies"].append(first[2] - entry["t"])
-                    row["delivery_times"].append(first[2])
-                elif entry["outcomes"]:
-                    reason = entry["outcomes"][0][1]
-                    row["drops"][reason] = row["drops"].get(reason, 0) + 1
-                else:
-                    row["in_flight"] += 1
-            times = sorted(row["delivery_times"])
-            gaps = [b - a for a, b in zip(times, times[1:])]
-            row["max_gap_s"] = max(gaps) if gaps else 0.0
-            rows[flow_id] = row
+            drops = {**dict.fromkeys(DROP_REASONS, 0), **flow["drops"]}
+            latencies = [flow["latencies"][seq] for seq in sorted(flow["latencies"])]
+            rows[flow_id] = {
+                "ingress": flow["ingress"], "delivered": len(latencies),
+                "in_flight": (flow["ingress"] - len(latencies)
+                              - sum(drops.values())),
+                "drops": drops, "hops": flow["hops"], "latencies": latencies,
+                "max_gap_s": flow["max_gap_s"]}
         return rows
 
     def to_csv(self) -> str:
@@ -161,7 +154,8 @@ class Metrics:
             counts = ([row["ingress"], row["delivered"], row["in_flight"]]
                       + [row["drops"][r] for r in DROP_REASONS])
             totals = [a + b for a, b in zip(totals, counts)]
-            mean_hops = (sum(row["hops"]) / len(row["hops"])) if row["hops"] else 0.0
+            mean_hops = (sum(h * n for h, n in row["hops"].items())
+                         / row["delivered"] if row["delivered"] else 0.0)
             mean_lat = (sum(row["latencies"]) / len(row["latencies"]) * 1000.0
                         if row["latencies"] else 0.0)
             lines.append(",".join(
@@ -169,7 +163,8 @@ class Metrics:
                  f"{mean_lat:.4f}", f"{row['max_gap_s']:.6f}", "", "", ""]))
         lines.append(",".join(
             ["TOTAL", *map(str, totals), "", "", "", str(self.control_total),
-             str(self.control_crossing), str(self.control_intra)]))
+             str(self.control_crossing),
+             str(self.control_total - self.control_crossing)]))
         return "\n".join(lines) + "\n"
 
 
@@ -191,8 +186,8 @@ FLAT_KEYS = {
     ("register", 8): ("area_sent", "interface", "label", "prefix"),
 }
 STACK = "%s%s/%s%s"
-# detail keys that hold a router id: named at render in a flat record, by
-# _Services.emit in a dict; and the text of each enum, read as a plain value
+# detail keys that hold a router id, named at render in either form of
+# record; and the text of each enum, read as a plain value
 ROUTER_KEYS = ("origin", "node", "from")
 MSG_TEXT = {kind: kind.value for kind in MessageKind}
 UPDATE_TYPE_TEXT = {utype: utype.name for utype in UpdateType}
@@ -241,13 +236,7 @@ class _Services:
         return self.sim.send_control(self.rid, kind, dst, payload)
 
     def emit(self, kind: str, *values):
-        """Record a detail dict, router ids named now, or flat values."""
-        detail = values[0]
-        if type(detail) is dict:
-            names = self.sim._names
-            for key in ROUTER_KEYS:
-                if detail.get(key) in names:
-                    detail[key] = names[detail[key]]
+        """Record a detail dict or flat values, router ids raw."""
         self.sim.trace_event(kind, self.rid, None, *values)
 
     def transmit(self, packet: DataPacket, from_node: str, to_node: str):
@@ -355,15 +344,13 @@ class Simulation:
         for f in sc.failures:
             self.schedule(f.t, EventKind.NODE_FAIL, (f.node,))
         for flow in sc.flows:
-            i = 0
-            while True:
+            for i in count():
                 t = flow.start_s + i / flow.rate_pps
                 if t >= flow.stop_s - 1e-12:
                     break
                 self.schedule(t, EventKind.DATA_INGRESS, (flow, i))
-                i += 1
-        self._tick("dead_scan")
-        self._tick("expiry")
+        self._tick("_scan_dead")
+        self._tick("_expire")
 
     # ---------------------------------------------------------- event loop
 
@@ -397,34 +384,16 @@ class Simulation:
         self._records.append((self.now, kind, src, dst) + values if values
                              else (self.now, kind, src, dst, detail))
 
-    def _trace_rows(self):
-        """Each record as ``(t, seq, kind, src, dst, detail)``, time rounded
-        and router ids named: the rows of ``trace``."""
-        names = self._names
-        for seq, (t, kind, src, dst, *values) in enumerate(self._records, 1):
-            detail = values[0]
-            if detail is not None and type(detail) is not dict:
-                keys = FLAT_KEYS[kind, len(values) + 4]
-                if keys[-1] == "stack":
-                    values[-4:] = [STACK % tuple(values[-4:])]
-                detail = dict(zip(keys, values))
-                for key in ROUTER_KEYS:
-                    if key in detail:
-                        detail[key] = names.get(detail[key], detail[key])
-            yield (round(t, 9), seq, kind, names.get(src, src),
-                   names.get(dst, dst), detail or {})
-
     @property
     def trace(self) -> list[dict]:
-        """The records as dicts, built anew on each access."""
-        return [{"t": t, "seq": seq, "kind": kind, "src": src, "dst": dst,
-                 "detail": detail}
-                for t, seq, kind, src, dst, detail in self._trace_rows()]
+        """The records as dicts, parsed anew on each access from
+        ``trace_jsonl``, whose lines hold no line break but their own."""
+        return [json.loads(line) for line in self.trace_jsonl().split("\n")[:-1]]
 
     def trace_jsonl(self) -> str:
         """One line per record, byte for byte what ``JSONEncoder(sort_keys=
-        True).encode`` writes for its ``trace`` dict; a time that is not
-        finite goes through the encoder, which writes ``Infinity``/``NaN``.
+        True).encode`` writes for its dict (``t`` rounded to 9 places, ids
+        named); the encoder writes a time that is not finite (``NaN``).
         A flat record fills its schema's template, whose slots render each
         value once per call (a wire hex, seldom repeated, on every use).
         Only nonzero float times are memoised: 3 and 3.0, or 0.0 and -0.0,
@@ -452,6 +421,9 @@ class Simulation:
         for seq, rec in enumerate(self._records, 1):
             t, detail = rec[0], rec[4]
             if detail is None or type(detail) is dict:
+                if detail and not detail.keys().isdisjoint(ROUTER_KEYS):
+                    detail = {key: names.get(v, v) if key in ROUTER_KEYS else v
+                              for key, v in detail.items()}
                 template, detail = line[rec[1]], (encode(detail or {}),)
             else:
                 template, slots = flat[rec[1]][len(rec)]
@@ -499,20 +471,23 @@ class Simulation:
 
     # ------------------------------------------------------------ mobility
 
-    def _on_attach(self, spec):
+    def _attachment(self, spec) -> Attachment:
+        """Where ``spec`` attaches: its cell, else its region's first."""
         region = self.graph.regions[spec.region]
         cell = spec.cell or region.cells[0]
-        interface = f"{spec.region}/{cell}"
+        return Attachment(spec.region, cell, f"{spec.region}/{cell}", region.ler)
+
+    def _on_attach(self, spec):
+        new = self._attachment(spec)
         mobile = self.mobiles.setdefault(spec.prefix, MobileState(spec.l2))
-        mobile.attachments = [Attachment(spec.region, cell, interface, region.ler)]
-        ler: LerNode = self.nodes[region.ler]
-        self.trace_event("attach", src=region.ler,
+        mobile.attachments = [new]
+        self.trace_event("attach", src=new.ler,
                          detail={"prefix": str(spec.prefix), "region": spec.region,
-                                 "cell": cell, "area_hint": mobile.area_hint})
-        _, reply_area = ler.handle_registration(spec.prefix, spec.l2, interface,
-                                                mobile.area_hint)
+                                 "cell": new.cell, "area_hint": mobile.area_hint})
+        _, reply_area = self.nodes[new.ler].handle_registration(
+            spec.prefix, spec.l2, new.interface, mobile.area_hint)
         mobile.area_hint = reply_area
-        self._tick("keepalive", spec.prefix)
+        self._tick("_keepalive", spec.prefix)
         if spec.prefix in self._movers:
             self._arm_move_decision(spec.prefix)
 
@@ -520,30 +495,25 @@ class Simulation:
         mobile = self.mobiles.get(spec.prefix)
         if mobile is None or not mobile.attachments:
             return
-        region = self.graph.regions[spec.region]
-        cell = spec.cell or region.cells[0]
-        interface = f"{spec.region}/{cell}"
-        old = mobile.primary()
-        new_attach = Attachment(spec.region, cell, interface, region.ler)
-        self.trace_event("move", region.ler, None, old.region,
-                         str(spec.prefix), spec.region, old.ler == region.ler)
-        if old.ler == region.ler:
+        new, old = self._attachment(spec), mobile.primary()
+        self.trace_event("move", new.ler, None, old.region,
+                         str(spec.prefix), spec.region, old.ler == new.ler)
+        if old.ler == new.ler:
             # movement among this LER's RAN cells: pure local tracking
             retained = []
-            if self.scenario.flags.overlap_attach and old.interface != interface:
+            if self.scenario.flags.overlap_attach and old.interface != new.interface:
                 old.expires = self.now + self.scenario.flags.overlap_s
                 retained = [old]
-            mobile.attachments = [new_attach] + retained
-            self.nodes[region.ler].track_local_handoff(spec.prefix, interface)
+            mobile.attachments = [new] + retained
+            self.nodes[new.ler].track_local_handoff(spec.prefix, new.interface)
             return
         retained = []
         if self.scenario.flags.overlap_attach:
             old.expires = self.now + self.scenario.flags.overlap_s
             retained = [a for a in mobile.attachments if a.active(self.now)]
-        mobile.attachments = [new_attach] + retained
-        ler: LerNode = self.nodes[region.ler]
-        _, reply_area = ler.handle_registration(spec.prefix, mobile.l2, interface,
-                                                mobile.area_hint)
+        mobile.attachments = [new] + retained
+        _, reply_area = self.nodes[new.ler].handle_registration(
+            spec.prefix, mobile.l2, new.interface, mobile.area_hint)
         mobile.area_hint = reply_area
 
     def _on_detach(self, spec):
@@ -559,7 +529,7 @@ class Simulation:
         dwell = self.rng.expovariate(model.mu)
         t = self.now + dwell
         if t <= self.scenario.duration_s:
-            self.schedule(t, EventKind.TIMER_FIRE, ("move_decision", prefix))
+            self.schedule(t, EventKind.TIMER_FIRE, ("_on_move_decision", prefix))
 
     def _on_move_decision(self, prefix: MobilePrefix):
         mobile = self.mobiles.get(prefix)
@@ -577,7 +547,7 @@ class Simulation:
 
     def _on_ingress(self, flow, seq: int):
         packet = DataPacket(flow.flow_id, seq, flow.src, flow.dst, self.now)
-        self.metrics.record_ingress(flow.flow_id, seq, self.now)
+        self.metrics.record_ingress(flow.flow_id)
         mobile = self.mobiles.get(flow.src)
         attachment = mobile.primary() if mobile else None
         if attachment is None:
@@ -624,7 +594,7 @@ class Simulation:
                                  # trace.jsonl keeps the field of the removed
                                  # replication mode; no packet is a replica
                                  "replica": False})
-        self.metrics.record_outcome(packet, "dropped", reason, self.now)
+        self.metrics.record_drop(packet, reason)
 
     def deliver_local(self, packet: DataPacket, ler: LerNode, record):
         mobile = self.mobiles.get(record.prefix)
@@ -636,40 +606,35 @@ class Simulation:
         self.trace_event("data_deliver", ler.rid, None, packet.flow_id,
                          interface, packet.path_string(), False,  # see drop()
                          packet.seq)
-        self.metrics.record_outcome(packet, "delivered", interface, self.now)
+        self.metrics.record_delivery(packet, self.now)
 
     # -------------------------------------------------------------- timers
 
-    def _tick(self, *timer):
-        """Fire ``timer`` one keepalive interval from now, if the run lasts
-        that long."""
+    def _tick(self, method: str, *args):
+        """Call ``method`` with ``args`` one keepalive interval from now, if
+        the run lasts that long."""
         t = self.now + self.scenario.timers.keepalive_s
         if t <= self.scenario.duration_s:
-            self.schedule(t, EventKind.TIMER_FIRE, timer)
+            self.schedule(t, EventKind.TIMER_FIRE, (method, *args))
 
-    def _on_timer(self, what: str, *args):
-        if what == "dead_scan":
-            for rid in self.graph.by_role(NodeRole.LER):
-                self.nodes[rid].scan_dead_registrations(self.now)
-            self._tick(what)
-        elif what == "expiry":
-            for rid in sorted(self.nodes):
-                node = self.nodes[rid]
-                if isinstance(node, LerNode):
-                    node.expire_cache(self.now)
-                elif isinstance(node, AlerNode):
-                    node.expire(self.now)
-                elif isinstance(node, AmrrNode):
-                    node.expire_records(self.now)
-            self._tick(what)
-        elif what == "keepalive":
-            prefix = args[0]
-            mobile = self.mobiles.get(prefix)
-            if mobile and mobile.attachments:
-                self.nodes[mobile.primary().ler].keepalive(prefix, self.now)
-                self._tick(what, prefix)
-        elif what == "move_decision":
-            self._on_move_decision(args[0])
+    def _on_timer(self, method: str, *args):
+        getattr(self, method)(*args)
+
+    def _scan_dead(self):
+        for rid in self.graph.by_role(NodeRole.LER):
+            self.nodes[rid].scan_dead_registrations(self.now)
+        self._tick("_scan_dead")
+
+    def _expire(self):
+        for node in self.nodes.values():  # built in rid order
+            getattr(node, node.EXPIRE)(self.now)
+        self._tick("_expire")
+
+    def _keepalive(self, prefix: MobilePrefix):
+        mobile = self.mobiles.get(prefix)
+        if mobile and mobile.attachments:
+            self.nodes[mobile.primary().ler].keepalive(prefix, self.now)
+            self._tick("_keepalive", prefix)
 
     def _on_fail(self, rid: str):
         self.failed.add(rid)

@@ -124,7 +124,7 @@ def build_topology(spec: dict) -> NetworkGraph:
     """
     nodes: dict[RouterId, NodeInfo] = {}
     names: dict[str, RouterId] = {}
-    for entry in spec["nodes"]:
+    for entry in spec.get("nodes", []):
         rid = entry["id"]
         name = entry.get("name", rid)
         role = NodeRole(entry["role"])
@@ -138,7 +138,7 @@ def build_topology(spec: dict) -> NetworkGraph:
         names[name] = rid
 
     edges: dict[RouterId, dict[RouterId, float]] = {r: {} for r in nodes}
-    for entry in spec["edges"]:
+    for entry in spec.get("edges", []):
         a, b = entry["a"], entry["b"]
         rid_a = names.get(a, a)
         rid_b = names.get(b, b)

@@ -1,0 +1,78 @@
+"""Scenario validation reports a malformed field as a ``(path, message)``
+problem; it never lets the field reach code that raises on its type."""
+
+import pytest
+
+from hmlbn import scenarios as lib
+from hmlbn.scenario import validate_scenario
+
+
+def _set(*keys_and_value):
+    """An edit of a scenario document: set the value at a key path."""
+    *keys, last, value = keys_and_value
+
+    def edit(doc):
+        for key in keys:
+            doc = doc[key]
+        doc[last] = value
+    return edit
+
+
+def _move_to(region):
+    def edit(doc):
+        doc["mobility"]["move"] = [{"t": 1.0, "prefix": "10.1.1.1/32",
+                                    "region": region}]
+    return edit
+
+
+def _flow_twice(doc):
+    doc["flows"].append(dict(doc["flows"][0]))
+
+
+def _without(*keys_and_key):
+    *keys, last = keys_and_key
+
+    def edit(doc):
+        for key in keys:
+            doc = doc[key]
+        del doc[last]
+    return edit
+
+
+# (path of the problem, edit of a valid document that puts it there)
+MALFORMED = [
+    ("flags.ha_pairs", _set("flags", "ha_pairs", 5)),
+    ("mobility_range", _set("mobility_range", 8)),
+    ("mobility.model.prefixes", _set("mobility", "model", "prefixes", 5)),
+    ("mobility.model.adjacency.MR11",
+     _set("mobility", "model", "adjacency", "MR11", "MR12")),
+    ("topology.regions.MR11.cells",
+     _set("topology", "regions", "MR11", "cells", 3)),
+    ("topology.edges[0].latency_ms",
+     _set("topology", "edges", 0, "latency_ms", "fast")),
+    ("topology.edges[0].a", _set("topology", "edges", 0, "a", ["ALER1"])),
+    ("topology.edges[0].b", _without("topology", "edges", 0, "b")),
+    ("topology.nodes[0].area", _set("topology", "nodes", 0, "area", "one")),
+    ("topology.nodes[0].role", _set("topology", "nodes", 0, "role", "P")),
+    ("topology.nodes[0].id", _set("topology", "nodes", 0, "id", ["20.1"])),
+    ("topology.regions.MR11.ler",
+     _set("topology", "regions", "MR11", "ler", ["LER11"])),
+    ("topology.regions.MR11.ler",
+     _without("topology", "regions", "MR11", "ler")),
+    ("mobility.move[0].region", _move_to(["MR12"])),
+    # both attaches are kept for sorting by time unless a bad one is left out
+    ("mobility.attach[1].t", _set("mobility", "attach", 1, "t", "soon")),
+    # two flows under one id would be counted as one
+    ("flows[1].id", _flow_twice),
+]
+
+
+@pytest.mark.parametrize("path,edit", MALFORMED,
+                         ids=[f"{path}-{i}" for i, (path, _)
+                              in enumerate(MALFORMED)])
+def test_malformed_field_is_a_problem_not_an_exception(path, edit):
+    doc = lib.random_walk_scenario()
+    assert validate_scenario(doc) == []
+    edit(doc)
+    problems = validate_scenario(doc)
+    assert path in [where for where, _ in problems], problems

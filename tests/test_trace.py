@@ -1,6 +1,7 @@
 """The trace renderer: ``trace_jsonl`` against a copy of the encoder it
 replaced (a list of dicts through ``JSONEncoder(sort_keys=True)``), and
-``trace`` against the rendered lines on every bundled scenario.  Flat
+``trace``, which splits the rendered text at "\n" only, against every line
+``splitlines`` finds in it on every bundled scenario.  Flat
 records are checked against the dicts their kinds were once recorded as,
 and for holding nothing the cyclic garbage collector has to track."""
 
