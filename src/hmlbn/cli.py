@@ -148,22 +148,18 @@ def cmd_dump(args) -> int:
     sim = run_scenario(scenario, seed=args.seed)
     graph = sim.graph
     if args.node:
-        rid = graph.rid_of(args.node)
-        targets = [rid]
+        targets = [graph.rid_of(args.node)]
     else:
         targets = graph.by_role(NodeRole.ALER) + graph.by_role(NodeRole.AMRR)
+    titles = {NodeRole.ALER: "FIB", NodeRole.AMRR: "BINDINGS"}
     for rid in targets:
         info = graph.nodes[rid]
-        if info.role is NodeRole.ALER:
-            print(f"# FIB {info.name} ({rid})")
-            for line in sim.fib_dump(rid):
-                print(line)
-        elif info.role is NodeRole.AMRR:
-            print(f"# BINDINGS {info.name} ({rid})")
-            for line in sim.binding_dump(rid):
-                print(line)
-        else:
+        if info.role not in titles:
             print(f"# {info.name} ({rid}): no dumpable state")
+            continue
+        print(f"# {titles[info.role]} {info.name} ({rid})")
+        for line in sim.nodes[rid].dump(graph.name_of):
+            print(line)
     return EXIT_OK
 
 

@@ -11,7 +11,8 @@ One whose fifth slot is a dict or None is ``(now, kind, src, dst, detail)``;
 any other is flat, ``(now, kind, src, dst, *values)`` with atomic values
 only, schema ``FLAT_KEYS[kind, len(record)]``.  Router ids are kept raw in
 both forms.  ``trace_jsonl`` alone renders records, naming router ids as it
-goes, from one line template per ``FLAT_KEYS`` entry; ``trace`` parses its
+goes: a flat record by one f-string, generated at import for its
+``FLAT_KEYS`` entry, a detail dict by the JSON encoder; ``trace`` parses its
 lines back into dicts.
 """
 
@@ -28,7 +29,6 @@ from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .aler import AlerNode
 from .amrr import AmrrNode
-from .errors import HmlbnError
 from .forwarding import DataPacket, ForwardingEngine
 from .ler import LerNode
 from .messages import (ControlMessage, MessageKind, MobilePrefix, UpdateType,
@@ -73,9 +73,10 @@ class MobileState:
     def primary(self) -> Attachment | None:
         return self.attachments[0] if self.attachments else None
 
-    def active_interfaces(self, ler: str, now: float) -> set:
-        return {a.interface for a in self.attachments
-                if a.ler == ler and a.active(now)}
+    def serves(self, ler: str, interface: str, now: float) -> bool:
+        """Whether ``interface`` of ``ler`` is an active attachment."""
+        return any(a.interface == interface and a.ler == ler and a.active(now)
+                   for a in self.attachments)
 
 
 DROP_REASONS = (
@@ -171,7 +172,8 @@ class Metrics:
 # detail keys of each flat record by (kind, record length), sorted as
 # trace.jsonl writes them; no first value may be a dict or None.  A data_hop
 # "stack" (two labels deep) is four values, the top label's tag and value,
-# then the inner label's, written as STACK.
+# then the inner label's.  Kinds and keys are written into the line
+# functions' generated source, so each must be an ASCII identifier.
 FLAT_KEYS = {
     ("ctl_recv", 5): ("msg",),
     ("ctl_send", 7): ("area_crossing", "hex", "msg"),
@@ -185,12 +187,46 @@ FLAT_KEYS = {
     ("move", 8): ("from_region", "prefix", "region", "same_ler"),
     ("register", 8): ("area_sent", "interface", "label", "prefix"),
 }
-STACK = "%s%s/%s%s"
 # detail keys that hold a router id, named at render in either form of
 # record; and the text of each enum, read as a plain value
 ROUTER_KEYS = ("origin", "node", "from")
 MSG_TEXT = {kind: kind.value for kind in MessageKind}
 UPDATE_TYPE_TEXT = {utype: utype.name for utype in UpdateType}
+CHUNK_LINES = 512  # trace lines joined at a time, then the chunks
+
+
+def _line_factories(schema: dict) -> dict:
+    """``(factory, slots)`` per ``schema`` entry: ``factory(R, *memos)``, a
+    memo per ``slots`` kind, returns ``line(record, seq, t)``, one f-string
+    naming routers through ``R``.  Only kinds and keys enter the source."""
+    factories = {}
+    for (kind, length), keys in schema.items():
+        if not all(n.isidentifier() and n.isascii() for n in (kind, *keys)):
+            raise ValueError(f"not ASCII identifiers: {kind!r}, {keys!r}")
+        fields, slots, i = [], {}, 4
+        for key in keys:
+            if key == "stack":  # tag, value, tag, value; a value as its str
+                slots.update({i: "tag", i + 2: "tag"})
+                fields.append('"stack": "{s%d[r[%d]]}{r[%d]!s}/{s%d[r[%d]]}'
+                              '{r[%d]!s}"' % (i, i, i + 1, i + 2, i + 2, i + 3))
+                i += 3
+            elif key in ROUTER_KEYS:
+                fields.append('"%s": {R[r[%d]]}' % (key, i))
+            else:
+                slots[i] = "hex" if key == "hex" else "value"
+                fields.append('"%s": {s%d[r[%d]]}' % (key, i, i))
+            i += 1
+        line = ('{{"detail": {{%s}}, "dst": {R[r[3]]}, "kind": "%s", '
+                '"seq": {seq}, "src": {R[r[2]]}, "t": {t}}}\\n'
+                % (", ".join(fields), kind))
+        params = "".join(f", s{i}" for i in slots)
+        exec(f"def factory(R{params}):\n    return lambda r, seq, t: f'{line}'",
+             namespace := {})
+        factories[kind, length] = namespace["factory"], list(slots.values())
+    return factories
+
+
+LINE_FACTORIES = _line_factories(FLAT_KEYS)
 
 
 class _Memo(dict):
@@ -223,11 +259,14 @@ def _json_encoder():
 
 
 class _Services:
-    """Per-node facade over the simulation: clock, messaging, data plane."""
+    """Per-node facade over the simulation: clock, messaging, data plane.
+    ``calls`` are the simulation's own, bound once and shared by all nodes."""
 
-    def __init__(self, sim: "Simulation", rid: str):
+    def __init__(self, sim: "Simulation", rid: str, calls: tuple):
         self.sim = sim
         self.rid = rid
+        (self.transmit, self.drop, self.deliver_local, self.infra_path,
+         self.area_of) = calls
 
     def now(self) -> float:
         return self.sim.now
@@ -239,26 +278,11 @@ class _Services:
         """Record a detail dict or flat values, router ids raw."""
         self.sim.trace_event(kind, self.rid, None, *values)
 
-    def transmit(self, packet: DataPacket, from_node: str, to_node: str):
-        self.sim.transmit(packet, from_node, to_node)
-
-    def drop(self, packet: DataPacket, node: str, reason: str):
-        self.sim.drop(packet, node, reason)
-
-    def deliver_local(self, packet: DataPacket, ler, record):
-        self.sim.deliver_local(packet, ler, record)
-
-    def infra_path(self, rid: str, origin: str):
-        return self.sim.lsp.next_hop(rid, origin)
-
     def trail_to(self, rid: str, origin: str):
         in_top = self.sim.lsp.in_label_for(rid, origin)
         out_top, next_hop = self.sim.lsp.next_hop(rid, origin)
         out_if = self.sim.graph.interface_name(rid, next_hop)
         return in_top, out_top, next_hop, out_if
-
-    def area_of(self, rid: str) -> int:
-        return self.sim.graph.area_of(rid)
 
 
 class Simulation:
@@ -268,6 +292,9 @@ class Simulation:
         self.rng = random.Random(self.seed)
         self.graph = scenario.graph
         self._names = {rid: info.name for rid, info in self.graph.nodes.items()}
+        # each edge's latency in seconds, a router's row made on first use
+        self._edge_s = _Memo(lambda rid: {
+            peer: ms / 1000.0 for peer, ms in self.graph.edges[rid].items()})
         self.lsp = compute_infrastructure_lsps(self.graph)
         self.latency = control_latency_matrix(self.graph)
         self.now = 0.0
@@ -297,9 +324,10 @@ class Simulation:
             ha_twin[b] = a
         amrrs_by_area = {area: self.graph.by_role(NodeRole.AMRR, area)
                          for area in self.graph.areas()}
+        calls = (self.transmit, self.drop, self.deliver_local,
+                 self.lsp.next_hop, self.graph.area_of)
         for rid in sorted(self.graph.nodes):
             info = self.graph.nodes[rid]
-            services = _Services(self, rid)
             if info.role is NodeRole.LER:
                 interfaces = [f"{region.name}/{cell}"
                               for region in self.graph.regions.values()
@@ -311,13 +339,13 @@ class Simulation:
                     mobility_ranges=sc.mobility_ranges,
                     dead_time_s=sc.timers.dead_s,
                     default_lifetime_s=sc.timers.lifetime_s,
-                    services=services,
+                    services=_Services(self, rid, calls),
                 )
             elif info.role is NodeRole.ALER:
                 self.nodes[rid] = AlerNode(
                     rid, info.name, info.area,
                     amrrs=amrrs_by_area.get(info.area, []),
-                    services=services,
+                    services=_Services(self, rid, calls),
                 )
             elif info.role is NodeRole.AMRR:
                 peers = [r for r in self.graph.by_role(NodeRole.AMRR)
@@ -329,7 +357,7 @@ class Simulation:
                     aler_clients=self.graph.by_role(NodeRole.ALER, info.area),
                     amrrs_by_area=amrrs_by_area,
                     ha_twin=ha_twin,
-                    services=services,
+                    services=_Services(self, rid, calls),
                     reflect_to_previous=sc.flags.reflect_to_previous_ler,
                 )
 
@@ -394,44 +422,42 @@ class Simulation:
         """One line per record, byte for byte what ``JSONEncoder(sort_keys=
         True).encode`` writes for its dict (``t`` rounded to 9 places, ids
         named); the encoder writes a time that is not finite (``NaN``).
-        A flat record fills its schema's template, whose slots render each
-        value once per call (a wire hex, seldom repeated, on every use).
-        Only nonzero float times are memoised: 3 and 3.0, or 0.0 and -0.0,
-        are one key but two texts."""
+        A flat record's ``LINE_FACTORIES`` line gets fresh memos, which
+        render each value once per call (a wire hex, seldom repeated, on
+        every use).  Only nonzero float times are memoised: 3 and 3.0, or
+        0.0 and -0.0, are one key but two texts.  ``CHUNK_LINES`` lines are
+        joined at a time, so no list of every line outlives its chunk."""
         encode, text, names = _json_encoder(), encode_basestring_ascii, self._names
-        named = lambda rid: encode(names.get(rid, rid))
-        router, bare = _Memo(named), (lambda tag: text(tag)[1:-1])
+        router = _Memo(lambda rid: encode(names.get(rid, rid)))
         times = _Memo(lambda t: repr(round(t, 9)) if t - t == 0 else encode(t))
-        # a kind's line, kind written in, and its flat templates by length
+        # a detail dict's line by kind, kind written in
         line = _Memo(lambda kind: (
             '{"detail": %s, "dst": %s, "kind": ' + text(kind).replace("%", "%%")
             + ', "seq": %d, "src": %s, "t": %s}\n'))
+        memo = {"value": lambda: _Memo(encode), "hex": _Fresh,
+                "tag": lambda: _Memo(lambda tag: text(tag)[1:-1])}
         flat = {}
-        for (kind, length), keys in FLAT_KEYS.items():
-            fields = ", ".join(f'"stack": "{STACK}"' if key == "stack"
-                               else f"{text(key)}: %s" for key in keys)
-            flat.setdefault(kind, {})[length] = (
-                line[kind].replace("%s", "{%s}" % fields, 1),
-                [slot for key in keys for slot in
-                 ([_Memo(bare), _Memo(str)] * 2 if key == "stack" else
-                  [_Fresh()] if key == "hex" else
-                  [_Memo(named if key in ROUTER_KEYS else encode)])])
-        getitem, lines = dict.__getitem__, []
-        append = lines.append
-        for seq, rec in enumerate(self._records, 1):
-            t, detail = rec[0], rec[4]
-            if detail is None or type(detail) is dict:
-                if detail and not detail.keys().isdisjoint(ROUTER_KEYS):
-                    detail = {key: names.get(v, v) if key in ROUTER_KEYS else v
-                              for key, v in detail.items()}
-                template, detail = line[rec[1]], (encode(detail or {}),)
-            else:
-                template, slots = flat[rec[1]][len(rec)]
-                detail = map(getitem, slots, rec[4:])
-            append(template % (
-                *detail, router[rec[3]], seq, router[rec[2]],
-                times[t] if type(t) is float and t else times.render(t)))
-        return "".join(lines)
+        for (kind, length), (factory, slots) in LINE_FACTORIES.items():
+            flat.setdefault(kind, {})[length] = factory(
+                router, *[memo[slot]() for slot in slots])
+        records, chunks = self._records, []
+        for start in range(0, len(records), CHUNK_LINES):
+            lines = []
+            append = lines.append
+            for seq, rec in enumerate(records[start:start + CHUNK_LINES],
+                                      start + 1):
+                t, detail = rec[0], rec[4]
+                t = times[t] if type(t) is float and t else times.render(t)
+                if detail is None or type(detail) is dict:
+                    if detail and not detail.keys().isdisjoint(ROUTER_KEYS):
+                        detail = {key: names.get(v, v) if key in ROUTER_KEYS
+                                  else v for key, v in detail.items()}
+                    append(line[rec[1]] % (encode(detail or {}), router[rec[3]],
+                                           seq, router[rec[2]], t))
+                else:
+                    append(flat[rec[1]][len(rec)](rec, seq, t))
+            chunks.append("".join(lines))
+        return "".join(chunks)
 
     # ------------------------------------------------------- control plane
 
@@ -565,7 +591,8 @@ class Simulation:
 
     def transmit(self, packet: DataPacket, from_node: str, to_node: str):
         depth = len(packet.stack)
-        self.metrics.max_stack_depth = max(self.metrics.max_stack_depth, depth)
+        if depth > self.metrics.max_stack_depth:
+            self.metrics.max_stack_depth = depth
         if depth > 2:
             self.metrics.stack_violations += 1
         if depth == 2:
@@ -577,8 +604,8 @@ class Simulation:
             self.trace_event("data_hop", src=from_node, dst=to_node,
                              detail={"flow": packet.flow_id, "seq": packet.seq,
                                      "stack": packet.render_stack()})
-        latency_s = self.graph.edges[from_node][to_node] / 1000.0
-        self.schedule(self.now + latency_s, EventKind.DATA_HOP, (packet, to_node))
+        self.schedule(self.now + self._edge_s[from_node][to_node],
+                      EventKind.DATA_HOP, (packet, to_node))
 
     def _on_hop(self, packet: DataPacket, node: str):
         if node in self.failed:
@@ -599,8 +626,7 @@ class Simulation:
     def deliver_local(self, packet: DataPacket, ler: LerNode, record):
         mobile = self.mobiles.get(record.prefix)
         interface = record.interface_id
-        active = mobile.active_interfaces(ler.rid, self.now) if mobile else set()
-        if interface not in active:
+        if not (mobile and mobile.serves(ler.rid, interface, self.now)):
             self.drop(packet, ler.rid, "stale_location")
             return
         self.trace_event("data_deliver", ler.rid, None, packet.flow_id,
@@ -643,20 +669,6 @@ class Simulation:
             for amrr_rid in self.graph.by_role(NodeRole.AMRR,
                                                self.graph.area_of(rid)):
                 self.nodes[amrr_rid].handle_aler_failure(rid)
-
-    # ----------------------------------------------------------------- dumps
-
-    def fib_dump(self, name_or_rid: str) -> list[str]:
-        return self._dump(name_or_rid, AlerNode, "an ALER")
-
-    def binding_dump(self, name_or_rid: str) -> list[str]:
-        return self._dump(name_or_rid, AmrrNode, "an AMRR")
-
-    def _dump(self, name_or_rid: str, cls: type, what: str) -> list[str]:
-        node = self.nodes[self.graph.rid_of(name_or_rid)]
-        if not isinstance(node, cls):
-            raise HmlbnError(f"{name_or_rid} is not {what}")
-        return node.dump(self.graph.name_of)
 
 
 def run_scenario(scenario: Scenario, seed: int | None = None) -> Simulation:

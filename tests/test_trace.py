@@ -214,13 +214,11 @@ def test_flat_keys_are_sorted_as_the_lines_write_them():
             if values is not None} == set(simulator.FLAT_KEYS)
 
 
-@pytest.mark.parametrize("c_encoder", [True, False])
-def test_flat_records_render_as_their_dicts_did(c_encoder, monkeypatch):
-    if not c_encoder:
-        monkeypatch.setattr(simulator, "c_make_encoder", None)
-    sim = _fresh_sim()
+def _record_hot(sim, hot) -> list:
+    """Record each ``HOT`` entry in ``hot`` with real router ids, flat
+    unless its values are None; returns the dict records they stand for."""
     hot = _real_ids(sim, [(now, kind, src, dst, (values, detail))
-                          for now, kind, src, dst, values, detail in HOT])
+                          for now, kind, src, dst, values, detail in hot])
     # a router id is recorded raw under "origin"; the old dict held its name
     rid = sim.graph.by_role(NodeRole.LER)[0]
     hot = [(now, kind, src, dst,
@@ -234,15 +232,49 @@ def test_flat_records_render_as_their_dicts_did(c_encoder, monkeypatch):
             sim.trace_event(kind, src=src, dst=dst, detail=detail)
         else:
             sim.trace_event(kind, src, dst, *values)
+    return [(now, kind, src, dst, detail)
+            for now, kind, src, dst, (_, detail) in hot]
+
+
+@pytest.mark.parametrize("c_encoder", [True, False])
+def test_flat_records_render_as_their_dicts_did(c_encoder, monkeypatch):
+    if not c_encoder:
+        monkeypatch.setattr(simulator, "c_make_encoder", None)
+    sim = _fresh_sim()
+    records = _record_hot(sim, HOT)
     assert [len(rec) > 5 or type(rec[4]) is str for rec in sim._records] == \
         [values is not None for *_, values, _ in HOT]
-    records = [(now, kind, src, dst, detail)
-               for now, kind, src, dst, (_, detail) in hot]
     assert sim.trace_jsonl() == _reference_jsonl(sim, records)
     assert sim.trace == _reference_trace(sim, records)
     lines = sim.trace_jsonl().splitlines()
     assert lines[3].endswith('"t": 3.0}') and lines[4].endswith('"t": 3}')
     assert lines[6].endswith('"t": 0.0}') and lines[7].endswith('"t": -0.0}')
+
+
+@pytest.mark.parametrize("count", [0, 1, 511, 512, 513, 1024, 1025])
+def test_traces_render_whole_across_chunk_boundaries(count):
+    """Lines are joined 512 at a time; a trace of any length, flat and dict
+    records mixed, still renders as the dict encoder wrote it."""
+    assert simulator.CHUNK_LINES == 512
+    sim = _fresh_sim()
+    records = _record_hot(sim, (HOT * (count // len(HOT) + 1))[:count])
+    assert len(sim._records) == count
+    assert sim.trace_jsonl() == _reference_jsonl(sim, records)
+    assert sim.trace == _reference_trace(sim, records)
+
+
+@pytest.mark.parametrize("name", ['fl"ow', "fl'ow", "fl{ow", "fl}ow",
+                                  "fl\\ow", "flow\n", "fl ow", "fl\u00e9w",
+                                  "", "1flow"])
+@pytest.mark.parametrize("where", ["kind", "key"])
+def test_line_factories_refuse_names_that_are_not_identifiers(name, where):
+    """Kinds and keys are written into generated source; a quote or brace
+    in one is refused before any source is built."""
+    schema = ({(name, 5): ("flow",)} if where == "kind"
+              else {("data_hop", 6): ("flow", name)})
+    with pytest.raises(ValueError, match="identifiers"):
+        simulator._line_factories(schema)
+    assert simulator._line_factories({("data_hop", 6): ("flow", "seq")})
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3])
