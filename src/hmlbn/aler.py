@@ -10,7 +10,6 @@ by local label (data plane).
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 from .forwarding import DataPacket, Label
@@ -90,9 +89,9 @@ class AlerNode(ControlNode):
     def _alias(self, binding: MobilityBinding, announce_as: UpdateType) -> FibEntry:
         entry, created = self._upsert(binding)
         if created:
-            announced = dataclasses.replace(
-                binding, origin_next_hop=self.rid,
-                label=entry.local_mobility_label, update_type=announce_as,
+            announced = binding._replace(
+                origin_next_hop=self.rid, label=entry.local_mobility_label,
+                update_type=announce_as,
                 update_mode=UpdateMode.SELECTIVE_DOWNSTREAM_PUSH)
             for amrr in self.amrrs:
                 self.services.send(MessageKind.BINDING_UPDATE, amrr,

@@ -11,7 +11,6 @@ LERs) so later withdrawals and hand-off updates touch exactly those nodes.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 from .errors import NoAlerAvailable
@@ -130,7 +129,7 @@ class AmrrNode(ControlNode):
             stored = binding
         else:
             target_area = binding.area_id
-            stored = dataclasses.replace(binding, area_id=self.area)
+            stored = binding._replace(area_id=self.area)
             if target_area not in self.amrrs_by_area:
                 self.services.emit("warn", {"what": "unknown_peer_area",
                                             "prefix": key, "area": target_area})
@@ -146,8 +145,8 @@ class AmrrNode(ControlNode):
         if (self.reflect_to_previous and previous_origin
                 and previous_origin != binding.origin_next_hop
                 and previous_origin in self.ler_clients):
-            reflected = dataclasses.replace(
-                stored, update_mode=UpdateMode.UNSOLICITED_DOWNSTREAM_PUSH)
+            reflected = stored._replace(
+                update_mode=UpdateMode.UNSOLICITED_DOWNSTREAM_PUSH)
             self.services.send(MessageKind.BINDING_UPDATE, previous_origin,
                                UpdatePayload(reflected))
         if binding.area_id != self.area and target_area is not None:
@@ -204,8 +203,8 @@ class AmrrNode(ControlNode):
         self._reflect_to_alers(binding, UpdateType.EXTERNAL)
 
     def _reflect_to_alers(self, binding: MobilityBinding, update_type: UpdateType):
-        reflected = dataclasses.replace(
-            binding, update_type=update_type,
+        reflected = binding._replace(
+            update_type=update_type,
             update_mode=UpdateMode.UNSOLICITED_DOWNSTREAM_PUSH)
         for aler in self._live_alers():
             self.services.send(MessageKind.BINDING_UPDATE, aler,
@@ -398,8 +397,7 @@ class AmrrNode(ControlNode):
         for key in sorted(self.records):
             rec = self.records[key]
             if rec.binding.origin_next_hop == failed:
-                rec.binding = dataclasses.replace(rec.binding,
-                                                  origin_next_hop=survivor)
+                rec.binding = rec.binding._replace(origin_next_hop=survivor)
         for aler in self._live_alers():
             self.services.send(MessageKind.ALER_FAILOVER_BLANKET, aler,
                                msg.payload)

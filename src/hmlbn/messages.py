@@ -1,10 +1,16 @@
 """Control-plane message model and its canonical wire form.
 
-Messages are immutable values.  The byte encoding is deliberately simple:
-fixed field order per message kind, big-endian fixed-width integers and
-length-prefixed strings, one leading magic byte.  Equal messages encode to
-identical bytes and any truncation fails decoding rather than producing a
-partial message.
+Messages, their payloads and bindings are immutable, hashable
+``typing.NamedTuple`` values, cheap to build on the hot path; a changed
+copy is made with ``_replace``.  Equality is tuple equality and ignores the
+class (``NegativeReplyPayload(p) == LrlRequestPayload(p) == (p,)``), so a
+message's ``kind`` tells payloads of one shape apart.  ``MobilePrefix`` is
+a frozen dataclass: its rendered text is kept in its instance ``__dict__``.
+
+The byte encoding is deliberately simple: fixed field order per message
+kind, big-endian fixed-width integers and length-prefixed strings, one
+leading magic byte.  Equal messages encode to identical bytes and any
+truncation fails decoding rather than producing a partial message.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import struct
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .errors import DecodeError
 
@@ -95,8 +102,7 @@ class MobilePrefix:
         return False
 
 
-@dataclass(frozen=True)
-class MobilityBinding:
+class MobilityBinding(NamedTuple):
     """Association of a mobile prefix with an origin router and inner label."""
 
     prefix: MobilePrefix
@@ -126,47 +132,39 @@ class LastRequestorList:
 
 # ---------------------------------------------------------------- payloads
 
-@dataclass(frozen=True)
-class UpdatePayload:
+class UpdatePayload(NamedTuple):
     binding: MobilityBinding
 
 
-@dataclass(frozen=True)
-class WithdrawalPayload:
+class WithdrawalPayload(NamedTuple):
     prefix: MobilePrefix
     origin_next_hop: str
 
 
-@dataclass(frozen=True)
-class RequestPayload:
+class RequestPayload(NamedTuple):
     prefix: MobilePrefix
     requestor_area: int
 
 
-@dataclass(frozen=True)
-class NegativeReplyPayload:
+class NegativeReplyPayload(NamedTuple):
     prefix: MobilePrefix
 
 
-@dataclass(frozen=True)
-class LrlRequestPayload:
+class LrlRequestPayload(NamedTuple):
     prefix: MobilePrefix
 
 
-@dataclass(frozen=True)
-class LrlReplyPayload:
+class LrlReplyPayload(NamedTuple):
     prefix: MobilePrefix
     area_ids: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class FailoverBlanketPayload:
+class FailoverBlanketPayload(NamedTuple):
     survivor: str
     failed: str
 
 
-@dataclass(frozen=True)
-class ControlMessage:
+class ControlMessage(NamedTuple):
     kind: MessageKind
     src: str
     dst: str

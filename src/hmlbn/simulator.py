@@ -307,7 +307,11 @@ class Simulation:
         self.metrics = Metrics()
         self.failed: set[str] = set()
         self.mobiles: dict[MobilePrefix, MobileState] = {}
-        self._movers = set(scenario.model.prefixes) if scenario.model else set()
+        model = scenario.model
+        self._movers = set(model.prefixes) if model else set()
+        # each region's mobility-model neighbours, sorted once
+        self._neighbors = ({region: sorted(nbrs) for region, nbrs
+                            in model.adjacency.items()} if model else {})
         self.nodes: dict[str, object] = {}
         self._build_nodes()
         self.engine = ForwardingEngine(self.graph, self.lsp,
@@ -326,16 +330,17 @@ class Simulation:
                          for area in self.graph.areas()}
         calls = (self.transmit, self.drop, self.deliver_local,
                  self.lsp.next_hop, self.graph.area_of)
+        interfaces = {}  # LER rid -> its regions' cells, in region order
+        for region in self.graph.regions.values():
+            interfaces.setdefault(region.ler, []).extend(
+                f"{region.name}/{cell}" for cell in region.cells)
         for rid in sorted(self.graph.nodes):
             info = self.graph.nodes[rid]
             if info.role is NodeRole.LER:
-                interfaces = [f"{region.name}/{cell}"
-                              for region in self.graph.regions.values()
-                              if region.ler == rid for cell in region.cells]
                 self.nodes[rid] = LerNode(
                     rid, info.name, info.area,
                     amrrs=amrrs_by_area.get(info.area, []),
-                    interfaces=interfaces,
+                    interfaces=interfaces.get(rid, []),
                     mobility_ranges=sc.mobility_ranges,
                     dead_time_s=sc.timers.dead_s,
                     default_lifetime_s=sc.timers.lifetime_s,
@@ -562,8 +567,7 @@ class Simulation:
         model = self.scenario.model
         if mobile is None or not mobile.attachments or model is None:
             return
-        current = mobile.primary().region
-        neighbors = sorted(model.adjacency.get(current, []))
+        neighbors = self._neighbors.get(mobile.primary().region, [])
         if neighbors and self.rng.random() < model.p:
             target = neighbors[self.rng.randrange(len(neighbors))]
             self._on_move(MoveSpec(self.now, prefix, target, None))

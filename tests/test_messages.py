@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hmlbn import messages as messages_module
 from hmlbn.errors import DecodeError
 from hmlbn.messages import (
     ControlMessage,
@@ -85,7 +86,13 @@ def messages(draw):
 @settings(max_examples=300)
 @given(messages())
 def test_roundtrip_identity(msg):
-    assert canonical_decode(canonical_encode(msg)) == msg
+    decoded = canonical_decode(canonical_encode(msg))
+    assert decoded == msg
+    # equality ignores the class, so the classes are checked too
+    assert type(decoded) is ControlMessage
+    assert type(decoded.payload) is type(msg.payload)
+    if type(msg.payload) is UpdatePayload:
+        assert type(decoded.payload.binding) is MobilityBinding
 
 
 @given(messages())
@@ -101,6 +108,78 @@ def test_truncation_never_yields_partial_message(msg, data):
     cut = data.draw(st.integers(min_value=0, max_value=len(raw) - 1))
     with pytest.raises(DecodeError):
         canonical_decode(raw[:cut])
+
+
+# ------------------------------------------------------------ value types
+
+_P = MobilePrefix.parse("10.1.1.1/32")
+_B = MobilityBinding(_P, "20.1.1.12", 116, 1)
+# one value of every NamedTuple class the control plane sends
+VALUES = [
+    _B,
+    UpdatePayload(_B),
+    WithdrawalPayload(_P, "20.1.1.12"),
+    RequestPayload(_P, 2),
+    NegativeReplyPayload(_P),
+    LrlRequestPayload(_P),
+    LrlReplyPayload(_P, (2, 3)),
+    FailoverBlanketPayload("20.2.0.1", "20.2.0.2"),
+    ControlMessage(MessageKind.BINDING_UPDATE, "20.1.1.12", "20.1.3.1", 1.5,
+                   UpdatePayload(_B)),
+]
+
+
+def test_every_value_class_is_covered():
+    named_tuples = {cls for cls in vars(messages_module).values()
+                    if isinstance(cls, type) and issubclass(cls, tuple)}
+    assert {type(v) for v in VALUES} == named_tuples
+    assert len(VALUES) == len(named_tuples) == 9
+
+
+@pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+def test_values_are_immutable_and_hashable(value):
+    for name in type(value)._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+    with pytest.raises(AttributeError):
+        value.unknown_field = 1
+    twin = type(value)(*value)
+    assert twin == value and hash(twin) == hash(value)
+
+
+def test_equality_ignores_the_class_but_kind_tells_messages_apart():
+    assert NegativeReplyPayload(_P) == LrlRequestPayload(_P) == (_P,)
+    negative = ControlMessage(MessageKind.BINDING_REPLY_NEGATIVE, "a", "b",
+                              0.0, NegativeReplyPayload(_P))
+    lrl = ControlMessage(MessageKind.LRL_REQUEST, "a", "b", 0.0,
+                         LrlRequestPayload(_P))
+    assert negative != lrl
+    assert canonical_encode(negative) != canonical_encode(lrl)
+
+
+@given(bindings, bindings, st.sets(st.sampled_from(MobilityBinding._fields)))
+def test_binding_replace_equals_field_by_field_construction(b, other, names):
+    changes = {name: getattr(other, name) for name in names}
+    built = MobilityBinding(**{name: changes.get(name, getattr(b, name))
+                               for name in MobilityBinding._fields})
+    replaced = b._replace(**changes)
+    assert type(replaced) is MobilityBinding
+    assert replaced == built and hash(replaced) == hash(built)
+    assert canonical_encode(ControlMessage(
+        MessageKind.BINDING_UPDATE, "a", "b", 0.0, UpdatePayload(replaced))) \
+        == canonical_encode(ControlMessage(
+            MessageKind.BINDING_UPDATE, "a", "b", 0.0, UpdatePayload(built)))
+
+
+@settings(max_examples=50)
+@given(messages(), messages(),
+       st.sets(st.sampled_from(ControlMessage._fields)))
+def test_message_replace_equals_field_by_field_construction(msg, other, names):
+    changes = {name: getattr(other, name) for name in names}
+    built = ControlMessage(**{name: changes.get(name, getattr(msg, name))
+                              for name in ControlMessage._fields})
+    replaced = msg._replace(**changes)
+    assert type(replaced) is ControlMessage and replaced == built
 
 
 def test_every_truncation_point_fails_for_one_message():

@@ -1,4 +1,6 @@
 import random
+import runpy
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +35,9 @@ from hmlbn.simulator import EventKind, Simulation, run_scenario
 from hmlbn.topology import NodeRole
 
 from helpers import ctl_sends, delivered_paths, run
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+WORKLOAD_GEN = runpy.run_path(str(BENCH / "workloads.py"))
 
 
 # ---------------------------------------------------------- determinism
@@ -173,6 +178,38 @@ def test_handoff_cost_does_not_grow_with_uninvolved_areas(areas):
     touched = {e[end] for e in inter for end in ("src", "dst")
                if e[end].startswith("AMRR")}
     assert touched == {"AMRR1", "AMRR2", "AMRR3"}
+
+
+def _table_sizes(sim) -> dict:
+    """End-of-run size of every ALER FIB and AMRR record store, by name."""
+    return {node.name: len(node.fib if isinstance(node, AlerNode)
+                           else node.records)
+            for node in sim.nodes.values()
+            if isinstance(node, (AlerNode, AmrrNode))}
+
+
+@pytest.mark.parametrize("area", [1, 2, 4])
+def test_silent_mobiles_change_only_their_own_areas_tables(area):
+    """Scalable Mobility Label distribution under selective downstream
+    push: a mobile nobody sends to is known only inside its own area.  Eight
+    such mobiles attached in one area of ``steady_flows`` grow that area's
+    ALER FIB and AMRR store by eight each and leave every other table as it
+    was, and no control message about them crosses an area boundary."""
+    doc = WORKLOAD_GEN["WORKLOADS"]["steady_flows"].document(seed=1)
+    before = _table_sizes(run(doc))
+    silent = [WORKLOAD_GEN["mobile_prefix"](1000 + k) for k in range(8)]
+    doc["mobility"]["attach"] += [
+        {"t": 0.0, "prefix": p, "region": WORKLOAD_GEN["region_name"](area, 1)}
+        for p in silent]
+    sim = run(doc)
+    after = _table_sizes(sim)
+    grown = {f"ALER{area}", f"AMRR{area}"}
+    assert {name: after[name] - before[name] for name in grown} \
+        == dict.fromkeys(grown, 8)
+    assert {n: v for n, v in after.items() if n not in grown} \
+        == {n: v for n, v in before.items() if n not in grown}
+    sends = [e for e in ctl_sends(sim) if e["detail"].get("prefix") in silent]
+    assert sends and not any(e["detail"]["area_crossing"] for e in sends)
 
 
 def test_inter_area_handoff_has_three_path_phases():
