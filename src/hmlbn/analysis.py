@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
 from enum import Enum
 
 from .errors import InvalidDm, VertexNotFound
+from .topology import bfs_hops
 
 
 class PathKind(str, Enum):
@@ -31,21 +31,6 @@ class PathKind(str, Enum):
 
 
 # ------------------------------------------------------------ graph side
-
-def bfs_hops(adjacency: dict, source) -> dict:
-    """Edge-count distances from ``source`` over an adjacency mapping."""
-    if source not in adjacency:
-        raise VertexNotFound(f"vertex {source!r} not in graph")
-    dist = {source: 0}
-    frontier = deque([source])
-    while frontier:
-        node = frontier.popleft()
-        for peer in adjacency[node]:
-            if peer not in dist:
-                dist[peer] = dist[node] + 1
-                frontier.append(peer)
-    return dist
-
 
 def hop_difference(adjacency: dict, cn, ha, mn) -> tuple[int, int, int]:
     """(direct hops, detour hops via ha, their difference) for one layout."""
@@ -206,7 +191,6 @@ def measure_simulated_penalty(scenario, ha_node: str | None = None) -> list[dict
     """
     from .scenario import parse_scenario
     from .simulator import run_scenario
-    from .topology import FORWARDING_ROLES
 
     base = parse_scenario(scenario) if isinstance(scenario, dict) else scenario
     if len(base.flows) != 1:
@@ -217,9 +201,7 @@ def measure_simulated_penalty(scenario, ha_node: str | None = None) -> list[dict
         raise ValueError("no anchor vertex designated")
     graph = base.graph
     ha_rid = graph.rid_of(str(ha_name))
-    adjacency = {rid: [p for p in graph.neighbors(rid)
-                       if graph.nodes[p].role in FORWARDING_ROLES]
-                 for rid in graph.forwarding_nodes()}
+    adjacency = graph.forwarding_adjacency
     cn_region = next(a.region for a in base.attaches
                      if str(a.prefix) == str(flow.src))
     cn_ler = graph.ler_of_region(cn_region)

@@ -131,8 +131,12 @@ def cmd_analyze(args) -> int:
 
 def cmd_check_sequence(args) -> int:
     scenario = load_scenario(args.scenario)
-    with open(args.pattern, "r", encoding="utf-8") as fh:
-        pattern_doc = json.load(fh)
+    try:
+        with open(args.pattern, "r", encoding="utf-8") as fh:
+            pattern_doc = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        print(f"error: pattern {args.pattern}: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     items = pattern_doc["items"] if isinstance(pattern_doc, dict) else pattern_doc
     sim = run_scenario(scenario, seed=args.seed)
     result = assert_sequence(sim.trace, items, roles_from_graph(sim.graph))

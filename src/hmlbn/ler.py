@@ -58,8 +58,7 @@ class LerNode(ControlNode):
     }
 
     def __init__(self, rid, name, area, *, amrrs, interfaces, mobility_ranges,
-                 dead_time_s, default_lifetime_s, services,
-                 queue_limit=DEFAULT_PENDING_QUEUE_LIMIT):
+                 dead_time_s, default_lifetime_s, services):
         self.rid = rid
         self.name = name
         self.area = area
@@ -68,7 +67,6 @@ class LerNode(ControlNode):
         self.mobility_ranges = mobility_ranges
         self.dead_time_s = dead_time_s
         self.default_lifetime_s = default_lifetime_s
-        self.queue_limit = queue_limit
         self.services = services
         self.allocator = LabelAllocator()
         self.registrations: dict[str, RegistrationRecord] = {}
@@ -173,7 +171,7 @@ class LerNode(ControlNode):
             payload = RequestPayload(dst, self.area)
             for amrr in self.amrrs:
                 self.services.send(MessageKind.BINDING_REQUEST, amrr, payload)
-        if len(pending.queue) >= self.queue_limit:
+        if len(pending.queue) >= DEFAULT_PENDING_QUEUE_LIMIT:
             self.services.drop(packet, self.rid, "queue_overflow")
             return
         pending.queue.append(packet)

@@ -7,10 +7,16 @@ class (``NegativeReplyPayload(p) == LrlRequestPayload(p) == (p,)``), so a
 message's ``kind`` tells payloads of one shape apart.  ``MobilePrefix`` is
 a frozen dataclass: its rendered text is kept in its instance ``__dict__``.
 
-The byte encoding is deliberately simple: fixed field order per message
-kind, big-endian fixed-width integers and length-prefixed strings, one
-leading magic byte.  Equal messages encode to identical bytes and any
-truncation fails decoding rather than producing a partial message.
+The byte encoding is deliberately simple: one leading magic byte and the
+kind's code, then source, destination and send time, then the payload's
+fields in order; big-endian fixed-width integers and length-prefixed
+strings.  ``LAYOUT`` is the one place a kind's wire form is written: its
+payload class and the wire type of each field (``BINDING``, ``PREFIX``,
+``TEXT``, ``U32``, ``AREAS``), each a ``(write, read)`` pair.  The encoder
+builds one payload writer per kind from it at import, and the decoder reads
+the fields it lists into the class it names.  Equal messages encode to
+identical bytes and any truncation fails decoding rather than producing a
+partial message.
 """
 
 from __future__ import annotations
@@ -48,8 +54,7 @@ class MessageKind(str, Enum):
     ALER_FAILOVER_BLANKET = "AlerFailoverBlanket"
 
 
-_KIND_CODE = {kind: i + 1 for i, kind in enumerate(MessageKind)}
-_CODE_KIND = {v: k for k, v in _KIND_CODE.items()}
+_KINDS = dict(enumerate(MessageKind, 1))  # wire code -> kind
 
 
 @dataclass(frozen=True)
@@ -214,140 +219,123 @@ class _Reader:
         self.data = data
         self.pos = 0
 
-    def _take(self, n: int) -> bytes:
+    def take(self, n: int) -> bytes:
         if self.pos + n > len(self.data):
             raise DecodeError(f"truncated at byte {self.pos}, wanted {n} more")
         out = self.data[self.pos:self.pos + n]
         self.pos += n
         return out
 
-    def u8(self) -> int:
-        return self._take(1)[0]
-
-    def u32(self) -> int:
-        return struct.unpack(">I", self._take(4))[0]
-
-    def f64(self) -> float:
-        return struct.unpack(">d", self._take(8))[0]
-
-    def text(self) -> str:
-        n = struct.unpack(">H", self._take(2))[0]
-        return self._take(n).decode("utf-8")
-
-    def raw(self, n: int) -> bytes:
-        return self._take(n)
-
-    def expect_end(self):
-        if self.pos != len(self.data):
-            raise DecodeError(f"{len(self.data) - self.pos} trailing bytes")
+    def unpack(self, fmt: struct.Struct) -> tuple:
+        return fmt.unpack(self.take(fmt.size))
 
 
-def _read_prefix(r: _Reader) -> MobilePrefix:
-    family = r.u8()
-    if family not in (4, 6):
-        raise DecodeError(f"bad address family byte {family}")
-    plen = r.u8()
-    addr = r.raw(4 if family == 4 else 16)
-    try:
-        return MobilePrefix(family, addr, plen)
-    except ValueError as exc:
-        raise DecodeError(str(exc))
-
-
-def _read_binding(r: _Reader) -> MobilityBinding:
-    prefix = _read_prefix(r)
-    origin = r.text()
-    label = r.u32()
-    area = r.u32()
-    try:
-        mode = UpdateMode(r.u8())
-        utype = UpdateType(r.u8())
-    except ValueError as exc:
-        raise DecodeError(str(exc))
-    lifetime = r.f64()
-    return MobilityBinding(prefix, origin, label, area, mode, utype, lifetime)
-
-
-_HEADER = {kind: bytes((MAGIC, code)) for kind, code in _KIND_CODE.items()}
-_U16 = struct.Struct(">H").pack
-_U32 = struct.Struct(">I").pack
-_F64 = struct.Struct(">d").pack
-_PREFIX_HEAD = struct.Struct(">BB").pack
-_BINDING_TAIL = struct.Struct(">IIBBd").pack  # label, area, mode, type, lifetime
+_BB = struct.Struct(">BB")
+_U16 = struct.Struct(">H")
+_U32 = struct.Struct(">I")
+_F64 = struct.Struct(">d")
+_BINDING_TAIL = struct.Struct(">IIBBd")  # label, area, mode, type, lifetime
 
 
 @lru_cache(maxsize=4096)  # router ids: a fixed set per run
-def _text(s: str) -> bytes:
+def _write_text(s: str) -> bytes:
     raw = s.encode("utf-8")
-    return _U16(len(raw)) + raw
+    return _U16.pack(len(raw)) + raw
 
 
-def _prefix(p: MobilePrefix) -> bytes:
-    return _PREFIX_HEAD(p.family, p.prefix_len) + p.address
+def _read_text(r: _Reader) -> str:
+    return r.take(r.unpack(_U16)[0]).decode("utf-8")
 
 
-def _binding(p: UpdatePayload) -> bytes:
-    b = p.binding
-    return (_prefix(b.prefix) + _text(b.origin_next_hop)
-            + _BINDING_TAIL(b.label, b.area_id, b.update_mode, b.update_type,
-                            b.lifetime_s))
+def _write_prefix(p: MobilePrefix) -> bytes:
+    return _BB.pack(p.family, p.prefix_len) + p.address
 
 
-def _lrl_reply(p: LrlReplyPayload) -> bytes:
-    return (_prefix(p.prefix) + _U32(len(p.area_ids))
-            + b"".join(map(_U32, p.area_ids)))
+def _read_prefix(r: _Reader) -> MobilePrefix:
+    family, plen = r.unpack(_BB)  # MobilePrefix rejects a bad family
+    return MobilePrefix(family, r.take(4 if family == 4 else 16), plen)
 
 
-# payload bytes per kind, in the field order ``canonical_decode`` reads
-_BODY = {
-    MessageKind.BINDING_UPDATE: _binding,
-    MessageKind.BINDING_REPLY_POSITIVE: _binding,
-    MessageKind.BINDING_WITHDRAWAL:
-        lambda p: _prefix(p.prefix) + _text(p.origin_next_hop),
-    MessageKind.BINDING_REQUEST:
-        lambda p: _prefix(p.prefix) + _U32(p.requestor_area),
-    MessageKind.BINDING_REPLY_NEGATIVE: lambda p: _prefix(p.prefix),
-    MessageKind.LRL_REQUEST: lambda p: _prefix(p.prefix),
-    MessageKind.LRL_REPLY: _lrl_reply,
-    MessageKind.ALER_FAILOVER_BLANKET:
-        lambda p: _text(p.survivor) + _text(p.failed),
+def _write_binding(b: MobilityBinding) -> bytes:
+    return (_write_prefix(b.prefix) + _write_text(b.origin_next_hop)
+            + _BINDING_TAIL.pack(b.label, b.area_id, b.update_mode,
+                                 b.update_type, b.lifetime_s))
+
+
+def _read_binding(r: _Reader) -> MobilityBinding:
+    prefix, origin = _read_prefix(r), _read_text(r)
+    label, area, mode, utype, lifetime = r.unpack(_BINDING_TAIL)
+    return MobilityBinding(prefix, origin, label, area, UpdateMode(mode),
+                           UpdateType(utype), lifetime)
+
+
+def _write_areas(ids: tuple[int, ...]) -> bytes:
+    return _U32.pack(len(ids)) + b"".join(map(_U32.pack, ids))
+
+
+def _read_areas(r: _Reader) -> tuple[int, ...]:
+    count = r.unpack(_U32)[0]
+    if count > 1 << 16:
+        raise DecodeError("implausible LRL length")
+    return struct.unpack(f">{count}I", r.take(4 * count))
+
+
+# wire types, one (write, read) pair each
+BINDING = (_write_binding, _read_binding)
+PREFIX = (_write_prefix, _read_prefix)
+TEXT = (_write_text, _read_text)
+U32 = (_U32.pack, lambda r: r.unpack(_U32)[0])
+AREAS = (_write_areas, _read_areas)
+
+# each kind's payload class and the wire type of each payload field, in order
+LAYOUT = {
+    MessageKind.BINDING_UPDATE: (UpdatePayload, (BINDING,)),
+    MessageKind.BINDING_WITHDRAWAL: (WithdrawalPayload, (PREFIX, TEXT)),
+    MessageKind.BINDING_REQUEST: (RequestPayload, (PREFIX, U32)),
+    MessageKind.BINDING_REPLY_POSITIVE: (UpdatePayload, (BINDING,)),
+    MessageKind.BINDING_REPLY_NEGATIVE: (NegativeReplyPayload, (PREFIX,)),
+    MessageKind.LRL_REQUEST: (LrlRequestPayload, (PREFIX,)),
+    MessageKind.LRL_REPLY: (LrlReplyPayload, (PREFIX, AREAS)),
+    MessageKind.ALER_FAILOVER_BLANKET: (FailoverBlanketPayload, (TEXT, TEXT)),
 }
 
 
+def _body(fields):
+    """One layout's payload writer; it calls each field's writer directly,
+    without a loop, so a layout has one or two fields."""
+    if len(fields) == 1:
+        ((write, _),) = fields
+        return lambda p: write(p[0])
+    (write0, _), (write1, _) = fields
+    return lambda p: write0(p[0]) + write1(p[1])
+
+
+# kind -> (magic and code bytes, payload writer), built once from LAYOUT
+_WRITE = {kind: (bytes((MAGIC, code)), _body(LAYOUT[kind][1]))
+          for code, kind in _KINDS.items()}
+
+
 def canonical_encode(msg: ControlMessage) -> bytes:
-    kind = msg.kind
-    return b"".join((_HEADER[kind], _text(msg.src), _text(msg.dst),
-                     _F64(msg.send_time), _BODY[kind](msg.payload)))
+    header, body = _WRITE[msg.kind]
+    return b"".join((header, _write_text(msg.src), _write_text(msg.dst),
+                     _F64.pack(msg.send_time), body(msg.payload)))
 
 
 def canonical_decode(data: bytes) -> ControlMessage:
     r = _Reader(data)
-    if r.u8() != MAGIC:
+    magic, code = r.unpack(_BB)
+    if magic != MAGIC:
         raise DecodeError("bad magic byte")
-    code = r.u8()
-    if code not in _CODE_KIND:
+    kind = _KINDS.get(code)
+    if kind is None:
         raise DecodeError(f"unknown message kind code {code}")
-    kind = _CODE_KIND[code]
-    src = r.text()
-    dst = r.text()
-    send_time = r.f64()
-    if kind in (MessageKind.BINDING_UPDATE, MessageKind.BINDING_REPLY_POSITIVE):
-        payload = UpdatePayload(_read_binding(r))
-    elif kind is MessageKind.BINDING_WITHDRAWAL:
-        payload = WithdrawalPayload(_read_prefix(r), r.text())
-    elif kind is MessageKind.BINDING_REQUEST:
-        payload = RequestPayload(_read_prefix(r), r.u32())
-    elif kind is MessageKind.BINDING_REPLY_NEGATIVE:
-        payload = NegativeReplyPayload(_read_prefix(r))
-    elif kind is MessageKind.LRL_REQUEST:
-        payload = LrlRequestPayload(_read_prefix(r))
-    elif kind is MessageKind.LRL_REPLY:
-        prefix = _read_prefix(r)
-        count = r.u32()
-        if count > 1 << 16:
-            raise DecodeError("implausible LRL length")
-        payload = LrlReplyPayload(prefix, tuple(r.u32() for _ in range(count)))
-    else:
-        payload = FailoverBlanketPayload(r.text(), r.text())
-    r.expect_end()
+    cls, fields = LAYOUT[kind]
+    try:
+        src, dst = _read_text(r), _read_text(r)
+        send_time = r.unpack(_F64)[0]
+        payload = cls(*[read(r) for _, read in fields])
+    except ValueError as exc:  # bad UTF-8, prefix or enum value
+        raise DecodeError(str(exc)) from exc
+    if r.pos != len(data):
+        raise DecodeError(f"{len(data) - r.pos} trailing bytes")
     return ControlMessage(kind, src, dst, send_time, payload)

@@ -15,8 +15,6 @@ from .errors import ScenarioInvalid, TopologyError
 from .messages import MobilePrefix
 from .topology import NetworkGraph, NodeRole, build_topology
 
-TIMER_DEFAULTS = {"keepalive_s": 3.0, "dead_s": 9.0, "lifetime_s": 300.0}
-
 _TOP_KEYS = {"name", "seed", "duration_s", "mobility_range", "timers",
              "topology", "mobility", "flows", "failures", "flags", "analysis"}
 _FLAG_KEYS = {"reflect_to_previous_ler", "overlap_attach", "overlap_s",
@@ -121,31 +119,37 @@ class _Checker:
     def err(self, path, msg):
         self.problems.append((path, msg))
 
+    @staticmethod
+    def at(path, key):
+        """The path of ``key`` inside ``path``; ``""`` is the top level."""
+        return f"{path}.{key}" if path else key
+
     def keys(self, obj, path, allowed):
         if not isinstance(obj, dict):
             self.err(path or "$", "expected object")
             return
         for key in obj:
             if key not in allowed:
-                self.err(f"{path}.{key}" if path else key, "unknown key")
+                self.err(self.at(path, key), "unknown key")
 
     def number(self, obj, path, key, default=None, minimum=None, positive=False):
         if not isinstance(obj, dict):
             return default
+        where = self.at(path, key)
         if key not in obj:
             if default is None:
-                self.err(f"{path}.{key}", "missing")
+                self.err(where, "missing")
                 return None
             return default
         v = obj[key]
         if isinstance(v, bool) or not isinstance(v, (int, float)):
-            self.err(f"{path}.{key}", f"expected number, got {type(v).__name__}")
+            self.err(where, f"expected number, got {type(v).__name__}")
             return None
         if positive and v <= 0:
-            self.err(f"{path}.{key}", "must be positive")
+            self.err(where, "must be positive")
             return None
         if minimum is not None and v < minimum:
-            self.err(f"{path}.{key}", f"must be >= {minimum}")
+            self.err(where, f"must be >= {minimum}")
             return None
         return float(v)
 
@@ -153,7 +157,7 @@ class _Checker:
         """``obj[key]``, a list (missing: empty); anything else is a problem."""
         value = obj.get(key, [])
         if not isinstance(value, list):
-            self.err(f"{path}.{key}" if path else key, "expected list")
+            self.err(self.at(path, key), "expected list")
             return []
         return value
 
@@ -168,26 +172,24 @@ class _Checker:
 def validate_scenario(data: dict) -> list:
     """Return the problem list for a raw scenario document (empty if valid)."""
     try:
-        _parse(data)
+        parse_scenario(data)
         return []
     except ScenarioInvalid as exc:
         return exc.problems
 
 
-def parse_scenario(data: dict) -> Scenario:
-    return _parse(data)
-
-
 def load_scenario(path) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ScenarioInvalid([("$", f"not valid JSON: {exc}")])
-    return _parse(data)
+    except OSError as exc:
+        raise ScenarioInvalid([("$", f"cannot read: {exc}")])
+    except json.JSONDecodeError as exc:
+        raise ScenarioInvalid([("$", f"not valid JSON: {exc}")])
+    return parse_scenario(data)
 
 
-def _parse(data: dict) -> Scenario:
+def parse_scenario(data: dict) -> Scenario:
     c = _Checker()
     if not isinstance(data, dict):
         raise ScenarioInvalid([("$", "scenario must be a JSON object")])
@@ -237,17 +239,15 @@ def _parse_timers(obj, c) -> Timers:
     if not isinstance(obj, dict):
         c.err("timers", "expected object")
         return Timers()
-    c.keys(obj, "timers", set(TIMER_DEFAULTS))
-    k = c.number(obj, "timers", "keepalive_s", TIMER_DEFAULTS["keepalive_s"],
-                 positive=True)
-    d = c.number(obj, "timers", "dead_s", TIMER_DEFAULTS["dead_s"], positive=True)
-    life = c.number(obj, "timers", "lifetime_s", TIMER_DEFAULTS["lifetime_s"],
-                    positive=True)
+    defaults = vars(Timers())
+    c.keys(obj, "timers", defaults)
+    k, d, life = (c.number(obj, "timers", name, default, positive=True)
+                  for name, default in defaults.items())
     if k and d and d < 3 * k:
         c.err("timers.dead_s", f"dead time {d} must be >= 3x keepalive {k}")
     if d and life and life < 10 * d:
         c.err("timers.lifetime_s", f"lifetime {life} must be >= 10x dead time {d}")
-    return Timers(k or 3.0, d or 9.0, life or 300.0)
+    return Timers(k, d, life)  # None only beside a problem: never used
 
 
 def _parse_topology(obj, c):

@@ -382,8 +382,7 @@ class Simulation:
                 if t >= flow.stop_s - 1e-12:
                     break
                 self.schedule(t, EventKind.DATA_INGRESS, (flow, i))
-        self._tick("_scan_dead")
-        self._tick("_expire")
+        self._tick("_sweep")
 
     # ---------------------------------------------------------- event loop
 
@@ -650,15 +649,14 @@ class Simulation:
     def _on_timer(self, method: str, *args):
         getattr(self, method)(*args)
 
-    def _scan_dead(self):
+    def _sweep(self):
+        """The periodic tick: dead LER registrations, then each node's
+        ``EXPIRE`` method."""
         for rid in self.graph.by_role(NodeRole.LER):
             self.nodes[rid].scan_dead_registrations(self.now)
-        self._tick("_scan_dead")
-
-    def _expire(self):
         for node in self.nodes.values():  # built in rid order
             getattr(node, node.EXPIRE)(self.now)
-        self._tick("_expire")
+        self._tick("_sweep")
 
     def _keepalive(self, prefix: MobilePrefix):
         mobile = self.mobiles.get(prefix)

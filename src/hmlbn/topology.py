@@ -13,6 +13,7 @@ every value equals what a full computation at build time would give.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -24,6 +25,7 @@ from .errors import (
     LabelSpaceExhausted,
     NoRouteToNextHop,
     TopologyError,
+    VertexNotFound,
 )
 from .labels import LABEL_MAX, LABEL_MIN
 
@@ -71,6 +73,11 @@ class NetworkGraph:
         # sorted once; interface numbers are positions in that order
         self._neighbors = {rid: tuple(sorted(peers))
                            for rid, peers in self.edges.items()}
+        # forwarding node -> its forwarding neighbours, in the same order
+        self.forwarding_adjacency = {
+            rid: [p for p in self.neighbors(rid)
+                  if self.nodes[p].role in FORWARDING_ROLES]
+            for rid in self.forwarding_nodes()}
 
     def rid_of(self, name_or_rid: str) -> RouterId:
         if name_or_rid in self.nodes:
@@ -174,7 +181,7 @@ def build_topology(spec: dict) -> NetworkGraph:
 
     fwd = graph.forwarding_nodes()
     if fwd:
-        seen = _bfs_distances(graph, fwd[0], FORWARDING_ROLES)
+        seen = bfs_hops(graph.forwarding_adjacency, fwd[0])
         missing = [graph.name_of(r) for r in fwd if r not in seen]
         if missing:
             raise DisconnectedForwardingGraph(
@@ -182,28 +189,25 @@ def build_topology(spec: dict) -> NetworkGraph:
     # control sessions need every mobility node reachable over the full graph
     everyone = sorted(nodes)
     if everyone:
-        seen = _bfs_distances(graph, everyone[0], None)
+        seen = bfs_hops(graph.edges, everyone[0])
         missing = [graph.name_of(r) for r in everyone if r not in seen]
         if missing:
             raise DisconnectedForwardingGraph(f"nodes unreachable in full graph: {missing}")
     return graph
 
 
-def _bfs_distances(graph: NetworkGraph, source: RouterId,
-                   roles: set[NodeRole] | None) -> dict[RouterId, int]:
-    """Hop distances from ``source``, optionally restricted to some roles."""
+def bfs_hops(adjacency: dict, source) -> dict:
+    """Edge-count distances from ``source`` over an adjacency mapping."""
+    if source not in adjacency:
+        raise VertexNotFound(f"vertex {source!r} not in graph")
     dist = {source: 0}
-    frontier = [source]
+    frontier = deque([source])
     while frontier:
-        nxt = []
-        for node in frontier:
-            for peer in graph.neighbors(node):
-                if roles is not None and graph.nodes[peer].role not in roles:
-                    continue
-                if peer not in dist:
-                    dist[peer] = dist[node] + 1
-                    nxt.append(peer)
-        frontier = nxt
+        node = frontier.popleft()
+        for peer in adjacency[node]:
+            if peer not in dist:
+                dist[peer] = dist[node] + 1
+                frontier.append(peer)
     return dist
 
 
@@ -232,10 +236,7 @@ class LspTable:
             raise LabelSpaceExhausted(
                 f"{len(self.fecs)} FECs need more labels than 16..{LABEL_MAX}")
         self._label = {fec: LABEL_MIN + i for i, fec in enumerate(self.fecs)}
-        self._adjacency = {
-            node: [p for p in graph.neighbors(node)
-                   if graph.nodes[p].role in FORWARDING_ROLES]
-            for node in self.fecs}
+        self._adjacency = graph.forwarding_adjacency
         # fec -> (nodes seen, next level to expand) of its paused BFS
         self._searches: dict[RouterId, tuple[set, list]] = {}
         self.fec_next: dict[RouterId, dict[RouterId, tuple[int, RouterId]]] = {

@@ -1,0 +1,128 @@
+"""``hmlbn`` sub-commands end to end through ``cli.main``: what each writes
+or prints, and its exit code on success, on bad input and on a mismatch."""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from hmlbn import cli
+from hmlbn.analysis import penalty_table, penalty_table_csv
+from hmlbn.scenario import load_scenario
+from hmlbn.simulator import run_scenario
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+STARTUP = str(SCENARIO_DIR / "startup.json")
+# each bundled pattern and the scenario that produces it
+PATTERNS = {"startup": "startup", "intra_area": "intra_area_handoff",
+            "inter_area": "inter_area_handoff"}
+
+
+@pytest.fixture(scope="module")
+def startup_sim():
+    return run_scenario(load_scenario(STARTUP))
+
+
+def _pattern(name):
+    return str(SCENARIO_DIR / "patterns" / f"{name}.json")
+
+
+def test_run_writes_the_simulations_outputs(tmp_path, startup_sim, capsys):
+    assert cli.main(["run", "--scenario", STARTUP,
+                     "--out", str(tmp_path)]) == cli.EXIT_OK
+    assert (tmp_path / "trace.jsonl").read_bytes() \
+        == startup_sim.trace_jsonl().encode("utf-8")
+    assert (tmp_path / "metrics.csv").read_bytes() \
+        == startup_sim.metrics.to_csv().encode("utf-8")
+    assert "delivered" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["run", "dump", "check-sequence"])
+def test_missing_scenario_file_is_a_validation_failure(tmp_path, command,
+                                                       capsys):
+    extra = {"run": ["--out", str(tmp_path / "out")], "dump": [],
+             "check-sequence": ["--pattern", _pattern("startup")]}[command]
+    assert cli.main([command, "--scenario", str(tmp_path / "missing.json")]
+                    + extra) == cli.EXIT_VALIDATION
+    problems = json.loads(capsys.readouterr().err)
+    assert [p["path"] for p in problems] == ["$"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_missing_pattern_file_is_a_validation_failure(tmp_path, capsys):
+    assert cli.main(["check-sequence", "--scenario", STARTUP, "--pattern",
+                     str(tmp_path / "missing.json")]) == cli.EXIT_VALIDATION
+    assert "missing.json" in capsys.readouterr().err
+
+
+def test_validate_accepts_a_valid_file_and_rejects_a_bad_one(tmp_path,
+                                                              capsys):
+    assert cli.main(["validate", "--scenario", STARTUP]) == cli.EXIT_OK
+    assert capsys.readouterr().out.endswith(": valid\n")
+    doc = json.loads(Path(STARTUP).read_text(encoding="utf-8"))
+    del doc["duration_s"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["validate", "--scenario", str(bad)]) \
+        == cli.EXIT_VALIDATION
+    problems = json.loads(capsys.readouterr().out)
+    assert {"path": "duration_s", "message": "missing"} in problems
+    assert cli.main(["validate", "--scenario",
+                     str(tmp_path / "missing.json")]) == cli.EXIT_VALIDATION
+
+
+def test_analyze_prints_the_penalty_table(tmp_path, capsys):
+    argv = ["analyze", "--k-max", "4", "--trials", "200", "--seed", "3"]
+    expected = penalty_table_csv(penalty_table(1, 4, trials=200, seed=3))
+    assert cli.main(argv) == cli.EXIT_OK
+    assert capsys.readouterr().out == expected
+    assert cli.main(argv + ["--out", str(tmp_path)]) == cli.EXIT_OK
+    assert (tmp_path / "penalty.csv").read_text(encoding="utf-8") == expected
+
+
+@pytest.mark.parametrize("pattern,scenario", sorted(PATTERNS.items()))
+def test_check_sequence_passes_on_each_bundled_pattern(pattern, scenario,
+                                                       capsys):
+    assert cli.main(["check-sequence",
+                     "--scenario", str(SCENARIO_DIR / f"{scenario}.json"),
+                     "--pattern", _pattern(pattern)]) == cli.EXIT_OK
+    assert capsys.readouterr().out.startswith("sequence ok:")
+
+
+def test_check_sequence_mismatch_is_a_runtime_failure(capsys):
+    assert cli.main(["check-sequence", "--scenario", STARTUP,
+                     "--pattern", _pattern("inter_area")]) == cli.EXIT_RUNTIME
+    assert "sequence mismatch" in capsys.readouterr().err
+
+
+def test_dump_prints_aler_and_amrr_state(startup_sim, capsys):
+    graph = startup_sim.graph
+    assert cli.main(["dump", "--scenario", STARTUP]) == cli.EXIT_OK
+    out = capsys.readouterr().out.splitlines()
+    expected = []
+    for title, role in (("FIB", "ALER"), ("BINDINGS", "AMRR")):
+        for rid in graph.by_role(cli.NodeRole(role)):
+            expected.append(f"# {title} {graph.name_of(rid)} ({rid})")
+            expected += startup_sim.nodes[rid].dump(graph.name_of)
+    assert out == expected
+
+
+@pytest.mark.parametrize("node,title", [
+    ("ALER1", "# FIB ALER1"), ("AMRR2", "# BINDINGS AMRR2"), ("P0", "# P0")])
+def test_dump_of_one_node(node, title, startup_sim, capsys):
+    graph = startup_sim.graph
+    rid = graph.rid_of(node)
+    assert cli.main(["dump", "--scenario", STARTUP, "--node", node]) \
+        == cli.EXIT_OK
+    if node == "P0":  # an LSR
+        expected = [f"{title} ({rid}): no dumpable state"]
+    else:
+        expected = [f"{title} ({rid})",
+                    *startup_sim.nodes[rid].dump(graph.name_of)]
+    assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_dump_of_an_unknown_node_is_a_runtime_failure(capsys):
+    assert cli.main(["dump", "--scenario", STARTUP, "--node", "NOPE"]) \
+        == cli.EXIT_RUNTIME
+    assert "NOPE" in capsys.readouterr().err

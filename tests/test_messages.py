@@ -193,6 +193,26 @@ def test_every_truncation_point_fails_for_one_message():
             canonical_decode(raw[:cut])
 
 
+def test_layout_names_every_kind_once_with_one_wire_type_per_field():
+    layout = messages_module.LAYOUT
+    assert list(layout) == list(MessageKind)
+    for kind, (cls, fields) in layout.items():
+        assert len(fields) == len(cls._fields), kind
+        assert all(len(wire_type) == 2 for wire_type in fields), kind
+
+
+# byte offsets in an LRL request from "ab" to "cd": magic and kind at 0-1,
+# the two texts at 2-5 and 6-9, send time at 10-17, then the prefix
+@pytest.mark.parametrize("offset,value", [(4, 0xFF), (18, 5), (19, 33)],
+                         ids=["utf8_in_src", "family_5", "prefix_len_over_32"])
+def test_bad_field_value_rejected(offset, value):
+    raw = bytearray(canonical_encode(ControlMessage(
+        MessageKind.LRL_REQUEST, "ab", "cd", 0.0, LrlRequestPayload(_P))))
+    raw[offset] = value
+    with pytest.raises(DecodeError):
+        canonical_decode(bytes(raw))
+
+
 def test_bad_magic_rejected():
     with pytest.raises(DecodeError):
         canonical_decode(b"\x00\x01")
