@@ -43,7 +43,6 @@ def _without(*keys_and_key):
 MALFORMED = [
     ("flags.ha_pairs", _set("flags", "ha_pairs", 5)),
     ("mobility_range", _set("mobility_range", 8)),
-    ("duration_s", _without("duration_s")),
     ("mobility.model.prefixes", _set("mobility", "model", "prefixes", 5)),
     ("mobility.model.adjacency.MR11",
      _set("mobility", "model", "adjacency", "MR11", "MR12")),
@@ -65,6 +64,7 @@ MALFORMED = [
     ("mobility.attach[1].t", _set("mobility", "attach", 1, "t", "soon")),
     # two flows under one id would be counted as one
     ("flows[1].id", _flow_twice),
+    ("duration_s", _without("duration_s")),
 ]
 
 
