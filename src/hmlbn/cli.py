@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import analysis
 from .errors import HmlbnError, ScenarioInvalid
-from .scenario import load_scenario, validate_scenario
+from .scenario import load_scenario
 from .sequences import assert_sequence, roles_from_graph
 from .simulator import run_scenario
 from .topology import NodeRole
@@ -71,17 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_validate(args) -> int:
-    try:
-        with open(args.scenario, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(json.dumps([{"path": "$", "message": str(exc)}]))
-        return EXIT_VALIDATION
-    problems = validate_scenario(data)
-    if problems:
-        print(json.dumps([{"path": p, "message": m} for p, m in problems],
-                         indent=2))
-        return EXIT_VALIDATION
+    load_scenario(args.scenario)  # main() reports a ScenarioInvalid
     print(f"{args.scenario}: valid")
     return EXIT_OK
 
@@ -137,7 +127,12 @@ def cmd_check_sequence(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: pattern {args.pattern}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    items = pattern_doc["items"] if isinstance(pattern_doc, dict) else pattern_doc
+    items = (pattern_doc.get("items") if isinstance(pattern_doc, dict)
+             else pattern_doc)
+    if not (isinstance(items, list) and all(isinstance(i, dict) for i in items)):
+        print(f"error: pattern {args.pattern}: expected a list of item objects"
+              f" or an object whose \"items\" is one", file=sys.stderr)
+        return EXIT_VALIDATION
     sim = run_scenario(scenario, seed=args.seed)
     result = assert_sequence(sim.trace, items, roles_from_graph(sim.graph))
     if result.ok:

@@ -7,6 +7,9 @@ and table lookups only; the tag on each label exists purely so traces are
 readable.  A swap rewrites the top label's value in place; an ALER
 rewrites the inner label and pushes the popped top label back with a new
 value, so only imposition allocates labels.
+A hop reads its action by one subscript on the node's self-filling row of
+``LspTable.in_actions``.  At a pop the node's role picks the handler: an
+ALER transits, a LER delivers, any other pop drops as ``no_label_entry``.
 Reading the destination prefix after ingress is recorded on the packet,
 which lets tests prove that no interior node does an IP lookup.
 """
@@ -22,13 +25,13 @@ INFRA = "i"
 MOBILITY = "m"
 
 
-@dataclass
+@dataclass(slots=True)
 class Label:
     value: int
     tag: str  # INFRA or MOBILITY, diagnostic only
 
 
-@dataclass
+@dataclass(slots=True)
 class DataPacket:
     flow_id: str
     seq: int
@@ -50,9 +53,6 @@ class DataPacket:
         return "/".join([f"{label.tag}{label.value}"
                          for label in self.stack]) or "-"
 
-    def record_hop(self, node_name: str):
-        self.hop_trace.append(node_name)
-
     def path_string(self) -> str:
         return ">".join(self.hop_trace)
 
@@ -61,20 +61,20 @@ class ForwardingEngine:
     """Applies per-node label operations and hands packets to node logic.
 
     ``transport`` supplies transmit/deliver/drop primitives owned by the
-    event loop; ``node_of`` maps a router id to the LER/ALER state machine
-    living there (LSRs have no state machine).
+    event loop; ``nodes`` maps a router id to the LER/ALER state machine
+    living there (LSRs have none).
     """
 
     def __init__(self, graph: topology.NetworkGraph, lsp: topology.LspTable,
-                 node_of, transport):
+                 nodes: dict, transport):
         self.graph = graph
-        self.lsp = lsp
-        self.node_of = node_of
+        self.actions = lsp.in_actions
+        self.nodes = nodes
         self.transport = transport
 
     def step(self, packet: DataPacket, node: str):
         stack = packet.stack
-        action = self.lsp.action(node, stack[0].value) if stack else None
+        action = self.actions[node][stack[0].value] if stack else None
         if action is None:
             self.transport.drop(packet, node, "no_label_entry")
             return
@@ -84,11 +84,10 @@ class ForwardingEngine:
             return
         # top label pops here: this node terminates the LSP segment
         top = stack.pop(0)
-        role = self.graph.role_of(node)
-        handler = self.node_of(node)
+        role = self.graph.nodes[node].role
         if role is topology.NodeRole.ALER and stack:
-            handler.forward_transit(packet, top)
+            self.nodes[node].forward_transit(packet, top)
         elif role is topology.NodeRole.LER and stack:
-            handler.egress_deliver(packet)
+            self.nodes[node].egress_deliver(packet)
         else:
             self.transport.drop(packet, node, "no_label_entry")

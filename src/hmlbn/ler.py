@@ -73,6 +73,8 @@ class LerNode(ControlNode):
         self.regs_by_label: dict[int, RegistrationRecord] = {}
         self.binding_cache: dict[str, tuple[MobilityBinding, float]] = {}
         self.pending: dict[str, _Pending] = {}
+        # destination -> whether the mobility ranges cover it
+        self.covered: dict[MobilePrefix, bool] = {}
 
     # ------------------------------------------------------------ mobiles
 
@@ -152,7 +154,10 @@ class LerNode(ControlNode):
     def ingress_forward(self, packet: DataPacket):
         dst = packet.dst()
         packet.ingressed = True
-        if not dst.covered_by(self.mobility_ranges):
+        covered = self.covered.get(dst)
+        if covered is None:
+            covered = self.covered[dst] = dst.covered_by(self.mobility_ranges)
+        if not covered:
             self.services.drop(packet, self.rid, "non_mobile")
             return
         key = str(dst)

@@ -5,7 +5,7 @@ Messages, their payloads and bindings are immutable, hashable
 copy is made with ``_replace``.  Equality is tuple equality and ignores the
 class (``NegativeReplyPayload(p) == LrlRequestPayload(p) == (p,)``), so a
 message's ``kind`` tells payloads of one shape apart.  ``MobilePrefix`` is
-a frozen dataclass: its rendered text is kept in its instance ``__dict__``.
+a frozen dataclass; its text and hash are kept in its instance ``__dict__``.
 
 The byte encoding is deliberately simple: one leading magic byte and the
 kind's code, then source, destination and send time, then the payload's
@@ -74,11 +74,18 @@ class MobilePrefix:
     @cached_property
     def _text(self) -> str:
         # rendered on first use and kept in the instance ``__dict__``;
-        # equality, hash and repr stay on the fields
+        # equality and repr stay on the fields
         return f"{ipaddress.ip_address(self.address)}/{self.prefix_len}"
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.family, self.address, self.prefix_len))
 
     def __str__(self) -> str:
         return self._text
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __post_init__(self):
         size = 4 if self.family == 4 else 16

@@ -75,8 +75,10 @@ class MobileState:
 
     def serves(self, ler: str, interface: str, now: float) -> bool:
         """Whether ``interface`` of ``ler`` is an active attachment."""
-        return any(a.interface == interface and a.ler == ler and a.active(now)
-                   for a in self.attachments)
+        for a in self.attachments:  # the primary first
+            if a.interface == interface and a.ler == ler and a.active(now):
+                return True
+        return False
 
 
 DROP_REASONS = (
@@ -314,8 +316,7 @@ class Simulation:
                             in model.adjacency.items()} if model else {})
         self.nodes: dict[str, object] = {}
         self._build_nodes()
-        self.engine = ForwardingEngine(self.graph, self.lsp,
-                                       lambda rid: self.nodes.get(rid), self)
+        self.engine = ForwardingEngine(self.graph, self.lsp, self.nodes, self)
         self._schedule_scenario()
 
     # ------------------------------------------------------------- set-up
@@ -588,18 +589,19 @@ class Simulation:
         ler: LerNode = self.nodes[attachment.ler]
         self.trace_event("data_ingress", attachment.ler, None, flow.flow_id,
                          seq)
-        packet.record_hop(ler.name)
+        packet.hop_trace.append(ler.name)
         ler.keepalive(flow.src, self.now)  # uplink traffic doubles as liveness
         ler.ingress_forward(packet)
 
     def transmit(self, packet: DataPacket, from_node: str, to_node: str):
-        depth = len(packet.stack)
+        stack = packet.stack
+        depth = len(stack)
         if depth > self.metrics.max_stack_depth:
             self.metrics.max_stack_depth = depth
         if depth > 2:
             self.metrics.stack_violations += 1
         if depth == 2:
-            top, inner = packet.stack
+            top, inner = stack
             self.trace_event("data_hop", from_node, to_node, packet.flow_id,
                              packet.seq, top.tag, top.value, inner.tag,
                              inner.value)
@@ -614,7 +616,7 @@ class Simulation:
         if node in self.failed:
             self.drop(packet, node, "node_failed")
             return
-        packet.record_hop(self._names[node])
+        packet.hop_trace.append(self._names[node])
         self.engine.step(packet, node)
 
     def drop(self, packet: DataPacket, node: str | None, reason: str):

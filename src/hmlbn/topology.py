@@ -227,7 +227,8 @@ class LspTable:
     packet at ``node`` toward the router-id FEC; a FEC has entries only at
     nodes no farther from it than the farthest node looked up.
     ``in_actions[node][label]`` resolves an arriving top label to a swap or
-    a pop at the FEC owner; each entry is filled on its first lookup.
+    a pop at the FEC owner; each row fills an entry on its first lookup, and
+    gives ``None`` for a label outside the mesh without storing it.
     """
 
     def __init__(self, graph: NetworkGraph):
@@ -241,8 +242,8 @@ class LspTable:
         self._searches: dict[RouterId, tuple[set, list]] = {}
         self.fec_next: dict[RouterId, dict[RouterId, tuple[int, RouterId]]] = {
             node: {} for node in self.fecs}
-        self.in_actions: dict[RouterId, dict[int, tuple]] = {
-            node: {} for node in self.fecs}
+        self.in_actions: dict[RouterId, _ActionRow] = {
+            node: _ActionRow(self, node) for node in self.fecs}
 
     def next_hop(self, node: RouterId, fec: RouterId) -> tuple[int, RouterId]:
         try:
@@ -281,15 +282,8 @@ class LspTable:
         return row[fec]
 
     def action(self, node: RouterId, label: int) -> tuple | None:
-        row = self.in_actions.get(node)
-        if row is None:
-            return None  # not a forwarding node
-        act = row.get(label)
-        if act is None and 0 <= label - LABEL_MIN < len(self.fecs):
-            fec = self.fecs[label - LABEL_MIN]
-            act = (POP,) if node == fec else (SWAP, label, self.next_hop(node, fec)[1])
-            row[label] = act
-        return act
+        row = self.in_actions.get(node)  # None: not a forwarding node
+        return None if row is None else row[label]
 
     def in_label_for(self, node: RouterId, fec: RouterId) -> int:
         return self._label[fec]
@@ -306,6 +300,24 @@ class LspTable:
             seen.add(node)
             path.append(node)
         return path
+
+
+class _ActionRow(dict):
+    """Arriving top label -> action at one node; a missing label in the
+    mesh's range is resolved and stored, any other gives ``None``."""
+    __slots__ = ("table", "node")
+
+    def __init__(self, table: LspTable, node: RouterId):
+        self.table, self.node = table, node
+
+    def __missing__(self, label: int) -> tuple | None:
+        table, node = self.table, self.node
+        if not 0 <= label - LABEL_MIN < len(table.fecs):
+            return None
+        fec = table.fecs[label - LABEL_MIN]
+        act = self[label] = ((POP,) if node == fec
+                             else (SWAP, label, table.next_hop(node, fec)[1]))
+        return act
 
 
 def compute_infrastructure_lsps(graph: NetworkGraph) -> LspTable:

@@ -6,6 +6,8 @@ and both would be imported under the one name ``conftest``."""
 
 from __future__ import annotations
 
+from weakref import WeakKeyDictionary
+
 from hmlbn.messages import ControlMessage, MobilePrefix
 from hmlbn.scenario import parse_scenario
 from hmlbn.simulator import FLAT_KEYS, run_scenario
@@ -92,9 +94,23 @@ def run(doc: dict, seed=None):
     return run_scenario(parse_scenario(doc), seed=seed)
 
 
+# simulation -> (its record count, its trace parsed at that count)
+_PARSED = WeakKeyDictionary()
+
+
+def parsed_trace(sim) -> list[dict]:
+    """``sim.trace``, parsed once per simulation and record count; callers
+    share the dicts and must not change them."""
+    count = len(sim._records)
+    cached = _PARSED.get(sim)
+    if cached is None or cached[0] != count:
+        cached = _PARSED[sim] = (count, sim.trace)
+    return cached[1]
+
+
 def ctl_sends(sim, prefix_text=None, t_min=None):
     out = []
-    for e in sim.trace:
+    for e in parsed_trace(sim):
         if e["kind"] != "ctl_send":
             continue
         if prefix_text and e["detail"].get("prefix") != prefix_text:
@@ -107,7 +123,7 @@ def ctl_sends(sim, prefix_text=None, t_min=None):
 
 def delivered_paths(sim, flow_id=None):
     out = []
-    for e in sim.trace:
+    for e in parsed_trace(sim):
         if e["kind"] != "data_deliver":
             continue
         if flow_id and e["detail"]["flow"] != flow_id:

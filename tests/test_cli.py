@@ -55,6 +55,18 @@ def test_missing_pattern_file_is_a_validation_failure(tmp_path, capsys):
     assert "missing.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pattern", [
+    {"name": "x"}, {"items": {"event": "ctl_send"}}, "items",
+    [{"event": "ctl_send"}, "ctl_recv"]])
+def test_malformed_pattern_is_a_validation_failure(tmp_path, pattern, capsys):
+    path = tmp_path / "pattern.json"
+    path.write_text(json.dumps(pattern), encoding="utf-8")
+    assert cli.main(["check-sequence", "--scenario", STARTUP, "--pattern",
+                     str(path)]) == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert "pattern.json" in captured.err and captured.out == ""
+
+
 def test_validate_accepts_a_valid_file_and_rejects_a_bad_one(tmp_path,
                                                               capsys):
     assert cli.main(["validate", "--scenario", STARTUP]) == cli.EXIT_OK
@@ -65,10 +77,12 @@ def test_validate_accepts_a_valid_file_and_rejects_a_bad_one(tmp_path,
     bad.write_text(json.dumps(doc), encoding="utf-8")
     assert cli.main(["validate", "--scenario", str(bad)]) \
         == cli.EXIT_VALIDATION
-    problems = json.loads(capsys.readouterr().out)
+    problems = json.loads(capsys.readouterr().err)
     assert {"path": "duration_s", "message": "missing"} in problems
     assert cli.main(["validate", "--scenario",
                      str(tmp_path / "missing.json")]) == cli.EXIT_VALIDATION
+    problems = json.loads(capsys.readouterr().err)
+    assert [p["path"] for p in problems] == ["$"]
 
 
 def test_analyze_prints_the_penalty_table(tmp_path, capsys):

@@ -1,7 +1,9 @@
 import random
 
 from hmlbn.forwarding import INFRA, MOBILITY, DataPacket, Label
+from hmlbn.scenario import parse_scenario
 from hmlbn.scenarios import base_topology, MOBILITY_RANGE
+from hmlbn.simulator import Simulation
 
 from helpers import delivered_paths, prefix, run
 
@@ -116,6 +118,60 @@ def test_packet_trace_renders_stack_and_path():
     pkt = DataPacket("f", 0, prefix("10.0.0.1/32"), prefix("10.0.0.2/32"), 0.0)
     pkt.stack = [Label(17, INFRA), Label(116, MOBILITY)]
     assert pkt.render_stack() == "i17/m116"
-    pkt.record_hop("LER33")
-    pkt.record_hop("ALER3")
+    pkt.hop_trace += ["LER33", "ALER3"]
     assert pkt.path_string() == "LER33>ALER3"
+
+
+# ------------------------------------------- checks on the per-hop path
+
+def _hop_setup(*labels):
+    """A built, not yet run, simulation and a packet carrying ``labels``."""
+    sim = Simulation(parse_scenario(two_mobile_scenario()))
+    pkt = DataPacket("x", 0, prefix("10.3.3.1/32"), prefix("10.1.1.1/32"), 0.0)
+    pkt.stack = [Label(value, tag) for value, tag in labels]
+    return sim, pkt
+
+
+def _drops(sim) -> dict:
+    return dict(sim.metrics.flows["x"]["drops"])
+
+
+def test_deep_stack_counted_at_transmit():
+    sim, pkt = _hop_setup((17, INFRA), (116, MOBILITY), (117, MOBILITY))
+    ler, p3 = sim.graph.rid_of("LER33"), sim.graph.rid_of("P3")
+    sim.transmit(pkt, ler, p3)
+    assert sim.metrics.max_stack_depth == 3
+    assert sim.metrics.stack_violations == 1
+    pkt.stack.pop()
+    sim.transmit(pkt, ler, p3)  # two deep: no violation, the maximum holds
+    assert sim.metrics.max_stack_depth == 3
+    assert sim.metrics.stack_violations == 1
+    hops = [e["detail"]["stack"] for e in sim.trace if e["kind"] == "data_hop"]
+    assert hops == ["i17/m116/m117", "i17/m116"]
+
+
+def test_top_label_popped_at_an_lsr_drops_no_label_entry():
+    sim, pkt = _hop_setup()
+    p0 = sim.graph.rid_of("P0")
+    pkt.stack = [Label(sim.lsp.in_label_for(p0, p0), INFRA),
+                 Label(116, MOBILITY)]
+    sim.engine.step(pkt, p0)
+    assert [label.value for label in pkt.stack] == [116]  # the top popped
+    assert _drops(sim) == {"no_label_entry": 1}
+
+
+def test_out_of_range_label_drops_and_is_not_stored():
+    sim, pkt = _hop_setup()
+    p3 = sim.graph.rid_of("P3")
+    row = sim.lsp.in_actions[p3]
+    outside = (15, 16 + len(sim.lsp.fecs))
+    for value in outside:
+        pkt.stack = [Label(value, INFRA), Label(116, MOBILITY)]
+        sim.engine.step(pkt, p3)
+    assert _drops(sim) == {"no_label_entry": 2}
+    assert not any(value in row for value in outside)
+    # a label in range is resolved once and kept
+    label = sim.lsp.in_label_for(p3, sim.graph.rid_of("ALER3"))
+    assert row[label] == sim.lsp.action(p3, label) == \
+        ("swap", label, sim.graph.rid_of("ALER3"))
+    assert list(row) == [label]

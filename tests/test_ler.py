@@ -187,10 +187,17 @@ def test_unsolicited_reply_cached_silently():
 
 
 def test_out_of_range_destination_not_labeled():
+    """Every packet to it drops, not only the one that filled the coverage
+    memo; a covered destination still goes through."""
     ler, services = make_ler()
-    pkt = packet(dst=prefix("11.1.1.1/32"))
-    ler.ingress_forward(pkt)
-    assert services.dropped[0][2] == "non_mobile"
+    outside = prefix("11.1.1.1/32")
+    for seq in range(3):
+        ler.ingress_forward(packet(dst=outside, seq=seq))
+    ler.ingress_forward(packet(seq=3))
+    assert [(p.seq, reason) for p, _, reason in services.dropped] \
+        == [(0, "non_mobile"), (1, "non_mobile"), (2, "non_mobile")]
+    assert ler.covered == {outside: False, MN: True}
+    assert MN in {m.payload.prefix for m in services.sent}
 
 
 def test_locally_registered_destination_short_circuits():

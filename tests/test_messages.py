@@ -428,6 +428,19 @@ def test_rendered_prefix_keeps_field_equality_hash_and_repr(p):
     assert {p: 1}[fresh] == 1
 
 
+@pytest.mark.parametrize("text,family,address,plen", [
+    ("10.1.1.1/32", 4, bytes([10, 1, 1, 1]), 32),
+    ("2001:db8::/48", 6, ipaddress.ip_address("2001:db8::").packed, 48)])
+def test_prefix_hash_is_the_hash_of_its_fields(text, family, address, plen):
+    p = MobilePrefix.parse(text)
+    assert hash(p) == hash((family, address, plen))
+    twin = MobilePrefix(family, address, plen)
+    assert twin == p and hash(twin) == hash(p)
+    for name in ("family", "address", "prefix_len"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, getattr(p, name))
+
+
 def test_prefix_validation():
     with pytest.raises(ValueError):
         MobilePrefix(4, b"\x01\x02\x03", 32)

@@ -19,6 +19,8 @@ from hmlbn.scenarios import BUNDLED_SCENARIOS
 from hmlbn.simulator import Simulation, run_scenario
 from hmlbn.topology import NodeRole
 
+import helpers
+
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 ODD = 'q"b\\s\x01\x1fé\U0001F600'  # quote, backslash, controls, é, non-BMP
@@ -132,6 +134,21 @@ def test_trace_is_rebuilt_and_not_assignable():
     assert len(sim.trace) == 1
     with pytest.raises(AttributeError):
         sim.trace = []
+
+
+def test_helpers_parse_a_trace_once_per_record_count():
+    sim = run_scenario(load_scenario(SCENARIO_DIR / "startup.json"))
+    parsed = helpers.parsed_trace(sim)
+    assert parsed == sim.trace and helpers.parsed_trace(sim) is parsed
+    assert helpers.ctl_sends(sim) \
+        == [e for e in sim.trace if e["kind"] == "ctl_send"]
+    assert helpers.delivered_paths(sim) == [
+        (e["t"], e["detail"]["path"]) for e in sim.trace
+        if e["kind"] == "data_deliver"]
+    assert helpers.parsed_trace(sim) is parsed  # the filters reused it
+    sim.trace_event("one", detail={"a": 1})
+    assert helpers.parsed_trace(sim) == sim.trace == parsed + [
+        sim.trace[-1]]
 
 
 @pytest.mark.parametrize("name", sorted(BUNDLED_SCENARIOS))
