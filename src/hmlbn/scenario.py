@@ -86,6 +86,11 @@ class FlowSpec:
     start_s: float
     stop_s: float
 
+    def send_time(self, i: int) -> float | None:
+        """When packet ``i`` enters; None if the flow stops first."""
+        t = self.start_s + i / self.rate_pps
+        return t if t < self.stop_s - 1e-12 else None
+
 
 @dataclass
 class FailureSpec:
@@ -115,6 +120,7 @@ class Scenario:
 class _Checker:
     def __init__(self):
         self.problems = []
+        self._prefixes = {}  # text -> its MobilePrefix, parsed once per parse
 
     def err(self, path, msg):
         self.problems.append((path, msg))
@@ -162,11 +168,13 @@ class _Checker:
         return value
 
     def prefix(self, text, path):
-        try:
-            return MobilePrefix.parse(str(text))
-        except ValueError as exc:
-            self.err(path, f"bad prefix: {exc}")
-            return None
+        if (text := str(text)) not in self._prefixes:
+            try:
+                self._prefixes[text] = MobilePrefix.parse(text)
+            except ValueError as exc:
+                self.err(path, f"bad prefix: {exc}")
+                return None
+        return self._prefixes[text]
 
 
 def validate_scenario(data: dict) -> list:

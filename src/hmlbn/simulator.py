@@ -1,10 +1,11 @@
 """Deterministic discrete-event engine.
 
 One heap of (time, sequence) ordered events drives every node state
-machine.  Control messages ride fixed per-pair latencies (reliable, FIFO),
-data packets move edge by edge, and all randomness flows from a single
-seeded generator, so equal (scenario, seed) pairs produce byte-identical
-traces and metrics.
+machine; each flow keeps one pending packet on it, under the sequence
+number the flow reserved for that packet at set-up.  Control messages ride
+fixed per-pair latencies (reliable, FIFO), data packets move edge by edge,
+and all randomness flows from a single seeded generator, so equal
+(scenario, seed) pairs produce byte-identical traces and metrics.
 
 Every trace record enters through ``Simulation.trace_event`` as one tuple.
 One whose fifth slot is a dict or None is ``(now, kind, src, dst, detail)``;
@@ -24,7 +25,6 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import count
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .aler import AlerNode
@@ -323,10 +323,7 @@ class Simulation:
 
     def _build_nodes(self):
         sc = self.scenario
-        ha_twin = {}
-        for a, b in sc.flags.ha_pairs:
-            ha_twin[a] = b
-            ha_twin[b] = a
+        ha_twin = {a: b for pair in sc.flags.ha_pairs for a, b in (pair, pair[::-1])}
         amrrs_by_area = {area: self.graph.by_role(NodeRole.AMRR, area)
                          for area in self.graph.areas()}
         calls = (self.transmit, self.drop, self.deliver_local,
@@ -354,11 +351,9 @@ class Simulation:
                     services=_Services(self, rid, calls),
                 )
             elif info.role is NodeRole.AMRR:
-                peers = [r for r in self.graph.by_role(NodeRole.AMRR)
-                         if r != rid]
                 self.nodes[rid] = AmrrNode(
                     rid, info.name, info.area,
-                    peers=peers,
+                    peers=[r for r in self.graph.by_role(NodeRole.AMRR) if r != rid],
                     ler_clients=self.graph.by_role(NodeRole.LER, info.area),
                     aler_clients=self.graph.by_role(NodeRole.ALER, info.area),
                     amrrs_by_area=amrrs_by_area,
@@ -377,19 +372,26 @@ class Simulation:
             self.schedule(d.t, EventKind.MN_DETACH, (d,))
         for f in sc.failures:
             self.schedule(f.t, EventKind.NODE_FAIL, (f.node,))
+        # each flow reserves one sequence number per packet, counted by the
+        # test each send_time makes, and keeps one pending: i + 1 as i enters
         for flow in sc.flows:
-            for i in count():
-                t = flow.start_s + i / flow.rate_pps
-                if t >= flow.stop_s - 1e-12:
-                    break
-                self.schedule(t, EventKind.DATA_INGRESS, (flow, i))
+            n = int(max(flow.stop_s - flow.start_s, 0.0) * flow.rate_pps)
+            while n and flow.send_time(n - 1) is None:
+                n -= 1
+            while flow.send_time(n) is not None:
+                n += 1
+            if n:
+                first, self._event_seq = self._event_seq + 1, self._event_seq + n
+                self.schedule(flow.send_time(0), EventKind.DATA_INGRESS,
+                              (flow, 0, first), first)
         self._tick("_sweep")
 
     # ---------------------------------------------------------- event loop
 
-    def schedule(self, t: float, kind: EventKind, payload: tuple):
-        self._event_seq += 1
-        heapq.heappush(self._heap, (t, self._event_seq, kind, payload))
+    def schedule(self, t: float, kind: EventKind, payload: tuple, seq=None):
+        if seq is None:  # else a number reserved at set-up
+            self._event_seq = seq = self._event_seq + 1
+        heapq.heappush(self._heap, (t, seq, kind, payload))
 
     def run(self):
         handlers = {
@@ -575,7 +577,10 @@ class Simulation:
 
     # ----------------------------------------------------------- data plane
 
-    def _on_ingress(self, flow, seq: int):
+    def _on_ingress(self, flow, seq: int, key: int):
+        """Packet ``seq`` of ``flow`` enters; ``key`` is its event's number."""
+        if (t := flow.send_time(seq + 1)) is not None:
+            self.schedule(t, EventKind.DATA_INGRESS, (flow, seq + 1, key + 1), key + 1)
         packet = DataPacket(flow.flow_id, seq, flow.src, flow.dst, self.now)
         self.metrics.record_ingress(flow.flow_id)
         mobile = self.mobiles.get(flow.src)

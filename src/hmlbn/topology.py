@@ -78,6 +78,10 @@ class NetworkGraph:
             rid: [p for p in self.neighbors(rid)
                   if self.nodes[p].role in FORWARDING_ROLES]
             for rid in self.forwarding_nodes()}
+        self._by_role = {}  # (role, area or None) -> its ids, sorted
+        for rid, info in sorted(self.nodes.items()):
+            for key in ((info.role, None), (info.role, info.area)):
+                self._by_role.setdefault(key, []).append(rid)
 
     def rid_of(self, name_or_rid: str) -> RouterId:
         if name_or_rid in self.nodes:
@@ -102,9 +106,7 @@ class NetworkGraph:
         return sorted(r for r, n in self.nodes.items() if n.role in FORWARDING_ROLES)
 
     def by_role(self, role: NodeRole, area: int | None = None) -> list[RouterId]:
-        out = [r for r, n in self.nodes.items()
-               if n.role is role and (area is None or n.area == area)]
-        return sorted(out)
+        return list(self._by_role.get((role, area), ()))
 
     def areas(self) -> list[int]:
         return sorted({n.area for n in self.nodes.values() if n.area >= 1})

@@ -1,10 +1,12 @@
 """Scenario validation reports a malformed field as a ``(path, message)``
 problem; it never lets the field reach code that raises on its type."""
 
+import json
+
 import pytest
 
 from hmlbn import scenarios as lib
-from hmlbn.scenario import validate_scenario
+from hmlbn.scenario import load_scenario, parse_scenario, validate_scenario
 
 
 def _set(*keys_and_value):
@@ -77,3 +79,44 @@ def test_malformed_field_is_a_problem_not_an_exception(path, edit):
     edit(doc)
     problems = validate_scenario(doc)
     assert path in [where for where, _ in problems], problems
+
+
+# ------------------------------------------------------------ prefix memo
+
+def _prefixes(scenario) -> list:
+    return (scenario.mobility_ranges
+            + [a.prefix for a in scenario.attaches]
+            + [m.prefix for m in scenario.moves]
+            + [d.prefix for d in scenario.detaches]
+            + scenario.model.prefixes
+            + [p for f in scenario.flows for p in (f.src, f.dst)])
+
+
+def test_one_prefix_text_parses_to_one_instance():
+    doc = lib.random_walk_scenario()
+    doc["mobility"]["move"] = [{"t": 1.0, "prefix": lib.MN, "region": "MR12"}]
+    doc["mobility"]["detach"] = [{"t": 2.0, "prefix": lib.MN}]
+    prefixes = _prefixes(parse_scenario(doc))
+    instances = {}
+    for prefix in prefixes:
+        instances.setdefault(str(prefix), set()).add(id(prefix))
+    assert sorted(instances) == sorted({"10.0.0.0/8", lib.MN, lib.CN})
+    assert len(prefixes) == 8
+    assert all(len(ids) == 1 for ids in instances.values())
+
+
+def test_a_bad_prefix_is_a_problem_at_each_of_its_paths():
+    doc = lib.random_walk_scenario()
+    doc["flows"][0]["src"] = doc["flows"][0]["dst"] = "10.0.0.300/32"
+    problems = [(where, what) for where, what in validate_scenario(doc)
+                if what.startswith("bad prefix")]
+    assert [where for where, _ in problems] == ["flows[0].src", "flows[0].dst"]
+    assert problems[0][1] == problems[1][1]
+
+
+def test_separate_loads_share_no_prefix(tmp_path):
+    path = tmp_path / "random_walk.json"
+    path.write_text(json.dumps(lib.random_walk_scenario()), encoding="utf-8")
+    first, second = load_scenario(path), load_scenario(path)
+    for a, b in zip(_prefixes(first), _prefixes(second), strict=True):
+        assert a == b and a is not b

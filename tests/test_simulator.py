@@ -1,5 +1,9 @@
+import csv
+import io
 import random
 import runpy
+from collections import Counter, deque
+from itertools import count
 from pathlib import Path
 
 import pytest
@@ -23,7 +27,8 @@ from hmlbn.messages import (
     UpdateType,
     WithdrawalPayload,
 )
-from hmlbn.scenario import parse_scenario, validate_scenario
+from hmlbn.scenario import load_scenario, parse_scenario, validate_scenario
+from hmlbn.scenarios import BUNDLED_SCENARIOS
 from hmlbn.sequences import (
     assert_sequence,
     inter_area_pattern,
@@ -36,8 +41,10 @@ from hmlbn.topology import NodeRole
 
 from helpers import ctl_sends, delivered_paths, run
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 WORKLOAD_GEN = runpy.run_path(str(BENCH / "workloads.py"))
+SPANS = runpy.run_path(str(BENCH / "spans.py"))
 
 
 # ---------------------------------------------------------- determinism
@@ -421,3 +428,125 @@ def test_events_at_one_time_fire_in_scheduling_order():
     sim.run()
     assert [args[0]["i"] for args in fired if isinstance(args[0], dict)] \
         == list(range(6))
+
+
+# ------------------------------------------------------ lazy flow ingress
+
+def _tied_scenario() -> dict:
+    """Every kind of set-up event, with ties: flows ``a`` and ``b`` start
+    together at one rate, a mobile attaches at their start time, and flow
+    ``empty`` is shorter than the 1e-12 s guard, so it sends nothing."""
+    doc = lib.startup_scenario()
+    doc["timers"] = {"keepalive_s": 0.04, "dead_s": 0.15, "lifetime_s": 1.5}
+    mobility = doc["mobility"]
+    mobility["attach"].append({"t": 0.05, "prefix": "10.2.2.1/32",
+                               "region": "MR21"})
+    mobility["move"] = [{"t": 0.07, "prefix": lib.MN, "region": "MR13"}]
+    mobility["detach"] = [{"t": 0.09, "prefix": "10.2.2.1/32"}]
+    doc["failures"] = [{"t": 0.12, "node": "P3"}]
+    doc["flows"] = [
+        {"id": "a", "src": lib.CN, "dst": lib.MN, "rate_pps": 500,
+         "start_s": 0.05, "stop_s": 0.1},
+        {"id": "b", "src": lib.MN, "dst": lib.CN, "rate_pps": 500,
+         "start_s": 0.05, "stop_s": 0.08},
+        {"id": "empty", "src": lib.CN, "dst": lib.MN, "rate_pps": 500,
+         "start_s": 0.06, "stop_s": 0.06 + 1e-13},
+        {"id": "c", "src": "10.2.2.1/32", "dst": lib.CN, "rate_pps": 300,
+         "start_s": 0.02, "stop_s": 0.11},
+    ]
+    return doc
+
+
+def _upfront_keys(scenario):
+    """``(t, seq, flow index, packet index)`` of every packet, keyed as when
+    set-up scheduled all of them, flow after flow, after the attaches,
+    moves, detaches and failures."""
+    seq = (len(scenario.attaches) + len(scenario.moves)
+           + len(scenario.detaches) + len(scenario.failures))
+    for f, flow in enumerate(scenario.flows):
+        for i in count():
+            t = flow.start_s + i / flow.rate_pps
+            if t >= flow.stop_s - 1e-12:
+                break
+            seq += 1
+            yield t, seq, f, i
+
+
+def _set_up_entries(scenario, sweep=1) -> int:
+    """Heap entries right after set-up with one pending packet per flow."""
+    return (len(scenario.attaches) + len(scenario.moves)
+            + len(scenario.detaches) + len(scenario.failures) + sweep
+            + len({f for _, _, f, i in _upfront_keys(scenario) if i == 0}))
+
+
+def test_ingress_events_keep_the_keys_of_upfront_scheduling(monkeypatch):
+    scenario = parse_scenario(_tied_scenario())
+    expected = [(t, seq, i) for t, seq, _, i in _upfront_keys(scenario)]
+    assert len({t for t, _, _ in expected}) < len(expected)  # ties
+    recorded = []
+    schedule = Simulation.schedule
+
+    def recording(self, t, kind, payload, seq=None):
+        schedule(self, t, kind, payload, seq)
+        if kind is EventKind.DATA_INGRESS:
+            recorded.append((t, self._event_seq if seq is None else seq,
+                             payload[1]))
+
+    monkeypatch.setattr(Simulation, "schedule", recording)
+    sim = Simulation(scenario)
+    assert sim._event_seq == expected[-1][1] + 1  # then the sweep tick
+    assert sorted(p[0].flow_id for _, _, k, p in sim._heap
+                  if k is EventKind.DATA_INGRESS) == ["a", "b", "c"]
+    fired = []
+    on_ingress = sim._on_ingress
+    sim._on_ingress = lambda flow, i, key: (fired.append((sim.now, key, i)),
+                                            on_ingress(flow, i, key))
+    sim.run()
+    assert sorted(recorded, key=lambda k: k[1]) == expected
+    assert fired == sorted(expected)
+
+
+def test_heap_holds_one_pending_packet_per_flow():
+    scenario = parse_scenario(_tied_scenario())
+    sim = Simulation(scenario)
+    assert len(sim._heap) == _set_up_entries(scenario) == 6 + 3 + 1
+    checks = []
+    schedule = sim.schedule
+
+    def checked(t, kind, payload, seq=None):
+        schedule(t, kind, payload, seq)
+        pending = Counter(p[0].flow_id for _, _, k, p in sim._heap
+                          if k is EventKind.DATA_INGRESS)
+        checks.append(max(pending.values(), default=0))
+
+    sim.schedule = checked
+    sim.run()
+    assert checks and max(checks) == 1
+
+
+def test_a_million_packet_flow_leaves_one_entry_at_set_up():
+    doc = lib.startup_scenario()
+    doc["duration_s"] = 1.0
+    doc["flows"] = [{"id": "big", "src": lib.CN, "dst": lib.MN,
+                     "rate_pps": 1e6, "start_s": 0.0, "stop_s": 1.0}]
+    scenario = parse_scenario(doc)
+    sim = Simulation(scenario)
+    assert len(sim._heap) == _set_up_entries(scenario, sweep=0) == 3
+    (_, last, _, packet), = deque(_upfront_keys(scenario), maxlen=1)
+    assert sim._event_seq == last == 2 + 10**6 and packet == 10**6 - 1
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_SCENARIOS))
+def test_bench_event_counter_sees_every_ingress(name):
+    # counted as the benchmark counts events per kind, by wrapping the
+    # method every push to the heap goes through
+    tracer = SPANS["Tracer"]()
+    assert tracer.count_calls(Simulation, "schedule",
+                              lambda args: args[2].value)
+    try:
+        sim = run_scenario(load_scenario(ROOT / "scenarios" / f"{name}.json"))
+    finally:
+        tracer.restore()
+    total = [row for row in csv.DictReader(io.StringIO(sim.metrics.to_csv()))
+             if row["flow"] == "TOTAL"]
+    assert tracer.counts["DataIngress"] == int(total[0]["ingress"]) > 0

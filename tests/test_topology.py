@@ -80,6 +80,32 @@ def test_minimal_single_area_graph(minimal_topology):
     assert graph.by_role(NodeRole.LER) == ["10.0.0.1"]
 
 
+@pytest.mark.parametrize("spec", [base_topology(),
+                                  base_topology(12, 4, ha_area=2)])
+def test_by_role_equals_a_sorted_scan(spec):
+    graph = build_topology(spec)
+    areas = sorted({info.area for info in graph.nodes.values()})
+    assert 0 in areas
+    for role in NodeRole:
+        for area in [None, *areas, max(areas) + 1]:
+            scan = sorted(rid for rid, info in graph.nodes.items()
+                          if info.role is role
+                          and (area is None or info.area == area))
+            assert graph.by_role(role, area) == scan, (role, area)
+
+
+def test_by_role_returns_a_list_of_its_own(minimal_topology):
+    graph = build_topology(minimal_topology)
+    for role, area in ((NodeRole.LER, None), (NodeRole.LER, 1),
+                       (NodeRole.LSR, None), (NodeRole.LER, 2)):
+        before = list(graph.by_role(role, area))
+        mutated = graph.by_role(role, area)
+        mutated.append("10.9.9.9")
+        assert graph.by_role(role, area) == before
+        mutated.clear()
+        assert graph.by_role(role, area) == before
+
+
 def test_ler_without_area_rejected(minimal_topology):
     minimal_topology["nodes"][0]["area"] = 0
     with pytest.raises(AreaWithoutAler):
