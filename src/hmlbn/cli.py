@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -55,7 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ploss", type=float, default=0.005,
                    help="per-hop loss probability")
     p.add_argument("--trials", type=int, default=None,
-                   help="Monte Carlo jumps per row (omitted = analytic only)")
+                   help="Monte Carlo jumps per row (omitted or 0 = analytic "
+                        "only)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="directory for penalty.csv")
 
@@ -105,6 +107,22 @@ def cmd_run(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    problems = [problem for ok, problem in (
+        (args.k_min >= 1, f"--k-min must be at least 1, got {args.k_min}"),
+        (args.k_max >= args.k_min,
+         f"--k-max {args.k_max} is below --k-min {args.k_min}"),
+        (math.isfinite(args.alpha) and args.alpha >= 0,
+         f"--alpha must be a finite number >= 0, got {args.alpha}"),
+        (math.isfinite(args.zeta) and args.zeta >= 0,
+         f"--zeta must be a finite number >= 0, got {args.zeta}"),
+        (0.0 <= args.ploss <= 1.0,
+         f"--ploss must lie in [0, 1], got {args.ploss}"),
+        (args.trials is None or args.trials >= 0,
+         f"--trials must be at least 0, got {args.trials}"),
+    ) if not ok]
+    if problems:
+        print(f"error: {'; '.join(problems)}", file=sys.stderr)
+        return EXIT_VALIDATION
     rows = analysis.penalty_table(args.k_min, args.k_max, alpha=args.alpha,
                                   zeta=args.zeta, p_loss=args.ploss,
                                   trials=args.trials, seed=args.seed)

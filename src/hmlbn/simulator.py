@@ -14,7 +14,12 @@ only, schema ``FLAT_KEYS[kind, len(record)]``.  Router ids are kept raw in
 both forms.  ``trace_jsonl`` alone renders records, naming router ids as it
 goes: a flat record by one f-string, generated at import for its
 ``FLAT_KEYS`` entry, a detail dict by the JSON encoder; ``trace`` parses its
-lines back into dicts.
+lines back into dicts.  A ``data_hop`` line recurs for every packet of a
+flow but for the packet's seq, the record's seq and ``t``: from the second
+time its other values come back in one ``trace_jsonl`` call, the line is
+those three set into a memoised stem of the text between them.  A first
+sighting only marks its values, so hops that never recur cost no stem, and
+no memo outlives the call.
 """
 
 from __future__ import annotations
@@ -194,36 +199,81 @@ FLAT_KEYS = {
 ROUTER_KEYS = ("origin", "node", "from")
 MSG_TEXT = {kind: kind.value for kind in MessageKind}
 UPDATE_TYPE_TEXT = {utype: utype.name for utype in UpdateType}
+# the FLAT_KEYS entries rendered from stems, each with the detail keys whose
+# values change from record to record, plain values all (no router id, hex
+# or stack).  Only data_hop recurs enough to pay, as every packet of a flow
+# takes the same hops under the same labels; a stem would only cost a kind
+# whose other values seldom come back.
+STEMMED = {("data_hop", 10): ("seq",)}
 CHUNK_LINES = 512  # trace lines joined at a time, then the chunks
 
 
 def _line_factories(schema: dict) -> dict:
     """``(factory, slots)`` per ``schema`` entry: ``factory(R, *memos)``, a
     memo per ``slots`` kind, returns ``line(record, seq, t)``, one f-string
-    naming routers through ``R``.  Only kinds and keys enter the source."""
+    naming routers through ``R``.  Only kinds and keys enter the source.
+
+    A ``STEMMED`` entry's line function, for as long as it lives, keys each
+    record by its values but the changing ones.  A key's first record is
+    rendered whole and only marks the key, so a record that never recurs
+    costs no stem; its second makes the stem, the text between the changing
+    values, which it and every later record of the key fill in.  Equal keys
+    must render alike: ``transmit`` records texts and int labels, never a
+    bool or float that equals an int."""
     factories = {}
     for (kind, length), keys in schema.items():
         if not all(n.isidentifier() and n.isascii() for n in (kind, *keys)):
             raise ValueError(f"not ASCII identifiers: {kind!r}, {keys!r}")
-        fields, slots, i = [], {}, 4
-        for key in keys:
+        changing = STEMMED.get((kind, length), ())
+        # the line as f-string source in parts: at odd indices what changes
+        # from record to record (a changing value, the record's seq, t), at
+        # even ones the stable text between
+        parts, slots, cuts, i = ['{{"detail": {{'], {}, [], 4
+        for n, key in enumerate(keys):
+            parts[-1] += ", " * (n > 0) + '"%s": ' % key
             if key == "stack":  # tag, value, tag, value; a value as its str
                 slots.update({i: "tag", i + 2: "tag"})
-                fields.append('"stack": "{s%d[r[%d]]}{r[%d]!s}/{s%d[r[%d]]}'
-                              '{r[%d]!s}"' % (i, i, i + 1, i + 2, i + 2, i + 3))
+                parts[-1] += ('"{s%d[r[%d]]}{r[%d]!s}/{s%d[r[%d]]}{r[%d]!s}"'
+                              % (i, i, i + 1, i + 2, i + 2, i + 3))
                 i += 3
             elif key in ROUTER_KEYS:
-                fields.append('"%s": {R[r[%d]]}' % (key, i))
+                parts[-1] += "{R[r[%d]]}" % i
+            elif key == "hex":  # seldom repeated: encoded anew each time
+                parts[-1] += "{A(r[%d])}" % i
             else:
-                slots[i] = "hex" if key == "hex" else "value"
-                fields.append('"%s": {s%d[r[%d]]}' % (key, i, i))
+                slots[i] = "value"
+                if key in changing:
+                    parts += ["{s%d[r[%d]]}" % (i, i), ""]
+                    cuts.append(i)
+                else:
+                    parts[-1] += "{s%d[r[%d]]}" % (i, i)
             i += 1
-        line = ('{{"detail": {{%s}}, "dst": {R[r[3]]}, "kind": "%s", '
-                '"seq": {seq}, "src": {R[r[2]]}, "t": {t}}}\\n'
-                % (", ".join(fields), kind))
+        parts[-1] += '}}, "dst": {R[r[3]]}, "kind": "%s", "seq": ' % kind
+        parts += ["{seq}", ', "src": {R[r[2]]}, "t": ', "{t}", "}}\\n"]
+        line = "f'%s'" % "".join(parts)
+        source = f"    return lambda r, seq, t: {line}"
+        if changing:  # keyed by the record's values but the changing ones
+            key = "".join(f"r[{j}], " for j in range(2, length) if j not in cuts)
+            stem = "".join(f"f'{part}', " for part in parts[:-1:2])
+            filled = "".join(part if n % 2 else "{x[%d]}" % (n // 2)
+                             for n, part in enumerate(parts[:-1])) + parts[-1]
+            source = f"""\
+    stems = {{}}
+    get = stems.get
+    def line(r, seq, t):
+        k = ({key})
+        x = get(k)
+        if x:
+            return f'{filled}'
+        if x is None:  # a first sighting, marked by ()
+            stems[k] = ()
+            return {line}
+        stems[k] = x = ({stem})  # a second: the stem is made
+        return f'{filled}'
+    return line"""
         params = "".join(f", s{i}" for i in slots)
-        exec(f"def factory(R{params}):\n    return lambda r, seq, t: f'{line}'",
-             namespace := {})
+        exec(f"def factory(R{params}):\n{source}",
+             namespace := {"A": encode_basestring_ascii})
         factories[kind, length] = namespace["factory"], list(slots.values())
     return factories
 
@@ -239,12 +289,6 @@ class _Memo(dict):
 
     def __missing__(self, key):
         return self.setdefault(key, self.render(key))
-
-
-class _Fresh(dict):
-    """``fresh[text]`` is the JSON string of ``text``, rendered anew on every
-    use: for strings that seldom repeat, where a memo would only grow."""
-    __missing__ = staticmethod(encode_basestring_ascii)
 
 
 def _json_encoder():
@@ -429,11 +473,13 @@ class Simulation:
         """One line per record, byte for byte what ``JSONEncoder(sort_keys=
         True).encode`` writes for its dict (``t`` rounded to 9 places, ids
         named); the encoder writes a time that is not finite (``NaN``).
-        A flat record's ``LINE_FACTORIES`` line gets fresh memos, which
-        render each value once per call (a wire hex, seldom repeated, on
-        every use).  Only nonzero float times are memoised: 3 and 3.0, or
-        0.0 and -0.0, are one key but two texts.  ``CHUNK_LINES`` lines are
-        joined at a time, so no list of every line outlives its chunk."""
+        A flat record's ``LINE_FACTORIES`` line is made anew on each call
+        with fresh memos, which render each value once per call (a wire
+        hex, seldom repeated, is encoded on every use); a ``STEMMED`` kind's
+        line keeps its stems, made for keys seen twice, for that call only.
+        Only nonzero float times are memoised: 3 and 3.0, or 0.0 and -0.0,
+        are one key but two texts.  ``CHUNK_LINES`` lines are joined at a
+        time, so no list of every line outlives its chunk."""
         encode, text, names = _json_encoder(), encode_basestring_ascii, self._names
         router = _Memo(lambda rid: encode(names.get(rid, rid)))
         times = _Memo(lambda t: repr(round(t, 9)) if t - t == 0 else encode(t))
@@ -441,7 +487,7 @@ class Simulation:
         line = _Memo(lambda kind: (
             '{"detail": %s, "dst": %s, "kind": ' + text(kind).replace("%", "%%")
             + ', "seq": %d, "src": %s, "t": %s}\n'))
-        memo = {"value": lambda: _Memo(encode), "hex": _Fresh,
+        memo = {"value": lambda: _Memo(encode),
                 "tag": lambda: _Memo(lambda tag: text(tag)[1:-1])}
         flat = {}
         for (kind, length), (factory, slots) in LINE_FACTORIES.items():

@@ -94,6 +94,32 @@ def test_analyze_prints_the_penalty_table(tmp_path, capsys):
     assert (tmp_path / "penalty.csv").read_text(encoding="utf-8") == expected
 
 
+@pytest.mark.parametrize("args,flag", [
+    (["--trials", "-3"], "--trials"),
+    (["--ploss", "1.5"], "--ploss"),
+    (["--ploss", "-0.1"], "--ploss"),
+    (["--ploss", "nan"], "--ploss"),
+    (["--k-min", "5", "--k-max", "2"], "--k-max"),
+    (["--k-min", "0"], "--k-min"),
+    (["--alpha", "-1"], "--alpha"),
+    (["--zeta", "inf"], "--zeta"),
+])
+def test_analyze_refuses_bad_arguments(args, flag, tmp_path, capsys):
+    """No traceback, no table and no file: one line on stderr, exit 1."""
+    assert cli.main(["analyze", "--out", str(tmp_path / "out")] + args) \
+        == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and flag in captured.err
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_analyze_with_zero_trials_is_analytic_only(capsys):
+    assert cli.main(["analyze", "--k-max", "3", "--trials", "0"]) == cli.EXIT_OK
+    assert capsys.readouterr().out == penalty_table_csv(penalty_table(1, 3))
+
+
 @pytest.mark.parametrize("pattern,scenario", sorted(PATTERNS.items()))
 def test_check_sequence_passes_on_each_bundled_pattern(pattern, scenario,
                                                        capsys):

@@ -329,3 +329,103 @@ def test_flat_records_hold_only_untracked_atomic_values():
                        for v in rec), rec
             assert not gc.is_tracked(rec), rec
     assert seen == set(simulator.FLAT_KEYS)
+
+
+# a data_hop's stable values, (src, dst, flow, top label, inner label), each
+# label a (tag, value); "LER" and "AMRR" stand for real router ids
+HOP_A = ("LER", "AMRR", "f1", ("i", 16), ("m", TOP))
+HOP_B = ("AMRR", "LER", "f1", ("i", 16), ("m", TOP))  # A's way back
+HOP_C = ("LER", "AMRR", "f1", ("i", 17), ("m", TOP))  # A but the top value
+HOP_D = ("LER", "AMRR", "f1", ("m", 16), ("m", TOP))  # A but the top tag
+HOP_E = ("LER", "AMRR", "f2", ("i", 16), ("m", TOP))  # A but the flow
+HOP_F = ("LER", "LER", "f1", ("i", 16), ("m", TOP))  # A but the dst
+HOP_G = ("LER", "AMRR", "f1", ("i", 16), ("i", TOP))  # A but the inner tag
+HOP_H = ("LER", "AMRR", "f1", ("i", 16), ("m", 17))  # A but the inner value
+HOP_ODD = ("LER", ODD, ODD, (ODD, 16), ("", TOP))
+HOP_ODD_TAGS = (ODD, "AMRR", ODD, ("i", TOP), (ODD, 16))
+
+
+def _record_hops(sim, hops) -> list:
+    """Record each ``(now, stable values, seq)`` in ``hops`` as a flat
+    data_hop with real router ids; returns the dict records they stand for."""
+    ids = {"LER": sim.graph.by_role(NodeRole.LER)[0],
+           "AMRR": sim.graph.by_role(NodeRole.AMRR)[0]}
+    records = []
+    for now, (src, dst, flow, top, inner), seq in hops:
+        src, dst = ids.get(src, src), ids.get(dst, dst)
+        sim.now = now
+        sim.trace_event("data_hop", src, dst, flow, seq, *top, *inner)
+        records.append((now, "data_hop", src, dst, {
+            "flow": flow, "seq": seq,
+            "stack": "%s%d/%s%d" % (*top, *inner)}))
+    return records
+
+
+def test_a_hop_renders_alike_each_time_its_values_recur():
+    """A key seen once, twice and three times, each time with another
+    packet seq, record seq and time; keys one value apart stay apart."""
+    sim = _fresh_sim()
+    records = _record_hops(sim, [
+        (3, HOP_A, 0), (0.5, HOP_B, 0), (3.0, HOP_A, 1), (1.0, HOP_C, 0),
+        (1.0, HOP_D, 0), (2.0, HOP_B, 1), (-0.0, HOP_A, 2), (1.0, HOP_E, 0),
+        (1.0, HOP_F, 0), (1.0, HOP_G, 0), (1.0, HOP_H, 0)])
+    text = sim.trace_jsonl()
+    assert text == _reference_jsonl(sim, records)
+    lines = text.splitlines()
+    assert lines[0].endswith('"t": 3}') and lines[2].endswith('"t": 3.0}')
+    assert lines[6].endswith('"t": -0.0}')
+    assert [json.loads(lines[i])["detail"]["seq"] for i in (0, 2, 6)] \
+        == [0, 1, 2]
+
+
+def test_hops_with_odd_flow_and_tag_texts_render_as_the_encoder_did():
+    sim = _fresh_sim()
+    records = _record_hops(sim, [
+        (0.25, HOP_ODD, 0), (0.5, HOP_ODD_TAGS, 0), (0.75, HOP_ODD, 1),
+        (1.0, HOP_ODD, 2), (1.25, HOP_ODD_TAGS, 1), (1.5, HOP_ODD_TAGS, 1)])
+    text = sim.trace_jsonl()
+    assert text == _reference_jsonl(sim, records)
+    assert sim.trace == _reference_trace(sim, records)
+    assert "\\ud83d\\ude00" in text and "\\u00e9" in text
+
+
+@pytest.mark.parametrize("count", [511, 512, 513, 1025])
+def test_recurring_hops_render_whole_across_chunk_boundaries(count):
+    """Stems made in one chunk of 512 lines are filled in the next, and a
+    key first seen in the second chunk is stemmed there; a hop recorded as
+    a dict, one label deep, sits among them."""
+    sim = _fresh_sim()
+    keys, ler = [HOP_A, HOP_B, HOP_ODD, HOP_C], sim.graph.by_role(NodeRole.LER)[0]
+    records = []
+    for n in range(count):
+        if n % 100 == 99:
+            sim.now = n / 8
+            detail = {"flow": "f1", "seq": n, "stack": "i16"}
+            sim.trace_event("data_hop", src=ler, detail=detail)
+            records.append((sim.now, "data_hop", ler, None, detail))
+        else:
+            records += _record_hops(sim, [(n / 8, keys[n % (3 + (n > 520))],
+                                           n // 4)])
+    assert len(sim._records) == count
+    assert sim.trace_jsonl() == _reference_jsonl(sim, records)
+
+
+def test_a_second_render_keeps_nothing_from_the_first():
+    """Stems live for one ``trace_jsonl`` call: a router named after the
+    first call is named in every line of the second, stemmed or not, and
+    nothing is left on the simulation or the module."""
+    sim = _fresh_sim()
+    unnamed = ("unknown-id", "AMRR", "f9", ("i", 16), ("m", 17))
+    first = _record_hops(sim, [(0.5, HOP_A, 0), (0.5, unnamed, 0),
+                               (1.0, HOP_A, 1), (1.0, unnamed, 1)])
+    state = dict(vars(sim)), dict(vars(simulator))
+    assert sim.trace_jsonl() == _reference_jsonl(sim, first)
+    assert (dict(vars(sim)), dict(vars(simulator))) == state
+    more = _record_hops(sim, [(1.5, HOP_A, 2), (1.5, unnamed, 2),
+                              (2.0, HOP_B, 0), (2.0, HOP_B, 1)])
+    assert sim.trace_jsonl() == _reference_jsonl(sim, first + more)
+    sim._names["unknown-id"] = "named-later"
+    text = sim.trace_jsonl()
+    assert text == _reference_jsonl(sim, first + more).replace(
+        '"unknown-id"', '"named-later"')
+    assert text.count('"src": "named-later"') == 3
