@@ -192,7 +192,7 @@ class AlerNode(ControlNode):
     # ---------------------------------------------------------------- misc
 
     def _emit_fib(self, entry: FibEntry, what: str):
-        # flat, in the sorted key order of the trace's FLAT_KEYS entry
+        # in the sorted key order of the trace's TRACE_KEYS entry
         self.services.emit("fib_update", entry.current_mobility_label,
                            entry.local_mobility_label, entry.origin_router_id,
                            str(entry.prefix), what)

@@ -131,8 +131,8 @@ class AmrrNode(ControlNode):
             target_area = binding.area_id
             stored = binding._replace(area_id=self.area)
             if target_area not in self.amrrs_by_area:
-                self.services.emit("warn", {"what": "unknown_peer_area",
-                                            "prefix": key, "area": target_area})
+                self.services.emit("warn/area", target_area, key,
+                                   "unknown_peer_area")
                 target_area = None
         if rec is None:
             rec = AmrrRecord(binding.prefix, stored, self.area)
@@ -160,8 +160,7 @@ class AmrrNode(ControlNode):
         key = str(binding.prefix)
         rec = self.records.get(key)
         if rec is None:
-            self.services.emit("warn", {"what": what, "prefix": key,
-                                        "from": sender})
+            self.services.emit("warn/from", sender, key, what)
             rec = self.records[key] = AmrrRecord(binding.prefix, binding,
                                                  binding.area_id)
         return rec
@@ -269,8 +268,8 @@ class AmrrNode(ControlNode):
         pending = self.pending.get(key)
         if pending is None:
             if msg.kind is MessageKind.BINDING_REPLY_POSITIVE:
-                self.services.emit("warn", {"what": "unexpected_positive_reply",
-                                            "prefix": key, "from": msg.src})
+                self.services.emit("warn/from", msg.src, key,
+                                   "unexpected_positive_reply")
             return
         if msg.kind is MessageKind.BINDING_REPLY_NEGATIVE:
             pending.awaiting.discard(msg.src)
@@ -293,8 +292,8 @@ class AmrrNode(ControlNode):
     def _send_lrl_exchange(self, rec: AmrrRecord, target_area: int):
         content = self._own_external_content(rec)
         if content is None:
-            self.services.emit("warn", {"what": "lrl_without_alias",
-                                        "prefix": str(rec.prefix)})
+            self.services.emit("warn/prefix", str(rec.prefix),
+                               "lrl_without_alias")
             return
         for amrr in self.amrrs_by_area.get(target_area, []):
             self.services.send(MessageKind.BINDING_UPDATE, amrr,
@@ -352,8 +351,7 @@ class AmrrNode(ControlNode):
         if from_ler and rec.binding.origin_next_hop != msg.src:
             # the mobile already re-registered elsewhere; the old LER's
             # withdrawal must not tear down the fresh state
-            self.services.emit("ignored_withdrawal",
-                               {"prefix": key, "from": msg.src})
+            self.services.emit("ignored_withdrawal", msg.src, key)
             return
         # a peer AMRR's withdrawal fans out locally and is never
         # re-forwarded; only the owner's reaches the requesting areas
@@ -383,8 +381,7 @@ class AmrrNode(ControlNode):
         self.failed_alers.add(failed)
         survivor = self.ha_twin.get(failed)
         if survivor is None:
-            self.services.emit("warn", {"what": "aler_failed_without_twin",
-                                        "node": failed})
+            self.services.emit("warn/node", failed, "aler_failed_without_twin")
             return
         payload = FailoverBlanketPayload(survivor, failed)
         for peer in self.peers:

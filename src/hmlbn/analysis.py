@@ -88,8 +88,8 @@ def delay_penalty(mean_hops: float, per_hop_mean_ms: float,
                   per_hop_std_ms: float) -> tuple[float, float]:
     """Cumulative extra delay: mean scales with the hop count, the standard
     deviation with its square root (independent per-hop delays)."""
-    if mean_hops < 0:
-        raise ValueError("hop count must be >= 0")
+    if not (mean_hops >= 0 and per_hop_mean_ms >= 0 and per_hop_std_ms >= 0):
+        raise ValueError("hop count and per-hop delays must be >= 0, not NaN")
     return per_hop_mean_ms * mean_hops, per_hop_std_ms * math.sqrt(mean_hops)
 
 
@@ -97,7 +97,7 @@ def loss_penalty(mean_hops: float, per_hop_loss: float) -> float:
     """Probability of losing a packet over the extra hops."""
     if not 0.0 <= per_hop_loss <= 1.0:
         raise ValueError("per-hop loss probability must lie in [0, 1]")
-    if mean_hops < 0:
+    if not mean_hops >= 0:  # a NaN too
         raise ValueError("hop count must be >= 0")
     return 1.0 - (1.0 - per_hop_loss) ** mean_hops
 

@@ -108,7 +108,7 @@ class LerNode(ControlNode):
             update_type=UpdateType.INTERNAL,
             lifetime_s=self.default_lifetime_s,
         )
-        # flat, in the sorted key order of the trace's FLAT_KEYS entry
+        # in the sorted key order of the trace's TRACE_KEYS entry
         self.services.emit("register", binding_area, interface_id, label, key)
         for amrr in self.amrrs:
             self.services.send(MessageKind.BINDING_UPDATE, amrr, UpdatePayload(binding))
@@ -130,8 +130,7 @@ class LerNode(ControlNode):
         now = self.services.now()
         if new_interface != record.interface_id:
             record.interface_id = new_interface
-            self.services.emit("local_handoff", {"prefix": str(prefix),
-                                                 "interface": new_interface})
+            self.services.emit("local_handoff", new_interface, str(prefix))
         record.last_heard = now
         return record
 

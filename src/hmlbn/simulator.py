@@ -7,19 +7,17 @@ fixed per-pair latencies (reliable, FIFO), data packets move edge by edge,
 and all randomness flows from a single seeded generator, so equal
 (scenario, seed) pairs produce byte-identical traces and metrics.
 
-Every trace record enters through ``Simulation.trace_event`` as one tuple.
-One whose fifth slot is a dict or None is ``(now, kind, src, dst, detail)``;
-any other is flat, ``(now, kind, src, dst, *values)`` with atomic values
-only, schema ``FLAT_KEYS[kind, len(record)]``.  Router ids are kept raw in
-both forms.  ``trace_jsonl`` alone renders records, naming router ids as it
-goes: a flat record by one f-string, generated at import for its
-``FLAT_KEYS`` entry, a detail dict by the JSON encoder; ``trace`` parses its
-lines back into dicts.  A ``data_hop`` line recurs for every packet of a
-flow but for the packet's seq, the record's seq and ``t``: from the second
-time its other values come back in one ``trace_jsonl`` call, the line is
-those three set into a memoised stem of the text between them.  A first
-sighting only marks its values, so hops that never recur cost no stem, and
-no memo outlives the call.
+Every trace record enters through ``Simulation.trace_event`` as one flat
+tuple, ``(now, name, src, dst, *values)``, of atomic values only, router ids
+raw; ``TRACE_KEYS[name]`` names its values.  A name is the record's kind, or
+its kind and a variant after a "/".  ``trace_jsonl`` alone renders records,
+each by the one f-string generated at import for its name, naming router ids
+as it goes; ``trace`` parses its lines back into dicts.  A ``data_hop`` line
+recurs for every packet of a flow but for the packet's seq, the record's seq
+and ``t``: from the second time its other values come back in one
+``trace_jsonl`` call, the line is those three set into a memoised stem of
+the text between them.  A first sighting only marks its values, so hops
+that never recur cost no stem, and no memo outlives the call.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from json.encoder import c_make_encoder, encode_basestring_ascii
+from json.encoder import encode_basestring_ascii
 
 from .aler import AlerNode
 from .amrr import AmrrNode
@@ -176,35 +174,51 @@ class Metrics:
         return "\n".join(lines) + "\n"
 
 
-# detail keys of each flat record by (kind, record length), sorted as
-# trace.jsonl writes them; no first value may be a dict or None.  A data_hop
-# "stack" (two labels deep) is four values, the top label's tag and value,
-# then the inner label's.  Kinds and keys are written into the line
-# functions' generated source, so each must be an ASCII identifier.
-FLAT_KEYS = {
-    ("ctl_recv", 5): ("msg",),
-    ("ctl_send", 7): ("area_crossing", "hex", "msg"),
-    ("ctl_send", 8): ("area_crossing", "hex", "msg", "prefix"),
-    ("ctl_send", 12): ("area_crossing", "area_id", "hex", "label", "msg",
-                       "origin", "prefix", "update_type"),
-    ("data_deliver", 9): ("flow", "interface", "path", "replica", "seq"),
-    ("data_hop", 10): ("flow", "seq", "stack"),
-    ("data_ingress", 6): ("flow", "seq"),
-    ("fib_update", 9): ("cml", "lml", "origin", "prefix", "what"),
-    ("move", 8): ("from_region", "prefix", "region", "same_ler"),
-    ("register", 8): ("area_sent", "interface", "label", "prefix"),
+# detail keys of each record by name, sorted as trace.jsonl writes them.  A
+# name is the line's kind, or the kind, a "/" and a variant, for a kind
+# recorded with more than one key set.  Kinds, variants and keys are written
+# into the line functions' generated source, so each must be an ASCII
+# identifier.
+TRACE_KEYS = {
+    "attach": ("area_hint", "cell", "prefix", "region"),
+    "ctl_drop": ("msg", "why"),
+    "ctl_recv": ("msg",),
+    "ctl_send": ("area_crossing", "area_id", "hex", "label", "msg", "origin",
+                 "prefix", "update_type"),
+    "ctl_send/blanket": ("area_crossing", "hex", "msg"),
+    "ctl_send/prefix": ("area_crossing", "hex", "msg", "prefix"),
+    "data_deliver": ("flow", "interface", "path", "replica", "seq"),
+    "data_drop": ("flow", "reason", "replica", "seq"),
+    "data_hop": ("flow", "seq", "stack"),
+    "data_hop/text": ("flow", "seq", "stack"),
+    "data_ingress": ("flow", "seq"),
+    "data_ingress/unattached": ("flow", "ler", "seq"),
+    "detach": ("prefix",),
+    "fib_update": ("cml", "lml", "origin", "prefix", "what"),
+    "ignored_withdrawal": ("from", "prefix"),
+    "local_handoff": ("interface", "prefix"),
+    "move": ("from_region", "prefix", "region", "same_ler"),
+    "node_fail": (),
+    "register": ("area_sent", "interface", "label", "prefix"),
+    "warn/area": ("area", "prefix", "what"),
+    "warn/from": ("from", "prefix", "what"),
+    "warn/node": ("node", "what"),
+    "warn/prefix": ("prefix", "what"),
 }
-# detail keys that hold a router id, named at render in either form of
-# record; and the text of each enum, read as a plain value
+# detail keys that hold a router id, named at render; and the text of each
+# enum, read as a plain value
 ROUTER_KEYS = ("origin", "node", "from")
 MSG_TEXT = {kind: kind.value for kind in MessageKind}
 UPDATE_TYPE_TEXT = {utype: utype.name for utype in UpdateType}
-# the FLAT_KEYS entries rendered from stems, each with the detail keys whose
-# values change from record to record, plain values all (no router id, hex
-# or stack).  Only data_hop recurs enough to pay, as every packet of a flow
+# the entries rendered from stems, each with the detail keys whose values
+# change from record to record, plain values all (no router id, hex or
+# stack).  Only data_hop recurs enough to pay, as every packet of a flow
 # takes the same hops under the same labels; a stem would only cost a kind
 # whose other values seldom come back.
-STEMMED = {("data_hop", 10): ("seq",)}
+STEMMED = {"data_hop": ("seq",)}
+# the entry whose "stack" is two labels deep, kept as four values: the top
+# label's tag and value, then the inner label's.  Any other stack is a text.
+LABEL_PAIR = "data_hop"
 CHUNK_LINES = 512  # trace lines joined at a time, then the chunks
 
 
@@ -221,17 +235,19 @@ def _line_factories(schema: dict) -> dict:
     must render alike: ``transmit`` records texts and int labels, never a
     bool or float that equals an int."""
     factories = {}
-    for (kind, length), keys in schema.items():
-        if not all(n.isidentifier() and n.isascii() for n in (kind, *keys)):
-            raise ValueError(f"not ASCII identifiers: {kind!r}, {keys!r}")
-        changing = STEMMED.get((kind, length), ())
+    for name, keys in schema.items():
+        if not all(n.isidentifier() and n.isascii()
+                   for n in (*name.split("/", 1), *keys)):
+            raise ValueError(f"not ASCII identifiers: {name!r}, {keys!r}")
+        changing = STEMMED.get(name, ())
         # the line as f-string source in parts: at odd indices what changes
         # from record to record (a changing value, the record's seq, t), at
         # even ones the stable text between
         parts, slots, cuts, i = ['{{"detail": {{'], {}, [], 4
         for n, key in enumerate(keys):
             parts[-1] += ", " * (n > 0) + '"%s": ' % key
-            if key == "stack":  # tag, value, tag, value; a value as its str
+            if key == "stack" and name == LABEL_PAIR:
+                # tag, value, tag, value; a value as its str
                 slots.update({i: "tag", i + 2: "tag"})
                 parts[-1] += ('"{s%d[r[%d]]}{r[%d]!s}/{s%d[r[%d]]}{r[%d]!s}"'
                               % (i, i, i + 1, i + 2, i + 2, i + 3))
@@ -248,12 +264,13 @@ def _line_factories(schema: dict) -> dict:
                 else:
                     parts[-1] += "{s%d[r[%d]]}" % (i, i)
             i += 1
-        parts[-1] += '}}, "dst": {R[r[3]]}, "kind": "%s", "seq": ' % kind
+        parts[-1] += ('}}, "dst": {R[r[3]]}, "kind": "%s", "seq": '
+                      % name.partition("/")[0])
         parts += ["{seq}", ', "src": {R[r[2]]}, "t": ', "{t}", "}}\\n"]
         line = "f'%s'" % "".join(parts)
         source = f"    return lambda r, seq, t: {line}"
         if changing:  # keyed by the record's values but the changing ones
-            key = "".join(f"r[{j}], " for j in range(2, length) if j not in cuts)
+            key = "".join(f"r[{j}], " for j in range(2, i) if j not in cuts)
             stem = "".join(f"f'{part}', " for part in parts[:-1:2])
             filled = "".join(part if n % 2 else "{x[%d]}" % (n // 2)
                              for n, part in enumerate(parts[:-1])) + parts[-1]
@@ -274,11 +291,11 @@ def _line_factories(schema: dict) -> dict:
         params = "".join(f", s{i}" for i in slots)
         exec(f"def factory(R{params}):\n{source}",
              namespace := {"A": encode_basestring_ascii})
-        factories[kind, length] = namespace["factory"], list(slots.values())
+        factories[name] = namespace["factory"], list(slots.values())
     return factories
 
 
-LINE_FACTORIES = _line_factories(FLAT_KEYS)
+LINE_FACTORIES = _line_factories(TRACE_KEYS)
 
 
 class _Memo(dict):
@@ -289,19 +306,6 @@ class _Memo(dict):
 
     def __missing__(self, key):
         return self.setdefault(key, self.render(key))
-
-
-def _json_encoder():
-    """``JSONEncoder(sort_keys=True).encode`` whose C encoder, which
-    ``encode`` makes anew per value, is made once and reused."""
-    encoder = json.JSONEncoder(sort_keys=True)
-    if c_make_encoder is None:
-        return encoder.encode
-    iterencode = c_make_encoder(
-        {}, encoder.default, encode_basestring_ascii, encoder.indent,
-        encoder.key_separator, encoder.item_separator, encoder.sort_keys,
-        encoder.skipkeys, encoder.allow_nan)
-    return lambda value: "".join(iterencode(value, 0))
 
 
 class _Services:
@@ -320,9 +324,9 @@ class _Services:
     def send(self, kind: MessageKind, dst: str, payload) -> ControlMessage:
         return self.sim.send_control(self.rid, kind, dst, payload)
 
-    def emit(self, kind: str, *values):
-        """Record a detail dict or flat values, router ids raw."""
-        self.sim.trace_event(kind, self.rid, None, *values)
+    def emit(self, name: str, *values):
+        """Record the ``values`` of the ``TRACE_KEYS`` entry ``name``."""
+        self.sim.trace_event(name, self.rid, None, *values)
 
     def trail_to(self, rid: str, origin: str):
         in_top = self.sim.lsp.in_label_for(rid, origin)
@@ -457,11 +461,9 @@ class Simulation:
 
     # ------------------------------------------------------------- tracing
 
-    def trace_event(self, kind: str, src=None, dst=None, *values,
-                    detail=None):
-        """Record ``detail``, or the ``values`` of a ``FLAT_KEYS`` entry."""
-        self._records.append((self.now, kind, src, dst) + values if values
-                             else (self.now, kind, src, dst, detail))
+    def trace_event(self, name: str, src, dst, *values):
+        """Record the ``values`` of the ``TRACE_KEYS`` entry ``name``."""
+        self._records.append((self.now, name, src, dst) + values)
 
     @property
     def trace(self) -> list[dict]:
@@ -470,45 +472,32 @@ class Simulation:
         return [json.loads(line) for line in self.trace_jsonl().split("\n")[:-1]]
 
     def trace_jsonl(self) -> str:
-        """One line per record, byte for byte what ``JSONEncoder(sort_keys=
-        True).encode`` writes for its dict (``t`` rounded to 9 places, ids
-        named); the encoder writes a time that is not finite (``NaN``).
-        A flat record's ``LINE_FACTORIES`` line is made anew on each call
-        with fresh memos, which render each value once per call (a wire
-        hex, seldom repeated, is encoded on every use); a ``STEMMED`` kind's
+        """One line per record, byte for byte what ``json.dumps(sort_keys=
+        True)`` writes for its dict (``t`` rounded to 9 places, ids named);
+        ``json.dumps`` writes a time that is not finite (``NaN``).  Each
+        record's ``LINE_FACTORIES`` line is made anew on each call with
+        fresh memos, which render each value once per call (a wire hex,
+        seldom repeated, is encoded on every use); a ``STEMMED`` entry's
         line keeps its stems, made for keys seen twice, for that call only.
         Only nonzero float times are memoised: 3 and 3.0, or 0.0 and -0.0,
         are one key but two texts.  ``CHUNK_LINES`` lines are joined at a
         time, so no list of every line outlives its chunk."""
-        encode, text, names = _json_encoder(), encode_basestring_ascii, self._names
+        encode, names = json.dumps, self._names
         router = _Memo(lambda rid: encode(names.get(rid, rid)))
         times = _Memo(lambda t: repr(round(t, 9)) if t - t == 0 else encode(t))
-        # a detail dict's line by kind, kind written in
-        line = _Memo(lambda kind: (
-            '{"detail": %s, "dst": %s, "kind": ' + text(kind).replace("%", "%%")
-            + ', "seq": %d, "src": %s, "t": %s}\n'))
         memo = {"value": lambda: _Memo(encode),
-                "tag": lambda: _Memo(lambda tag: text(tag)[1:-1])}
-        flat = {}
-        for (kind, length), (factory, slots) in LINE_FACTORIES.items():
-            flat.setdefault(kind, {})[length] = factory(
-                router, *[memo[slot]() for slot in slots])
+                "tag": lambda: _Memo(lambda tag: encode(tag)[1:-1])}
+        lines_of = {name: factory(router, *[memo[slot]() for slot in slots])
+                    for name, (factory, slots) in LINE_FACTORIES.items()}
         records, chunks = self._records, []
         for start in range(0, len(records), CHUNK_LINES):
             lines = []
             append = lines.append
             for seq, rec in enumerate(records[start:start + CHUNK_LINES],
                                       start + 1):
-                t, detail = rec[0], rec[4]
+                t = rec[0]
                 t = times[t] if type(t) is float and t else times.render(t)
-                if detail is None or type(detail) is dict:
-                    if detail and not detail.keys().isdisjoint(ROUTER_KEYS):
-                        detail = {key: names.get(v, v) if key in ROUTER_KEYS
-                                  else v for key, v in detail.items()}
-                    append(line[rec[1]] % (encode(detail or {}), router[rec[3]],
-                                           seq, router[rec[2]], t))
-                else:
-                    append(flat[rec[1]][len(rec)](rec, seq, t))
+                append(lines_of[rec[1]](rec, seq, t))
             chunks.append("".join(lines))
         return "".join(chunks)
 
@@ -526,14 +515,13 @@ class Simulation:
                              binding.origin_next_hop, str(binding.prefix),
                              UPDATE_TYPE_TEXT[binding.update_type])
         elif getattr(payload, "prefix", None) is not None:
-            self.trace_event("ctl_send", src, dst, crossing, wire, text,
+            self.trace_event("ctl_send/prefix", src, dst, crossing, wire, text,
                              str(payload.prefix))
         else:
-            self.trace_event("ctl_send", src, dst, crossing, wire, text)
+            self.trace_event("ctl_send/blanket", src, dst, crossing, wire, text)
         self.metrics.record_control(text, crossing)
         if dst in self.failed:
-            self.trace_event("ctl_drop", src=src, dst=dst,
-                             detail={"msg": text, "why": "node_failed"})
+            self.trace_event("ctl_drop", src, dst, text, "node_failed")
             return msg
         latency_s = self.latency[src][dst] / 1000.0
         self.schedule(self.now + latency_s, EventKind.CONTROL_DELIVER, (msg,))
@@ -541,9 +529,8 @@ class Simulation:
 
     def _on_control(self, msg: ControlMessage):
         if msg.dst in self.failed:
-            self.trace_event("ctl_drop", src=msg.src, dst=msg.dst,
-                             detail={"msg": MSG_TEXT[msg.kind],
-                                     "why": "node_failed"})
+            self.trace_event("ctl_drop", msg.src, msg.dst, MSG_TEXT[msg.kind],
+                             "node_failed")
             return
         self.trace_event("ctl_recv", msg.src, msg.dst, MSG_TEXT[msg.kind])
         self.nodes[msg.dst].handle(msg)
@@ -560,9 +547,8 @@ class Simulation:
         new = self._attachment(spec)
         mobile = self.mobiles.setdefault(spec.prefix, MobileState(spec.l2))
         mobile.attachments = [new]
-        self.trace_event("attach", src=new.ler,
-                         detail={"prefix": str(spec.prefix), "region": spec.region,
-                                 "cell": new.cell, "area_hint": mobile.area_hint})
+        self.trace_event("attach", new.ler, None, mobile.area_hint, new.cell,
+                         str(spec.prefix), spec.region)
         _, reply_area = self.nodes[new.ler].handle_registration(
             spec.prefix, spec.l2, new.interface, mobile.area_hint)
         mobile.area_hint = reply_area
@@ -601,7 +587,7 @@ class Simulation:
             return
         mobile.attachments = []
         mobile.area_hint = 0  # a reset mobile starts over
-        self.trace_event("detach", detail={"prefix": str(spec.prefix)})
+        self.trace_event("detach", None, None, str(spec.prefix))
 
     def _arm_move_decision(self, prefix: MobilePrefix):
         model = self.scenario.model
@@ -632,8 +618,8 @@ class Simulation:
         mobile = self.mobiles.get(flow.src)
         attachment = mobile.primary() if mobile else None
         if attachment is None:
-            self.trace_event("data_ingress", detail={"flow": flow.flow_id,
-                                                     "seq": seq, "ler": None})
+            self.trace_event("data_ingress/unattached", None, None,
+                             flow.flow_id, None, seq)
             packet.ingressed = True
             self.drop(packet, None, "source_not_attached")
             return
@@ -657,9 +643,8 @@ class Simulation:
                              packet.seq, top.tag, top.value, inner.tag,
                              inner.value)
         else:
-            self.trace_event("data_hop", src=from_node, dst=to_node,
-                             detail={"flow": packet.flow_id, "seq": packet.seq,
-                                     "stack": packet.render_stack()})
+            self.trace_event("data_hop/text", from_node, to_node,
+                             packet.flow_id, packet.seq, packet.render_stack())
         self.schedule(self.now + self._edge_s[from_node][to_node],
                       EventKind.DATA_HOP, (packet, to_node))
 
@@ -671,12 +656,10 @@ class Simulation:
         self.engine.step(packet, node)
 
     def drop(self, packet: DataPacket, node: str | None, reason: str):
-        self.trace_event("data_drop", src=node,
-                         detail={"flow": packet.flow_id, "seq": packet.seq,
-                                 "reason": reason,
-                                 # trace.jsonl keeps the field of the removed
-                                 # replication mode; no packet is a replica
-                                 "replica": False})
+        # trace.jsonl keeps the replica field of the removed replication
+        # mode; no packet is a replica
+        self.trace_event("data_drop", node, None, packet.flow_id, reason, False,
+                         packet.seq)
         self.metrics.record_drop(packet, reason)
 
     def deliver_local(self, packet: DataPacket, ler: LerNode, record):
@@ -719,7 +702,7 @@ class Simulation:
 
     def _on_fail(self, rid: str):
         self.failed.add(rid)
-        self.trace_event("node_fail", src=rid, detail={})
+        self.trace_event("node_fail", rid, None)
         if self.graph.role_of(rid) is NodeRole.ALER:
             for amrr_rid in self.graph.by_role(NodeRole.AMRR,
                                                self.graph.area_of(rid)):

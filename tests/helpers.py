@@ -10,7 +10,7 @@ from weakref import WeakKeyDictionary
 
 from hmlbn.messages import ControlMessage, MobilePrefix
 from hmlbn.scenario import parse_scenario
-from hmlbn.simulator import FLAT_KEYS, run_scenario
+from hmlbn.simulator import LABEL_PAIR, TRACE_KEYS, run_scenario
 
 
 def floyd_warshall(adjacency: dict) -> dict:
@@ -57,12 +57,13 @@ class FakeServices:
         self.sent.append(msg)
         return msg
 
-    def emit(self, kind, *values):
-        # a flat record is kept as the dict its FLAT_KEYS entry names
-        detail = values[0]
-        if type(detail) is not dict:
-            detail = dict(zip(FLAT_KEYS[kind, len(values) + 4], values))
-        self.events.append((kind, detail))
+    def emit(self, name, *values):
+        # kept as its kind and the dict its TRACE_KEYS entry names; the
+        # count must be the entry's, a two-label stack counting as four
+        keys = TRACE_KEYS[name]
+        assert len(values) == len(keys) + 3 * (name == LABEL_PAIR), \
+            (name, values)
+        self.events.append((name.partition("/")[0], dict(zip(keys, values))))
 
     def transmit(self, packet, from_node, to_node):
         self.transmitted.append((packet, from_node, to_node))

@@ -109,6 +109,30 @@ def test_loss_penalty_formula():
         loss_penalty(3, 1.5)
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("args", [
+    (-1, 5.0, 2.0), (NAN, 5.0, 2.0),    # hop count
+    (1, -1, 2.0), (1, NAN, 2.0),        # per-hop mean
+    (1, 5.0, -1), (1, 5.0, NAN),        # per-hop deviation
+    (1, -0.5, -0.5),
+])
+def test_delay_penalty_refuses_negative_or_nan_inputs(args):
+    """A library caller gets an error, not a row with a negative or NaN
+    delay: ``delay_penalty(1, -1, 2)`` once returned ``(-1, 2.0)``."""
+    with pytest.raises(ValueError):
+        delay_penalty(*args)
+    assert delay_penalty(1, 0.0, 0.0) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("args", [(NAN, 0.1), (-1, 0.1), (1, NAN), (1, -0.1)])
+def test_loss_penalty_refuses_a_nan_or_negative_input(args):
+    """``loss_penalty(nan, 0.1)`` once returned ``nan``."""
+    with pytest.raises(ValueError):
+        loss_penalty(*args)
+
+
 # ------------------------------------------------------------ graph side
 
 def test_detour_collapses_when_anchor_is_the_mobile():

@@ -262,6 +262,21 @@ def test_withdrawal_scoping_and_recovery():
     assert late_deliveries == {"LER21"}
 
 
+def test_control_messages_to_a_failed_node_are_dropped_and_traced():
+    """An AMRR that fails at t=0 receives nothing.  The LER's registration,
+    sent at t=0 before the failure, is dropped when it arrives; the
+    correspondent area's flooded request is dropped as it is sent."""
+    doc = lib.startup_scenario()
+    doc["failures"] = [{"t": 0, "node": "AMRR1"}]
+    drops = [(e["t"], e["src"], e["dst"], e["detail"])
+             for e in run(doc).trace if e["kind"] == "ctl_drop"]
+    assert drops == [
+        (0.002, "LER12", "AMRR1", {"msg": "BindingUpdate", "why": "node_failed"}),
+        (0.053, "AMRR3", "AMRR1", {"msg": "BindingRequest",
+                                   "why": "node_failed"}),
+    ]
+
+
 def test_reflect_to_previous_ler_flag_updates_old_serving_ler():
     doc = lib.intra_area_scenario()
     doc["flags"]["reflect_to_previous_ler"] = True

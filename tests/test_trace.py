@@ -1,10 +1,12 @@
 """The trace renderer: ``trace_jsonl`` against a copy of the encoder it
 replaced (a list of dicts through ``JSONEncoder(sort_keys=True)``), and
 ``trace``, which splits the rendered text at "\n" only, against every line
-``splitlines`` finds in it on every bundled scenario.  Flat
-records are checked against the dicts their kinds were once recorded as,
-and for holding nothing the cyclic garbage collector has to track."""
+``splitlines`` finds in it on every bundled scenario.  Every ``TRACE_KEYS``
+entry is checked against the dict its kind was once recorded as, every
+record for holding nothing the cyclic garbage collector has to track, and
+every name the program records for being a ``TRACE_KEYS`` entry."""
 
+import ast
 import gc
 import json
 from pathlib import Path
@@ -16,31 +18,38 @@ from hmlbn.forwarding import INFRA, MOBILITY, DataPacket, Label
 from hmlbn.messages import MobilePrefix
 from hmlbn.scenario import load_scenario
 from hmlbn.scenarios import BUNDLED_SCENARIOS
-from hmlbn.simulator import Simulation, run_scenario
+from hmlbn.simulator import LABEL_PAIR, TRACE_KEYS, Simulation, run_scenario
 from hmlbn.topology import NodeRole
 
 import helpers
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+SOURCE_DIR = Path(simulator.__file__).resolve().parent
 
 ODD = 'q"b\\s\x01\x1fé\U0001F600'  # quote, backslash, controls, é, non-BMP
 
-# (now, kind, src, dst, detail); "LER" and "AMRR" stand for real router ids
+# (now, name, src, dst, values, detail): a record as the flat values its
+# call site passes to trace_event, and the detail dict its kind was recorded
+# with before.  "LER" and "AMRR" stand for real router ids, which the old
+# dict held by name under a router key; odd times and texts first.
 RECORDS = [
-    (0.0, "node_fail", None, None, None),
-    (0.1 + 0.2, "ctl_recv", "LER", "AMRR", {}),
-    (1e-10, "attach", "LER", None, {"prefix": "10.0.0.1/32"}),
-    (123456.123456789012, ODD, ODD, "AMRR",
-     {ODD: ODD, "nested": {"b": [1, 2.5, None], "a": ODD}}),
-    (2.0000000004, "data_drop", "unknown-id", ODD,
-     {"yes": True, "no": False, "none": None, "int": -7, "big": 2 ** 70,
-      "float": 0.1 + 0.2, "tiny": 1e-300, "neg_zero": -0.0, "list": []}),
-    (3, "int_time", None, "LER", {"t": 3, "tuple": (1, "x")}),
-    (4.25, "number_keys", None, None, {10: "a", 2: "b", 1.5: "c"}),
-    (7.5, "odd_values", "AMRR", "AMRR",
-     {"inf": float("inf"), "ninf": float("-inf"), "nan": float("nan")}),
-    (float("inf"), "never", None, None, None),
-    (5.0, "50%s%%", None, None, {"a": "%s%d"}),  # no format in a kind
+    (0.0, "node_fail", None, None, (), {}),
+    (0.1 + 0.2, "ctl_recv", "LER", "AMRR", (ODD,), {"msg": ODD}),
+    (1e-10, "detach", "LER", None, ("10.0.0.1/32",), {"prefix": "10.0.0.1/32"}),
+    (123456.123456789012, "warn/from", ODD, "AMRR", (ODD, ODD, ODD),
+     {"from": ODD, "prefix": ODD, "what": ODD}),
+    (2.0000000004, "data_drop", "unknown-id", ODD, (ODD, "no_binding", False, -7),
+     {"flow": ODD, "reason": "no_binding", "replica": False, "seq": -7}),
+    (3, "attach", None, "LER", (2 ** 70, ODD, "10.0.0.1/32", "MR1"),
+     {"area_hint": 2 ** 70, "cell": ODD, "prefix": "10.0.0.1/32",
+      "region": "MR1"}),
+    (4.25, "warn/node", None, None, ("LER", "%s%d"),
+     {"node": "LER", "what": "%s%d"}),
+    (7.5, "data_ingress/unattached", "AMRR", "AMRR", (ODD, None, 0),
+     {"flow": ODD, "ler": None, "seq": 0}),
+    (float("inf"), "node_fail", "LER", None, (), {}),
+    (5.0, "ctl_drop", None, None, ("50%s%%", "node_failed"),
+     {"msg": "50%s%%", "why": "node_failed"}),
 ]
 
 
@@ -49,7 +58,7 @@ def _reference_trace(sim, records) -> list:
     names = {rid: info.name for rid, info in sim.graph.nodes.items()}
     return [{"t": round(now, 9), "seq": seq, "kind": kind,
              "src": names.get(src, src), "dst": names.get(dst, dst),
-             "detail": detail or {}}
+             "detail": detail}
             for seq, (now, kind, src, dst, detail) in enumerate(records, 1)]
 
 
@@ -65,17 +74,26 @@ def _fresh_sim() -> Simulation:
     return Simulation(load_scenario(SCENARIO_DIR / "startup.json"))
 
 
-def _real_ids(sim, records):
+def _record_all(sim, records) -> list:
+    """Record each ``(now, name, src, dst, values, detail)`` in ``records``
+    with real router ids; returns the ``(now, kind, src, dst, detail)``
+    records they stand for, a router id in a detail named as the old dict
+    held it."""
     ids = {"LER": sim.graph.by_role(NodeRole.LER)[0],
            "AMRR": sim.graph.by_role(NodeRole.AMRR)[0]}
-    return [(now, kind, ids.get(src, src), ids.get(dst, dst), detail)
-            for now, kind, src, dst, detail in records]
-
-
-def _record_all(sim, records):
-    for now, kind, src, dst, detail in records:
+    out = []
+    for now, name, src, dst, values, detail in records:
+        keys = TRACE_KEYS[name]
+        assert len(values) == len(keys) + 3 * (name == LABEL_PAIR), name
+        assert sorted(detail) == list(keys)
+        src, dst = ids.get(src, src), ids.get(dst, dst)
         sim.now = now
-        sim.trace_event(kind, src=src, dst=dst, detail=detail)
+        sim.trace_event(name, src, dst, *(ids.get(v, v) if type(v) is str
+                                          else v for v in values))
+        out.append((now, name.partition("/")[0], src, dst, {
+            k: sim.graph.name_of(ids[v]) if v in ("LER", "AMRR") else v
+            for k, v in detail.items()}))
+    return out
 
 
 def test_empty_trace_renders_empty():
@@ -84,14 +102,9 @@ def test_empty_trace_renders_empty():
     assert sim.trace_jsonl() == ""
 
 
-@pytest.mark.parametrize("c_encoder", [True, False])
-def test_rendering_matches_the_dict_encoder_byte_for_byte(c_encoder,
-                                                          monkeypatch):
-    if not c_encoder:
-        monkeypatch.setattr(simulator, "c_make_encoder", None)
+def test_rendering_matches_the_dict_encoder_byte_for_byte():
     sim = _fresh_sim()
-    records = _real_ids(sim, RECORDS)
-    _record_all(sim, records)
+    records = _record_all(sim, RECORDS)
     text = sim.trace_jsonl()
     assert text == _reference_jsonl(sim, records)
     assert "\\u00e9" in text and "\\ud83d\\ude00" in text  # ASCII only
@@ -99,36 +112,14 @@ def test_rendering_matches_the_dict_encoder_byte_for_byte(c_encoder,
     # names resolved at render: the real ids appear under their names
     assert sim.trace[1]["src"] == sim.graph.nodes[records[1][2]].name
     assert sim.trace[4]["src"] == "unknown-id"
-
-
-@pytest.mark.parametrize("detail,error", [
-    ({"obj": object()}, TypeError),   # the encoder's default raises
-    ({"set": {1}}, TypeError),
-    ({(1, 2): 0}, TypeError),  # keys that are not str or a number fail
-])
-def test_unencodable_details_fail_as_before(detail, error):
-    sim = _fresh_sim()
-    sim.trace_event("bad", detail=detail)
-    with pytest.raises(error):
-        _reference_jsonl(sim, [(0.0, "bad", None, None, detail)])
-    with pytest.raises(error):
-        sim.trace_jsonl()
-
-
-def test_circular_detail_is_refused_as_before():
-    detail = {}
-    detail["self"] = detail
-    sim = _fresh_sim()
-    sim.trace_event("loop", detail=detail)
-    with pytest.raises(ValueError, match="Circular"):
-        _reference_jsonl(sim, [(0.0, "loop", None, None, detail)])
-    with pytest.raises(ValueError, match="Circular"):
-        sim.trace_jsonl()
+    assert sim.trace[6]["detail"]["node"] == sim.trace[8]["src"]
+    lines = text.splitlines()
+    assert lines[5].endswith('"t": 3}') and lines[8].endswith('"t": Infinity}')
 
 
 def test_trace_is_rebuilt_and_not_assignable():
     sim = _fresh_sim()
-    sim.trace_event("one", detail={"a": 1})
+    sim.trace_event("detach", None, None, "10.0.0.1/32")
     first = sim.trace
     first.clear()
     assert len(sim.trace) == 1
@@ -146,7 +137,7 @@ def test_helpers_parse_a_trace_once_per_record_count():
         (e["t"], e["detail"]["path"]) for e in sim.trace
         if e["kind"] == "data_deliver"]
     assert helpers.parsed_trace(sim) is parsed  # the filters reused it
-    sim.trace_event("one", detail={"a": 1})
+    sim.trace_event("detach", None, None, "10.0.0.1/32")
     assert helpers.parsed_trace(sim) == sim.trace == parsed + [
         sim.trace[-1]]
 
@@ -161,33 +152,32 @@ def test_trace_equals_the_parsed_jsonl(name):
 
 TOP = 2 ** 20 - 1  # the highest label value
 
-# (now, kind, src, dst, values, detail): a record of a hot kind, once as the
-# flat values its hot path passes to trace_event and once as the detail dict
-# that kind was recorded with before; values None records the dict itself
+# every TRACE_KEYS entry, as RECORDS, each kind as the dict it had before
+# its detail was flat; each variant of a kind, and odd texts and times
 HOT = [
     (0.5, "data_ingress", "LER", None, (ODD, 0), {"flow": ODD, "seq": 0}),
-    (0.5, "data_ingress", "LER", None, None, {"flow": "f", "seq": 1}),
+    (0.5, "data_ingress/unattached", None, None, ("f", None, 1),
+     {"flow": "f", "ler": None, "seq": 1}),
     (0.5, "data_hop", "LER", "AMRR", ("f1", 7, "i", 16, "m", TOP),
      {"flow": "f1", "seq": 7, "stack": f"i16/m{TOP}"}),
     (3.0, "data_hop", "AMRR", "LER", (ODD, 7, "i", TOP, "m", 16),
      {"flow": ODD, "seq": 7, "stack": f"i{TOP}/m16"}),
     (3, "data_hop", "AMRR", "LER", (ODD, 8, ODD, 16, "", TOP),
      {"flow": ODD, "seq": 8, "stack": f"{ODD}16/{TOP}"}),
-    (3.0, "data_hop", "LER", "AMRR", None,
+    (3.0, "data_hop/text", "LER", "AMRR", (ODD, 9, "i16"),
      {"flow": ODD, "seq": 9, "stack": "i16"}),
     (0.0, "ctl_recv", "AMRR", "LER", ("BindingRequest",),
      {"msg": "BindingRequest"}),
     (-0.0, "ctl_recv", "LER", "AMRR", (ODD,), {"msg": ODD}),
-    (-0.0, "ctl_recv", "LER", "AMRR", None, {"msg": "LrlReply"}),
+    (-0.0, "ctl_recv", "LER", "AMRR", ("LrlReply",), {"msg": "LrlReply"}),
     (0.0, "data_deliver", "LER", None, (ODD, "MR1/c1", "LER1>P0", False, 0),
      {"flow": ODD, "seq": 0, "interface": "MR1/c1", "path": "LER1>P0",
       "replica": False}),
     (1e-10, "data_deliver", "LER", None, ("", ODD, ODD, False, 3),
      {"flow": "", "seq": 3, "interface": ODD, "path": ODD, "replica": False}),
-    (1e-10, "data_deliver", "LER", None, None,
+    (1e-10, "data_deliver", "LER", None, ("g", "x", "", True, 4),
      {"flow": "g", "seq": 4, "interface": "x", "path": "", "replica": True}),
-    # ctl_send in each of its three shapes; "origin" holds a router id,
-    # which the old dict named when it was recorded ("LER" stands for one)
+    # ctl_send in each of its three shapes
     (0.25, "ctl_send", "LER", "AMRR",
      (False, 3, "b1010a", 17, "BindingUpdate", "LER", "10.0.0.1/32",
       "INTERNAL"),
@@ -197,13 +187,17 @@ HOT = [
     (0.25, "ctl_send", "AMRR", "LER", (True, 0, ODD, TOP, ODD, ODD, ODD, ODD),
      {"area_crossing": True, "area_id": 0, "hex": ODD, "label": TOP,
       "msg": ODD, "origin": ODD, "prefix": ODD, "update_type": ODD}),
-    (0.5, "ctl_send", "LER", "AMRR", (True, "b103", "BindingRequest", ODD),
+    (0.5, "ctl_send/prefix", "LER", "AMRR",
+     (True, "b103", "BindingRequest", ODD),
      {"area_crossing": True, "hex": "b103", "msg": "BindingRequest",
       "prefix": ODD}),
-    (0.5, "ctl_send", "AMRR", "AMRR", (False, ODD, "AlerFailoverBlanket"),
+    (0.5, "ctl_send/blanket", "AMRR", "AMRR",
+     (False, ODD, "AlerFailoverBlanket"),
      {"area_crossing": False, "hex": ODD, "msg": "AlerFailoverBlanket"}),
-    (0.5, "ctl_send", "AMRR", "AMRR", None,
+    (0.5, "ctl_send/blanket", "AMRR", "AMRR", (False, "", ODD),
      {"area_crossing": False, "hex": "", "msg": ODD}),
+    (0.5, "ctl_drop", "LER", "AMRR", ("BindingUpdate", "node_failed"),
+     {"msg": "BindingUpdate", "why": "node_failed"}),
     (1.0, "fib_update", "AMRR", None, (TOP, 16, "LER", "10.0.0.1/32", ODD),
      {"cml": TOP, "lml": 16, "origin": "LER", "prefix": "10.0.0.1/32",
       "what": ODD}),
@@ -212,69 +206,64 @@ HOT = [
       "what": "created"}),
     (1.5, "register", "LER", None, (0, ODD, 16, "10.0.0.1/32"),
      {"area_sent": 0, "interface": ODD, "label": 16, "prefix": "10.0.0.1/32"}),
+    (1.5, "attach", "LER", None, (0, "c1", "10.0.0.1/32", "MR1"),
+     {"area_hint": 0, "cell": "c1", "prefix": "10.0.0.1/32", "region": "MR1"}),
+    (1.5, "local_handoff", "LER", None, (ODD, "10.0.0.1/32"),
+     {"interface": ODD, "prefix": "10.0.0.1/32"}),
     (2.0, "move", "LER", None, (ODD, "10.0.0.1/32", "MR1", True),
      {"from_region": ODD, "prefix": "10.0.0.1/32", "region": "MR1",
       "same_ler": True}),
     (2.0, "move", "LER", None, ("MR1", ODD, ODD, False),
      {"from_region": "MR1", "prefix": ODD, "region": ODD, "same_ler": False}),
+    (2.0, "detach", None, None, (ODD,), {"prefix": ODD}),
+    (2.5, "data_drop", "LER", None, ("f1", "stale_location", False, 3),
+     {"flow": "f1", "reason": "stale_location", "replica": False, "seq": 3}),
+    (2.5, "data_drop", None, None, (ODD, "source_not_attached", False, 0),
+     {"flow": ODD, "reason": "source_not_attached", "replica": False,
+      "seq": 0}),
+    (2.5, "ignored_withdrawal", "AMRR", None, ("LER", "10.0.0.1/32"),
+     {"from": "LER", "prefix": "10.0.0.1/32"}),
+    (2.5, "warn/area", "AMRR", None, (9, ODD, "unknown_peer_area"),
+     {"area": 9, "prefix": ODD, "what": "unknown_peer_area"}),
+    (2.5, "warn/from", "AMRR", None,
+     ("LER", "10.0.0.1/32", "external_before_internal"),
+     {"from": "LER", "prefix": "10.0.0.1/32",
+      "what": "external_before_internal"}),
+    (2.5, "warn/from", "AMRR", None, ("unknown-id", ODD, ODD),
+     {"from": "unknown-id", "prefix": ODD, "what": ODD}),
+    (2.5, "warn/node", "AMRR", None, ("LER", "aler_failed_without_twin"),
+     {"node": "LER", "what": "aler_failed_without_twin"}),
+    (2.5, "warn/prefix", "AMRR", None, (ODD, "lrl_without_alias"),
+     {"prefix": ODD, "what": "lrl_without_alias"}),
+    (3.0, "node_fail", "AMRR", None, (), {}),
 ]
 
 
 def test_flat_keys_are_sorted_as_the_lines_write_them():
-    for keys in simulator.FLAT_KEYS.values():
+    for keys in TRACE_KEYS.values():
         assert list(keys) == sorted(keys)
-    # each entry's length is that of its records: a stack is four values
-    for (kind, length), keys in simulator.FLAT_KEYS.items():
-        assert length == 4 + len(keys) + 3 * ("stack" in keys)
-    # every entry, each ctl_send shape included, is rendered in HOT
-    assert {(kind, 4 + len(values)) for _, kind, _, _, values, _ in HOT
-            if values is not None} == set(simulator.FLAT_KEYS)
+    # every entry, each variant of a kind included, is rendered in HOT
+    assert {name for _, name, *_ in HOT} == set(TRACE_KEYS)
 
 
-def _record_hot(sim, hot) -> list:
-    """Record each ``HOT`` entry in ``hot`` with real router ids, flat
-    unless its values are None; returns the dict records they stand for."""
-    hot = _real_ids(sim, [(now, kind, src, dst, (values, detail))
-                          for now, kind, src, dst, values, detail in hot])
-    # a router id is recorded raw under "origin"; the old dict held its name
-    rid = sim.graph.by_role(NodeRole.LER)[0]
-    hot = [(now, kind, src, dst,
-            (values and tuple(rid if v == "LER" else v for v in values),
-             {k: sim.graph.name_of(rid) if v == "LER" else v
-              for k, v in detail.items()}))
-           for now, kind, src, dst, (values, detail) in hot]
-    for now, kind, src, dst, (values, detail) in hot:
-        sim.now = now
-        if values is None:
-            sim.trace_event(kind, src=src, dst=dst, detail=detail)
-        else:
-            sim.trace_event(kind, src, dst, *values)
-    return [(now, kind, src, dst, detail)
-            for now, kind, src, dst, (_, detail) in hot]
-
-
-@pytest.mark.parametrize("c_encoder", [True, False])
-def test_flat_records_render_as_their_dicts_did(c_encoder, monkeypatch):
-    if not c_encoder:
-        monkeypatch.setattr(simulator, "c_make_encoder", None)
+def test_flat_records_render_as_their_dicts_did():
     sim = _fresh_sim()
-    records = _record_hot(sim, HOT)
-    assert [len(rec) > 5 or type(rec[4]) is str for rec in sim._records] == \
-        [values is not None for *_, values, _ in HOT]
+    records = _record_all(sim, HOT)
     assert sim.trace_jsonl() == _reference_jsonl(sim, records)
     assert sim.trace == _reference_trace(sim, records)
     lines = sim.trace_jsonl().splitlines()
     assert lines[3].endswith('"t": 3.0}') and lines[4].endswith('"t": 3}')
     assert lines[6].endswith('"t": 0.0}') and lines[7].endswith('"t": -0.0}')
+    assert '"kind": "warn"' in lines[-3] and '"kind": "ctl_send"' in lines[15]
 
 
 @pytest.mark.parametrize("count", [0, 1, 511, 512, 513, 1024, 1025])
 def test_traces_render_whole_across_chunk_boundaries(count):
-    """Lines are joined 512 at a time; a trace of any length, flat and dict
-    records mixed, still renders as the dict encoder wrote it."""
+    """Lines are joined 512 at a time; a trace of any length, every entry
+    mixed, still renders as the dict encoder wrote it."""
     assert simulator.CHUNK_LINES == 512
     sim = _fresh_sim()
-    records = _record_hot(sim, (HOT * (count // len(HOT) + 1))[:count])
+    records = _record_all(sim, (HOT * (count // len(HOT) + 1))[:count])
     assert len(sim._records) == count
     assert sim.trace_jsonl() == _reference_jsonl(sim, records)
     assert sim.trace == _reference_trace(sim, records)
@@ -283,15 +272,46 @@ def test_traces_render_whole_across_chunk_boundaries(count):
 @pytest.mark.parametrize("name", ['fl"ow', "fl'ow", "fl{ow", "fl}ow",
                                   "fl\\ow", "flow\n", "fl ow", "fl\u00e9w",
                                   "", "1flow"])
-@pytest.mark.parametrize("where", ["kind", "key"])
+@pytest.mark.parametrize("where", ["kind", "key", "variant"])
 def test_line_factories_refuse_names_that_are_not_identifiers(name, where):
-    """Kinds and keys are written into generated source; a quote or brace
-    in one is refused before any source is built."""
-    schema = ({(name, 5): ("flow",)} if where == "kind"
-              else {("data_hop", 6): ("flow", name)})
+    """Kinds, variants and keys are written into generated source, or name
+    a record; a quote or brace in one is refused before any source is
+    built."""
+    schema = {"kind": {name: ("flow",)},
+              "key": {"data_hop": ("flow", name)},
+              "variant": {f"warn/{name}": ("what",)}}[where]
     with pytest.raises(ValueError, match="identifiers"):
         simulator._line_factories(schema)
-    assert simulator._line_factories({("data_hop", 6): ("flow", "seq")})
+    with pytest.raises(ValueError, match="identifiers"):  # one "/" at most
+        simulator._line_factories({"warn/from/x": ("what",)})
+    assert simulator._line_factories({"data_hop": ("flow", "seq"),
+                                      "warn/from": ("from", "what")})
+
+
+def test_every_name_the_program_records_is_a_trace_keys_entry():
+    """Each literal name passed to ``trace_event`` or ``emit`` in the
+    package is a ``TRACE_KEYS`` entry, and every entry is recorded
+    somewhere; where no value is starred, the call passes the entry's
+    value count (a two-label stack four), so a misspelt or miscounted rare
+    record fails here rather than in ``trace_jsonl`` after a run."""
+    used = set()
+    for path in sorted(SOURCE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("trace_event", "emit")
+                    and node.args and isinstance(node.args[0], ast.Constant)):
+                continue
+            name = node.args[0].value
+            where = f"{path.name}:{node.lineno}"
+            assert name in TRACE_KEYS, where
+            used.add(name)
+            values = node.args[1 + 2 * (node.func.attr == "trace_event"):]
+            assert not node.keywords, where
+            if not any(isinstance(v, ast.Starred) for v in values):
+                assert len(values) == (len(TRACE_KEYS[name])
+                                       + 3 * (name == LABEL_PAIR)), where
+    assert used == set(TRACE_KEYS)
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3])
@@ -310,25 +330,22 @@ def test_transmit_records_a_stack_of_any_depth(depth):
     records = [(0.25, "data_hop", src, dst, detail)]
     assert sim.trace == _reference_trace(sim, records)
     assert sim.trace_jsonl() == _reference_jsonl(sim, records)
-    assert len(sim._records[0]) == (10 if depth == 2 else 5)
+    assert sim._records[0][1:2] == (("data_hop",) if depth == 2
+                                    else ("data_hop/text",))
 
 
 def test_flat_records_hold_only_untracked_atomic_values():
-    """Every flat record is a tuple of str/int/float/bool/None, which the
-    cyclic collector stops tracking after one pass; a message, payload,
-    prefix or enum member kept in one would be tracked for the whole run."""
-    seen = set()
-    for name in ("ha_failover", "inter_area_handoff"):  # blanket, move
+    """Every record is a tuple of str/int/float/bool/None, which the cyclic
+    collector stops tracking after one pass; a message, payload, prefix or
+    enum member kept in one would be tracked for the whole run."""
+    for name in sorted(BUNDLED_SCENARIOS):
         sim = run_scenario(load_scenario(SCENARIO_DIR / f"{name}.json"))
         gc.collect()
         for rec in sim._records:
-            if rec[4] is None or type(rec[4]) is dict:
-                continue
-            seen.add((rec[1], len(rec)))
+            assert rec[1] in TRACE_KEYS, rec
             assert all(type(v) in (str, int, float, bool, type(None))
                        for v in rec), rec
             assert not gc.is_tracked(rec), rec
-    assert seen == set(simulator.FLAT_KEYS)
 
 
 # a data_hop's stable values, (src, dst, flow, top label, inner label), each
@@ -392,8 +409,8 @@ def test_hops_with_odd_flow_and_tag_texts_render_as_the_encoder_did():
 @pytest.mark.parametrize("count", [511, 512, 513, 1025])
 def test_recurring_hops_render_whole_across_chunk_boundaries(count):
     """Stems made in one chunk of 512 lines are filled in the next, and a
-    key first seen in the second chunk is stemmed there; a hop recorded as
-    a dict, one label deep, sits among them."""
+    key first seen in the second chunk is stemmed there; a hop one label
+    deep, its stack a text, sits among them."""
     sim = _fresh_sim()
     keys, ler = [HOP_A, HOP_B, HOP_ODD, HOP_C], sim.graph.by_role(NodeRole.LER)[0]
     records = []
@@ -401,7 +418,7 @@ def test_recurring_hops_render_whole_across_chunk_boundaries(count):
         if n % 100 == 99:
             sim.now = n / 8
             detail = {"flow": "f1", "seq": n, "stack": "i16"}
-            sim.trace_event("data_hop", src=ler, detail=detail)
+            sim.trace_event("data_hop/text", ler, None, "f1", n, "i16")
             records.append((sim.now, "data_hop", ler, None, detail))
         else:
             records += _record_hops(sim, [(n / 8, keys[n % (3 + (n > 520))],
