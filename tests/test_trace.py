@@ -102,9 +102,22 @@ def test_empty_trace_renders_empty():
     assert sim.trace_jsonl() == ""
 
 
-def test_rendering_matches_the_dict_encoder_byte_for_byte():
+def _record_in_two_renders(sim, records, render_midway) -> list:
+    """``_record_all`` of ``records``; with ``render_midway``, the trace is
+    rendered once after the first half, so a second render shows whether
+    anything of the first (a memo, a stem, a parsed list) outlived it."""
+    half = len(records) // 2
+    out = _record_all(sim, records[:half])
+    if render_midway:
+        assert sim.trace_jsonl() == _reference_jsonl(sim, out)
+        assert len(sim.trace) == half
+    return out + _record_all(sim, records[half:])
+
+
+@pytest.mark.parametrize("render_midway", [True, False])
+def test_rendering_matches_the_dict_encoder_byte_for_byte(render_midway):
     sim = _fresh_sim()
-    records = _record_all(sim, RECORDS)
+    records = _record_in_two_renders(sim, RECORDS, render_midway)
     text = sim.trace_jsonl()
     assert text == _reference_jsonl(sim, records)
     assert "\\u00e9" in text and "\\ud83d\\ude00" in text  # ASCII only
@@ -246,9 +259,10 @@ def test_flat_keys_are_sorted_as_the_lines_write_them():
     assert {name for _, name, *_ in HOT} == set(TRACE_KEYS)
 
 
-def test_flat_records_render_as_their_dicts_did():
+@pytest.mark.parametrize("render_midway", [True, False])
+def test_flat_records_render_as_their_dicts_did(render_midway):
     sim = _fresh_sim()
-    records = _record_all(sim, HOT)
+    records = _record_in_two_renders(sim, HOT, render_midway)
     assert sim.trace_jsonl() == _reference_jsonl(sim, records)
     assert sim.trace == _reference_trace(sim, records)
     lines = sim.trace_jsonl().splitlines()
