@@ -1,7 +1,7 @@
 """Area aggregation node: label-trail FIB and segment stitching.
 
-The ALER aliases every mobile prefix it hears about behind a Local Mobility
-Label of its own.  The label trail links that alias to the current
+The ALER aliases every mobile prefix it hears about behind a local mobility
+label of its own.  The label trail links that alias to the current
 downstream label and the infrastructure LSP toward the binding's origin, so
 intra-area movement rewrites one FIB record here instead of updating the
 rest of the network.  The FIB is indexed both by prefix (control plane) and
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .forwarding import DataPacket, Label
+from .forwarding import DataPacket
 from .labels import LabelAllocator
 from .messages import (
     ControlMessage,
@@ -29,14 +29,15 @@ from .messages import (
 @dataclass
 class FibEntry:
     prefix: MobilePrefix
-    origin_router_id: str
-    in_top_label: int
     local_mobility_label: int
-    current_mobility_label: int
-    out_top_label: int
-    out_interface_id: str
-    next_hop: str
-    expiry: float
+    # the rest is set from each binding, by AlerNode._alias and _retrail
+    current_mobility_label: int = 0
+    expiry: float = 0.0
+    origin_router_id: str = ""
+    in_top_label: int = 0
+    out_top_label: int = 0
+    next_hop: str = ""
+    out_interface_id: str = ""
 
     def dump_line(self, name_of) -> str:
         return (f"prefix={self.prefix} origin={self.origin_router_id}"
@@ -75,7 +76,7 @@ class AlerNode(ControlNode):
     def handle_internal_update(self, msg: ControlMessage) -> FibEntry:
         """Binding for a mobile served inside this area, relayed by the AMRR.
 
-        A first-seen prefix gets a Local Mobility Label and is re-originated
+        A first-seen prefix gets a local mobility label and is re-originated
         outward (external update, our router id as next hop).  Known
         prefixes only have their trail refreshed; the alias is stable.
         """
@@ -87,7 +88,22 @@ class AlerNode(ControlNode):
         return self._alias(msg.payload.binding, UpdateType.INTERNAL)
 
     def _alias(self, binding: MobilityBinding, announce_as: UpdateType) -> FibEntry:
-        entry, created = self._upsert(binding)
+        """The prefix's entry, made or updated from ``binding``.  A prefix
+        without a live entry gets a new one under a fresh alias, announced
+        to the area's AMRRs as ``announce_as``."""
+        key = str(binding.prefix)
+        entry = self._live(self.fib.get(key))
+        created = entry is None
+        if created:
+            entry = FibEntry(binding.prefix, self.allocator.allocate())
+            self.fib[key] = self.by_label[entry.local_mobility_label] = entry
+        changed = created or (entry.origin_router_id != binding.origin_next_hop
+                              or entry.current_mobility_label != binding.label)
+        entry.current_mobility_label = binding.label
+        entry.expiry = self.services.now() + binding.lifetime_s
+        self._retrail(entry, binding.origin_next_hop)
+        if changed:
+            self._emit_fib(entry, "created" if created else "updated")
         if created:
             announced = binding._replace(
                 origin_next_hop=self.rid, label=entry.local_mobility_label,
@@ -98,51 +114,10 @@ class AlerNode(ControlNode):
                                    UpdatePayload(announced))
         return entry
 
-    def _upsert(self, binding: MobilityBinding) -> tuple[FibEntry, bool]:
-        key = str(binding.prefix)
-        in_top, out_top, next_hop, out_if = self.services.trail_to(
-            self.rid, binding.origin_next_hop)
-        expiry = self.services.now() + binding.lifetime_s
-        entry = self.fib.get(key)
-        if entry is not None and self.services.now() > entry.expiry:
-            # already dead: a fresh alias must be allocated and re-announced
-            self.fib.pop(key, None)
-            self.by_label.pop(entry.local_mobility_label, None)
-            entry = None
-        if entry is None:
-            entry = FibEntry(
-                prefix=binding.prefix,
-                origin_router_id=binding.origin_next_hop,
-                in_top_label=in_top,
-                local_mobility_label=self.allocator.allocate(),
-                current_mobility_label=binding.label,
-                out_top_label=out_top,
-                out_interface_id=out_if,
-                next_hop=next_hop,
-                expiry=expiry,
-            )
-            self.fib[key] = entry
-            self.by_label[entry.local_mobility_label] = entry
-            self._emit_fib(entry, "created")
-            return entry, True
-        changed = (entry.origin_router_id != binding.origin_next_hop
-                   or entry.current_mobility_label != binding.label)
-        entry.origin_router_id = binding.origin_next_hop
-        entry.current_mobility_label = binding.label
-        entry.in_top_label = in_top
-        entry.out_top_label = out_top
-        entry.next_hop = next_hop
-        entry.out_interface_id = out_if
-        entry.expiry = expiry
-        if changed:
-            self._emit_fib(entry, "updated")
-        return entry, False
-
     def handle_withdrawal(self, msg: ControlMessage):
-        key = str(msg.payload.prefix)
-        entry = self.fib.pop(key, None)
+        entry = self.fib.get(str(msg.payload.prefix))
         if entry:
-            self.by_label.pop(entry.local_mobility_label, None)
+            self._remove(entry)
             self._emit_fib(entry, "withdrawn")
 
     def handle_blanket(self, msg: ControlMessage):
@@ -152,41 +127,49 @@ class AlerNode(ControlNode):
         """Repoint every trail that terminated at a failed twin ALER."""
         for key in sorted(self.fib):
             entry = self.fib[key]
-            if entry.origin_router_id != failed:
-                continue
-            in_top, out_top, next_hop, out_if = self.services.trail_to(
-                self.rid, survivor)
-            entry.origin_router_id = survivor
-            entry.in_top_label = in_top
-            entry.out_top_label = out_top
-            entry.next_hop = next_hop
-            entry.out_interface_id = out_if
-            self._emit_fib(entry, "failover")
+            if entry.origin_router_id == failed:
+                self._retrail(entry, survivor)
+                self._emit_fib(entry, "failover")
 
     def expire(self, now: float):
-        for key in [k for k, e in self.fib.items() if now > e.expiry]:
-            entry = self.fib.pop(key)
-            self.by_label.pop(entry.local_mobility_label, None)
+        for entry in [e for e in self.fib.values() if now > e.expiry]:
+            self._remove(entry)
+
+    # -------------------------------------------------------------- table
+
+    def _retrail(self, entry: FibEntry, origin: str):
+        """Point ``entry`` at ``origin``: its origin and the trail there."""
+        entry.origin_router_id = origin
+        (entry.in_top_label, entry.out_top_label, entry.next_hop,
+         entry.out_interface_id) = self.services.trail_to(self.rid, origin)
+
+    def _live(self, entry: FibEntry | None) -> FibEntry | None:
+        """``entry``, or None if it is None or past its lifetime; a dead
+        one the periodic sweep has not collected yet is removed now."""
+        if entry is not None and self.services.now() > entry.expiry:
+            self._remove(entry)
+            return None
+        return entry
+
+    def _remove(self, entry: FibEntry):
+        """Drop ``entry`` from both indexes of the FIB."""
+        self.fib.pop(str(entry.prefix), None)
+        self.by_label.pop(entry.local_mobility_label, None)
 
     # --------------------------------------------------------------- data
 
-    def forward_transit(self, packet: DataPacket, top: Label):
-        """Terminating segment: swap the mobility label through the FIB and
-        push the next segment's top label.  The engine popped ``top`` before
-        delegation; it goes back on the stack carrying that label."""
-        inner = packet.stack[0]
-        entry = self.by_label.get(inner.value)
-        if entry is not None and self.services.now() > entry.expiry:
-            # lifetime ran out before the periodic sweep collected it
-            self.fib.pop(str(entry.prefix), None)
-            self.by_label.pop(entry.local_mobility_label, None)
-            entry = None
+    def forward_transit(self, packet: DataPacket):
+        """Terminating segment.  The engine popped the top label, so the
+        stack's top is one of our local mobility labels: it is rewritten to
+        the FIB entry's current mobility label, and the next segment's top
+        label is pushed above it."""
+        stack = packet.stack
+        entry = self._live(self.by_label.get(stack[0]))
         if entry is None:
             self.services.drop(packet, self.rid, "unknown_local_mobility_label")
             return
-        inner.value = entry.current_mobility_label
-        top.value = entry.out_top_label
-        packet.stack.insert(0, top)
+        stack[0] = entry.current_mobility_label
+        stack.insert(0, entry.out_top_label)
         self.services.transmit(packet, self.rid, entry.next_hop)
 
     # ---------------------------------------------------------------- misc

@@ -118,29 +118,18 @@ class AmrrNode(ControlNode):
         """Area-id check: own-area bindings are stored and reflected to the
         ALERs only; a foreign area id additionally starts the requestor-list
         exchange with that area's AMRR and is rewritten to our own."""
-        now = self.services.now()
         key = str(binding.prefix)
         rec = self._live_record(key)
-        previous_origin = None
-        target_area = None
-        if rec is not None and rec.area_id == self.area:
-            previous_origin = rec.binding.origin_next_hop
-        if binding.area_id == self.area:
-            stored = binding
-        else:
-            target_area = binding.area_id
-            stored = binding._replace(area_id=self.area)
-            if target_area not in self.amrrs_by_area:
-                self.services.emit("warn/area", target_area, key,
-                                   "unknown_peer_area")
-                target_area = None
-        if rec is None:
-            rec = AmrrRecord(binding.prefix, stored, self.area)
-            self.records[key] = rec
-        else:
-            rec.binding = stored
-            rec.area_id = self.area
-        rec.expiry = now + binding.lifetime_s
+        previous_origin = (rec.binding.origin_next_hop if rec is not None
+                           and rec.area_id == self.area else None)
+        stored = (binding if binding.area_id == self.area
+                  else binding._replace(area_id=self.area))
+        target_area = binding.area_id if binding.area_id != self.area else None
+        if target_area is not None and target_area not in self.amrrs_by_area:
+            self.services.emit("warn/area", target_area, key,
+                               "unknown_peer_area")
+            target_area = None
+        rec = self._store(stored, self.area)
         self._reflect_to_alers(stored, UpdateType.INTERNAL)
         if (self.reflect_to_previous and previous_origin
                 and previous_origin != binding.origin_next_hop
@@ -149,57 +138,62 @@ class AmrrNode(ControlNode):
                 update_mode=UpdateMode.UNSOLICITED_DOWNSTREAM_PUSH)
             self.services.send(MessageKind.BINDING_UPDATE, previous_origin,
                                UpdatePayload(reflected))
-        if binding.area_id != self.area and target_area is not None:
+        if target_area is not None:
             if rec.aler_labels:
                 self._send_lrl_exchange(rec, target_area)
             else:
                 rec.pending_lrl_target = target_area
 
-    def _record_or_warn(self, binding: MobilityBinding, sender: str, what: str):
-        """The prefix's record; a missing one is warned of and created."""
+    def _aler_alias(self, binding: MobilityBinding, sender: str,
+                    what: str) -> AmrrRecord:
+        """The prefix's live record, holding ``binding.label`` as the alias
+        of the ALER ``sender``, with its expiry renewed; a missing record is
+        warned of as ``what`` and created."""
         key = str(binding.prefix)
-        rec = self.records.get(key)
+        rec = self._live_record(key)
         if rec is None:
             self.services.emit("warn/from", sender, key, what)
             rec = self.records[key] = AmrrRecord(binding.prefix, binding,
                                                  binding.area_id)
+        rec.aler_labels[sender] = binding.label
+        rec.expiry = self.services.now() + binding.lifetime_s
         return rec
 
     def _external_from_aler(self, binding: MobilityBinding, sender: str):
-        rec = self._record_or_warn(binding, sender, "external_before_internal")
-        rec.aler_labels[sender] = binding.label
+        rec = self._aler_alias(binding, sender, "external_before_internal")
         rec.area_id = binding.area_id  # stored as received, no area-id check
-        rec.expiry = self.services.now() + binding.lifetime_s
-        if rec.pending_lrl_target is not None:
-            target = rec.pending_lrl_target
-            rec.pending_lrl_target = None
+        target, rec.pending_lrl_target = rec.pending_lrl_target, None
+        if target is not None:
             self._send_lrl_exchange(rec, target)
 
     def _internal_from_aler(self, binding: MobilityBinding, sender: str):
-        """An ALER re-announced an outside mobile inward; answer any LER
-        requests that were parked on the resolution."""
-        rec = self._record_or_warn(binding, sender, "internal_before_record")
+        """An ALER re-announced an outside mobile inward, under the alias it
+        holds now; answer any LER requests that were parked on the
+        resolution."""
+        rec = self._aler_alias(binding, sender, "internal_before_record")
         rec.resolved_local = binding
-        rec.aler_labels.setdefault(sender, binding.label)
-        rec.expiry = self.services.now() + binding.lifetime_s
         pending = self.pending.pop(str(binding.prefix), None)
         if pending:
             for ler in pending.lers:
-                rec.lrl.add_internal(ler)
-                self.services.send(MessageKind.BINDING_REPLY_POSITIVE, ler,
-                                   UpdatePayload(binding))
+                self._answer(rec, ler, binding)
 
     def _external_from_peer(self, binding: MobilityBinding, sender: str):
+        self._store(binding, binding.area_id)
+        self._reflect_to_alers(binding, UpdateType.EXTERNAL)
+
+    def _store(self, binding: MobilityBinding, area_id: int) -> AmrrRecord:
+        """The prefix's live record, made or updated to hold ``binding`` as
+        its truth and ``area_id`` as its area, with its expiry renewed."""
         key = str(binding.prefix)
-        rec = self.records.get(key)
+        rec = self._live_record(key)
         if rec is None:
-            rec = AmrrRecord(binding.prefix, binding, binding.area_id)
-            self.records[key] = rec
+            rec = self.records[key] = AmrrRecord(binding.prefix, binding,
+                                                 area_id)
         else:
             rec.binding = binding
-            rec.area_id = binding.area_id
+            rec.area_id = area_id
         rec.expiry = self.services.now() + binding.lifetime_s
-        self._reflect_to_alers(binding, UpdateType.EXTERNAL)
+        return rec
 
     def _reflect_to_alers(self, binding: MobilityBinding, update_type: UpdateType):
         reflected = binding._replace(
@@ -234,17 +228,14 @@ class AmrrNode(ControlNode):
                 self.services.send(MessageKind.BINDING_REPLY_NEGATIVE, msg.src,
                                    NegativeReplyPayload(prefix))
             return
-        # internal LER client
-        if rec is not None and rec.area_id == self.area:
-            rec.lrl.add_internal(msg.src)
-            self.services.send(MessageKind.BINDING_REPLY_POSITIVE, msg.src,
-                               UpdatePayload(rec.binding))
-            return
-        if rec is not None and rec.resolved_local is not None:
-            rec.lrl.add_internal(msg.src)
-            self.services.send(MessageKind.BINDING_REPLY_POSITIVE, msg.src,
-                               UpdatePayload(rec.resolved_local))
-            return
+        # internal LER client: the origin LER of a mobile that is ours, else
+        # a local ALER's alias of one that is not, once resolved
+        if rec is not None:
+            known = (rec.binding if rec.area_id == self.area
+                     else rec.resolved_local)
+            if known is not None:
+                self._answer(rec, msg.src, known)
+                return
         pending = self.pending.get(key)
         if pending is not None:
             if msg.src not in pending.lers:
@@ -259,6 +250,13 @@ class AmrrNode(ControlNode):
         payload = RequestPayload(prefix, msg.payload.requestor_area)
         for peer in self.peers:
             self.services.send(MessageKind.BINDING_REQUEST, peer, payload)
+
+    def _answer(self, rec: AmrrRecord, ler: str, binding: MobilityBinding):
+        """Remember ``ler`` as an internal requestor of ``rec`` and send it
+        ``binding`` in a positive reply."""
+        rec.lrl.add_internal(ler)
+        self.services.send(MessageKind.BINDING_REPLY_POSITIVE, ler,
+                           UpdatePayload(binding))
 
     def handle_reply(self, msg: ControlMessage):
         """Aggregate peer replies for a flooded request: first positive wins
@@ -312,8 +310,7 @@ class AmrrNode(ControlNode):
                            LrlReplyPayload(msg.payload.prefix, areas))
 
     def handle_lrl_reply(self, msg: ControlMessage):
-        key = str(msg.payload.prefix)
-        rec = self.records.get(key)
+        rec = self._live_record(str(msg.payload.prefix))
         if rec is None:
             return
         content = self._own_external_content(rec)

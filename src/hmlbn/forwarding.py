@@ -1,12 +1,12 @@
 """Data-plane packet structures and hop-by-hop label switching.
 
-A packet carries at most two labels: an infrastructure (top) label selecting
-the LSP toward a router id, and a mobility (inner) label naming the mobile
-prefix or the next LSP segment.  Intermediate nodes act on label position
-and table lookups only; the tag on each label exists purely so traces are
-readable.  A swap rewrites the top label's value in place; an ALER
-rewrites the inner label and pushes the popped top label back with a new
-value, so only imposition allocates labels.
+A packet carries at most two labels, top first.  As in MPLS (RFC 3032), a
+label is a plain int and its position gives its role: the top label is the
+infrastructure label selecting the LSP toward a router id, the one beneath
+it the mobility label naming the mobile prefix or the next LSP segment.
+Intermediate nodes act on label position and table lookups only.  A swap
+rewrites the top value; an ALER rewrites the inner value and pushes the next
+segment's top value, so only imposition allocates labels.
 A hop reads its action by one subscript on the node's self-filling row of
 ``LspTable.in_actions``.  At a pop the node's role picks the handler: an
 ALER transits, a LER delivers, any other pop drops as ``no_label_entry``.
@@ -21,16 +21,6 @@ from dataclasses import dataclass, field
 from . import topology
 from .messages import MobilePrefix
 
-INFRA = "i"
-MOBILITY = "m"
-
-
-@dataclass(slots=True)
-class Label:
-    value: int
-    tag: str  # INFRA or MOBILITY, diagnostic only
-
-
 @dataclass(slots=True)
 class DataPacket:
     flow_id: str
@@ -38,7 +28,7 @@ class DataPacket:
     src_prefix: MobilePrefix
     dst_prefix: MobilePrefix
     created_at: float
-    stack: list[Label] = field(default_factory=list)
+    stack: list[int] = field(default_factory=list)  # top first
     hop_trace: list[str] = field(default_factory=list)  # node names
     ingressed: bool = False
     post_ingress_lookups: int = 0
@@ -50,8 +40,9 @@ class DataPacket:
         return self.dst_prefix
 
     def render_stack(self) -> str:
-        return "/".join([f"{label.tag}{label.value}"
-                         for label in self.stack]) or "-"
+        """``i`` before the top label, ``m`` before each label beneath it."""
+        return "/".join([f"{'m' if n else 'i'}{label}"
+                         for n, label in enumerate(self.stack)]) or "-"
 
     def path_string(self) -> str:
         return ">".join(self.hop_trace)
@@ -74,19 +65,19 @@ class ForwardingEngine:
 
     def step(self, packet: DataPacket, node: str):
         stack = packet.stack
-        action = self.actions[node][stack[0].value] if stack else None
+        action = self.actions[node][stack[0]] if stack else None
         if action is None:
             self.transport.drop(packet, node, "no_label_entry")
             return
         if action[0] == topology.SWAP:
-            _, stack[0].value, next_hop = action  # the top label, in place
+            _, stack[0], next_hop = action
             self.transport.transmit(packet, node, next_hop)
             return
         # top label pops here: this node terminates the LSP segment
-        top = stack.pop(0)
+        del stack[0]
         role = self.graph.nodes[node].role
         if role is topology.NodeRole.ALER and stack:
-            self.nodes[node].forward_transit(packet, top)
+            self.nodes[node].forward_transit(packet)
         elif role is topology.NodeRole.LER and stack:
             self.nodes[node].egress_deliver(packet)
         else:

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import NotRegistered, UnknownInterface
-from .forwarding import INFRA, MOBILITY, DataPacket, Label
+from .forwarding import DataPacket
 from .labels import LabelAllocator
 from .messages import (
     ControlMessage,
@@ -199,13 +199,12 @@ class LerNode(ControlNode):
                 self.services.drop(packet, self.rid, "no_binding")
             return
         out_label, next_hop = self.services.infra_path(self.rid, binding.origin_next_hop)
-        packet.stack = [Label(out_label, INFRA), Label(binding.label, MOBILITY)]
+        packet.stack = [out_label, binding.label]
         self.services.transmit(packet, self.rid, next_hop)
 
     def egress_deliver(self, packet: DataPacket):
         """Terminate a flow: the inner label names a local registration."""
-        label = packet.stack.pop(0)
-        record = self.regs_by_label.get(label.value)
+        record = self.regs_by_label.get(packet.stack.pop(0))
         if record is None:
             self.services.drop(packet, self.rid, "unknown_mobility_label")
             return

@@ -216,16 +216,19 @@ UPDATE_TYPE_TEXT = {utype: utype.name for utype in UpdateType}
 # takes the same hops under the same labels; a stem would only cost a kind
 # whose other values seldom come back.
 STEMMED = {"data_hop": ("seq",)}
-# the entry whose "stack" is two labels deep, kept as four values: the top
-# label's tag and value, then the inner label's.  Any other stack is a text.
+# the entry whose "stack" is two labels deep, kept as two values, the top
+# label and the inner one, and written "i{top}/m{inner}".  Any other stack
+# is a text.
 LABEL_PAIR = "data_hop"
 CHUNK_LINES = 512  # trace lines joined at a time, then the chunks
 
 
 def _line_factories(schema: dict) -> dict:
-    """``(factory, slots)`` per ``schema`` entry: ``factory(R, *memos)``, a
-    memo per ``slots`` kind, returns ``line(record, seq, t)``, one f-string
-    naming routers through ``R``.  Only kinds and keys enter the source.
+    """``(factory, n)`` per ``schema`` entry: ``factory(R, *memos)``, one
+    value memo for each of its ``n`` value slots, returns ``line(record,
+    seq, t)``, one f-string naming routers through ``R``.  Only kinds and
+    keys enter the source.  A ``LABEL_PAIR`` stack is written literally as
+    ``i{top}/m{inner}``, each label an int as its str.
 
     A ``STEMMED`` entry's line function, for as long as it lives, keys each
     record by its values but the changing ones.  A key's first record is
@@ -243,21 +246,18 @@ def _line_factories(schema: dict) -> dict:
         # the line as f-string source in parts: at odd indices what changes
         # from record to record (a changing value, the record's seq, t), at
         # even ones the stable text between
-        parts, slots, cuts, i = ['{{"detail": {{'], {}, [], 4
+        parts, slots, cuts, i = ['{{"detail": {{'], [], [], 4
         for n, key in enumerate(keys):
             parts[-1] += ", " * (n > 0) + '"%s": ' % key
             if key == "stack" and name == LABEL_PAIR:
-                # tag, value, tag, value; a value as its str
-                slots.update({i: "tag", i + 2: "tag"})
-                parts[-1] += ('"{s%d[r[%d]]}{r[%d]!s}/{s%d[r[%d]]}{r[%d]!s}"'
-                              % (i, i, i + 1, i + 2, i + 2, i + 3))
-                i += 3
+                parts[-1] += '"i{r[%d]!s}/m{r[%d]!s}"' % (i, i + 1)
+                i += 1
             elif key in ROUTER_KEYS:
                 parts[-1] += "{R[r[%d]]}" % i
             elif key == "hex":  # seldom repeated: encoded anew each time
                 parts[-1] += "{A(r[%d])}" % i
             else:
-                slots[i] = "value"
+                slots.append(i)
                 if key in changing:
                     parts += ["{s%d[r[%d]]}" % (i, i), ""]
                     cuts.append(i)
@@ -291,7 +291,7 @@ def _line_factories(schema: dict) -> dict:
         params = "".join(f", s{i}" for i in slots)
         exec(f"def factory(R{params}):\n{source}",
              namespace := {"A": encode_basestring_ascii})
-        factories[name] = namespace["factory"], list(slots.values())
+        factories[name] = namespace["factory"], len(slots)
     return factories
 
 
@@ -485,10 +485,8 @@ class Simulation:
         encode, names = json.dumps, self._names
         router = _Memo(lambda rid: encode(names.get(rid, rid)))
         times = _Memo(lambda t: repr(round(t, 9)) if t - t == 0 else encode(t))
-        memo = {"value": lambda: _Memo(encode),
-                "tag": lambda: _Memo(lambda tag: encode(tag)[1:-1])}
-        lines_of = {name: factory(router, *[memo[slot]() for slot in slots])
-                    for name, (factory, slots) in LINE_FACTORIES.items()}
+        lines_of = {name: factory(router, *[_Memo(encode) for _ in range(n)])
+                    for name, (factory, n) in LINE_FACTORIES.items()}
         records, chunks = self._records, []
         for start in range(0, len(records), CHUNK_LINES):
             lines = []
@@ -640,8 +638,7 @@ class Simulation:
         if depth == 2:
             top, inner = stack
             self.trace_event("data_hop", from_node, to_node, packet.flow_id,
-                             packet.seq, top.tag, top.value, inner.tag,
-                             inner.value)
+                             packet.seq, top, inner)
         else:
             self.trace_event("data_hop/text", from_node, to_node,
                              packet.flow_id, packet.seq, packet.render_stack())

@@ -59,9 +59,9 @@ class FakeServices:
 
     def emit(self, name, *values):
         # kept as its kind and the dict its TRACE_KEYS entry names; the
-        # count must be the entry's, a two-label stack counting as four
+        # count must be the entry's, a two-label stack counting as two
         keys = TRACE_KEYS[name]
-        assert len(values) == len(keys) + 3 * (name == LABEL_PAIR), \
+        assert len(values) == len(keys) + (name == LABEL_PAIR), \
             (name, values)
         self.events.append((name.partition("/")[0], dict(zip(keys, values))))
 

@@ -2,7 +2,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hmlbn.aler import AlerNode
-from hmlbn.forwarding import DataPacket, INFRA, Label, MOBILITY
+from hmlbn.forwarding import DataPacket
 from hmlbn.labels import LabelAllocator
 from hmlbn.messages import (
     ControlMessage,
@@ -105,20 +105,18 @@ def test_transit_swap_and_push():
     services.trails[("20.1.2.1", LER12)] = (16, 17, "20.1.4.100", "GIG1/0/3")
     node.handle_internal_update(update(MobilityBinding(MN, LER12, 116, 1)))
     pkt = DataPacket("f0", 0, prefix("10.3.3.1/32"), MN, 0.0)
-    pkt.stack = [Label(216, MOBILITY)]
-    top = Label(16, INFRA)  # popped by the engine before delegation
-    node.forward_transit(pkt, top)
+    pkt.stack = [216]  # the engine popped the top label before delegation
+    node.forward_transit(pkt)
     ((sent, _, next_hop),) = services.transmitted
-    assert [(l.value, l.tag) for l in sent.stack] == [(17, "i"), (116, "m")]
-    assert sent.stack[0] is top  # rewritten and pushed back, not a new label
+    assert sent.stack == [17, 116]
     assert next_hop == "20.1.4.100"
 
 
 def test_transit_unknown_alias_drops():
     node, services = make_aler()
     pkt = DataPacket("f0", 0, prefix("10.3.3.1/32"), MN, 0.0)
-    pkt.stack = [Label(999, MOBILITY)]
-    node.forward_transit(pkt, Label(16, INFRA))
+    pkt.stack = [999]
+    node.forward_transit(pkt)
     assert services.dropped[0][2] == "unknown_local_mobility_label"
 
 

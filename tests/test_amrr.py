@@ -454,3 +454,68 @@ def test_fresh_update_extends_expiry():
     node.handle_update(ler_update(MobilityBinding(MN, LER12, 117, 1,
                                                   lifetime_s=100.0)))
     assert node.records[str(MN)].expiry == 150.0 > first
+
+
+# ------------------------------------------- state past its lifetime
+
+def _dead_record(node, services):
+    """The owned record, with ALER1's alias 216 and external requestor
+    area 3, living to t=10; the clock at t=20, before any sweep."""
+    _owned_record(node, services)
+    rec = node.records[str(MN)]
+    rec.lrl.add_external(3, own_area=1)
+    rec.expiry = 10.0
+    services.t = 20.0
+
+
+def test_peer_update_after_expiry_starts_a_fresh_record():
+    node, services = make_amrr()
+    _dead_record(node, services)
+    node.handle_update(ControlMessage(
+        MessageKind.BINDING_UPDATE, AMRR2, AMRR1, 20.0,
+        UpdatePayload(MobilityBinding(MN, ALER2, 555, 2,
+                                      update_type=UpdateType.EXTERNAL))))
+    rec = node.records[str(MN)]
+    assert (rec.area_id, rec.binding.label, rec.expiry) == (2, 555, 320.0)
+    assert rec.aler_labels == {} and rec.lrl.external == []
+
+
+def test_alias_after_expiry_is_warned_of_and_starts_a_fresh_record():
+    node, services = make_amrr()
+    _dead_record(node, services)
+    node.handle_update(aler_update(MobilityBinding(MN, ALER1, 217, 1)))
+    rec = node.records[str(MN)]
+    assert rec.aler_labels == {ALER1: 217} and rec.lrl.external == []
+    assert [d["what"] for k, d in services.events if k == "warn"] \
+        == ["external_before_internal"]
+
+
+def test_lrl_reply_after_expiry_is_quiet():
+    node, services = make_amrr(n_areas=4)
+    _dead_record(node, services)
+    node.handle_lrl_reply(ControlMessage(
+        MessageKind.LRL_REPLY, AMRR2, AMRR1, 20.0, LrlReplyPayload(MN, (4,))))
+    assert services.sent == []
+    assert node.records == {}
+
+
+def test_internal_reannounce_replaces_the_alers_alias():
+    """An ALER whose entry for a foreign mobile expired re-announces it
+    under a new alias; the record keeps the new one, and the requestor-list
+    exchange hands it out, not the dead one."""
+    node, services = make_amrr(n_areas=4)
+    node.handle_update(ControlMessage(
+        MessageKind.BINDING_UPDATE, AMRR2, AMRR1, 0.0,
+        UpdatePayload(MobilityBinding(MN, ALER2, 555, 2,
+                                      update_type=UpdateType.EXTERNAL))))
+    for label in (216, 217):
+        node.handle_update(aler_update(MobilityBinding(MN, ALER1, label, 1),
+                                       utype=UpdateType.INTERNAL))
+    rec = node.records[str(MN)]
+    assert rec.resolved_local.label == 217
+    assert rec.aler_labels == {ALER1: 217}
+    services.sent.clear()
+    node.handle_lrl_reply(ControlMessage(
+        MessageKind.LRL_REPLY, AMRR2, AMRR1, 0.0, LrlReplyPayload(MN, (4,))))
+    (msg,) = services.sent
+    assert (msg.dst, msg.payload.binding.label) == (AMRR4, 217)

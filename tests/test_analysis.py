@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from hmlbn import analysis
 from hmlbn.analysis import (
     PathKind,
-    bfs_hops,
     delay_penalty,
     dm_upper_bound,
     expected_penalty,

@@ -1,6 +1,4 @@
-import random
-
-from hmlbn.forwarding import INFRA, MOBILITY, DataPacket, Label
+from hmlbn.forwarding import DataPacket
 from hmlbn.scenario import parse_scenario
 from hmlbn.scenarios import base_topology, MOBILITY_RANGE
 from hmlbn.simulator import Simulation
@@ -116,7 +114,7 @@ def test_unregistered_destination_eventually_drops_no_binding():
 
 def test_packet_trace_renders_stack_and_path():
     pkt = DataPacket("f", 0, prefix("10.0.0.1/32"), prefix("10.0.0.2/32"), 0.0)
-    pkt.stack = [Label(17, INFRA), Label(116, MOBILITY)]
+    pkt.stack = [17, 116]
     assert pkt.render_stack() == "i17/m116"
     pkt.hop_trace += ["LER33", "ALER3"]
     assert pkt.path_string() == "LER33>ALER3"
@@ -128,7 +126,7 @@ def _hop_setup(*labels):
     """A built, not yet run, simulation and a packet carrying ``labels``."""
     sim = Simulation(parse_scenario(two_mobile_scenario()))
     pkt = DataPacket("x", 0, prefix("10.3.3.1/32"), prefix("10.1.1.1/32"), 0.0)
-    pkt.stack = [Label(value, tag) for value, tag in labels]
+    pkt.stack = list(labels)
     return sim, pkt
 
 
@@ -137,7 +135,7 @@ def _drops(sim) -> dict:
 
 
 def test_deep_stack_counted_at_transmit():
-    sim, pkt = _hop_setup((17, INFRA), (116, MOBILITY), (117, MOBILITY))
+    sim, pkt = _hop_setup(17, 116, 117)
     ler, p3 = sim.graph.rid_of("LER33"), sim.graph.rid_of("P3")
     sim.transmit(pkt, ler, p3)
     assert sim.metrics.max_stack_depth == 3
@@ -153,10 +151,9 @@ def test_deep_stack_counted_at_transmit():
 def test_top_label_popped_at_an_lsr_drops_no_label_entry():
     sim, pkt = _hop_setup()
     p0 = sim.graph.rid_of("P0")
-    pkt.stack = [Label(sim.lsp.in_label_for(p0, p0), INFRA),
-                 Label(116, MOBILITY)]
+    pkt.stack = [sim.lsp.in_label_for(p0, p0), 116]
     sim.engine.step(pkt, p0)
-    assert [label.value for label in pkt.stack] == [116]  # the top popped
+    assert pkt.stack == [116]  # the top popped
     assert _drops(sim) == {"no_label_entry": 1}
 
 
@@ -166,7 +163,7 @@ def test_out_of_range_label_drops_and_is_not_stored():
     row = sim.lsp.in_actions[p3]
     outside = (15, 16 + len(sim.lsp.fecs))
     for value in outside:
-        pkt.stack = [Label(value, INFRA), Label(116, MOBILITY)]
+        pkt.stack = [value, 116]
         sim.engine.step(pkt, p3)
     assert _drops(sim) == {"no_label_entry": 2}
     assert not any(value in row for value in outside)

@@ -129,7 +129,7 @@ def test_ingress_cache_hit_imposes_two_label_stack():
     ler.ingress_forward(pkt)
     ((sent, _, next_hop),) = services.transmitted
     assert next_hop == "20.1.4.100"
-    assert [(l.value, l.tag) for l in sent.stack] == [(41, "i"), (216, "m")]
+    assert sent.stack == [41, 216]
 
 
 def test_ingress_miss_requests_and_queues():
@@ -214,8 +214,7 @@ def test_egress_matches_registration_by_label():
     ler, services = make_ler()
     record, _ = ler.handle_registration(MN, "mac1", "MR12/c1", 0)
     pkt = packet()
-    from hmlbn.forwarding import Label, MOBILITY
-    pkt.stack = [Label(record.assigned_label, MOBILITY)]
+    pkt.stack = [record.assigned_label]
     ler.egress_deliver(pkt)
     ((_, delivered_record),) = services.delivered
     assert delivered_record is record
@@ -224,8 +223,7 @@ def test_egress_matches_registration_by_label():
 def test_egress_unknown_label_drops():
     ler, services = make_ler()
     pkt = packet()
-    from hmlbn.forwarding import Label, MOBILITY
-    pkt.stack = [Label(999, MOBILITY)]
+    pkt.stack = [999]
     ler.egress_deliver(pkt)
     assert services.dropped[0][2] == "unknown_mobility_label"
 

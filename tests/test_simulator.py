@@ -39,7 +39,7 @@ from hmlbn.sequences import (
 from hmlbn.simulator import EventKind, Simulation, run_scenario
 from hmlbn.topology import NodeRole
 
-from helpers import ctl_sends, delivered_paths, run
+from helpers import ctl_sends, run
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"

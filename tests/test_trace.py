@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from hmlbn import simulator
-from hmlbn.forwarding import INFRA, MOBILITY, DataPacket, Label
+from hmlbn.forwarding import DataPacket
 from hmlbn.messages import MobilePrefix
 from hmlbn.scenario import load_scenario
 from hmlbn.scenarios import BUNDLED_SCENARIOS
@@ -84,7 +84,7 @@ def _record_all(sim, records) -> list:
     out = []
     for now, name, src, dst, values, detail in records:
         keys = TRACE_KEYS[name]
-        assert len(values) == len(keys) + 3 * (name == LABEL_PAIR), name
+        assert len(values) == len(keys) + (name == LABEL_PAIR), name
         assert sorted(detail) == list(keys)
         src, dst = ids.get(src, src), ids.get(dst, dst)
         sim.now = now
@@ -171,12 +171,12 @@ HOT = [
     (0.5, "data_ingress", "LER", None, (ODD, 0), {"flow": ODD, "seq": 0}),
     (0.5, "data_ingress/unattached", None, None, ("f", None, 1),
      {"flow": "f", "ler": None, "seq": 1}),
-    (0.5, "data_hop", "LER", "AMRR", ("f1", 7, "i", 16, "m", TOP),
+    (0.5, "data_hop", "LER", "AMRR", ("f1", 7, 16, TOP),
      {"flow": "f1", "seq": 7, "stack": f"i16/m{TOP}"}),
-    (3.0, "data_hop", "AMRR", "LER", (ODD, 7, "i", TOP, "m", 16),
+    (3.0, "data_hop", "AMRR", "LER", (ODD, 7, TOP, 16),
      {"flow": ODD, "seq": 7, "stack": f"i{TOP}/m16"}),
-    (3, "data_hop", "AMRR", "LER", (ODD, 8, ODD, 16, "", TOP),
-     {"flow": ODD, "seq": 8, "stack": f"{ODD}16/{TOP}"}),
+    (3, "data_hop", "AMRR", "LER", (ODD, 8, 16, TOP),
+     {"flow": ODD, "seq": 8, "stack": f"i16/m{TOP}"}),
     (3.0, "data_hop/text", "LER", "AMRR", (ODD, 9, "i16"),
      {"flow": ODD, "seq": 9, "stack": "i16"}),
     (0.0, "ctl_recv", "AMRR", "LER", ("BindingRequest",),
@@ -306,7 +306,7 @@ def test_every_name_the_program_records_is_a_trace_keys_entry():
     """Each literal name passed to ``trace_event`` or ``emit`` in the
     package is a ``TRACE_KEYS`` entry, and every entry is recorded
     somewhere; where no value is starred, the call passes the entry's
-    value count (a two-label stack four), so a misspelt or miscounted rare
+    value count (a two-label stack two), so a misspelt or miscounted rare
     record fails here rather than in ``trace_jsonl`` after a run."""
     used = set()
     for path in sorted(SOURCE_DIR.glob("*.py")):
@@ -324,7 +324,7 @@ def test_every_name_the_program_records_is_a_trace_keys_entry():
             assert not node.keywords, where
             if not any(isinstance(v, ast.Starred) for v in values):
                 assert len(values) == (len(TRACE_KEYS[name])
-                                       + 3 * (name == LABEL_PAIR)), where
+                                       + (name == LABEL_PAIR)), where
     assert used == set(TRACE_KEYS)
 
 
@@ -335,12 +335,11 @@ def test_transmit_records_a_stack_of_any_depth(depth):
     dst = sim.graph.neighbors(src)[0]
     host = MobilePrefix.parse("10.0.0.1/32")
     packet = DataPacket(ODD, 5, host, host, 0.0)
-    packet.stack = [Label(16, INFRA), Label(TOP, MOBILITY),
-                    Label(17, MOBILITY)][:depth]
+    packet.stack = [16, TOP, 17][:depth]
     detail = {"flow": ODD, "seq": 5, "stack": packet.render_stack()}
     sim.now = 0.25
     sim.transmit(packet, src, dst)
-    packet.stack[0].value = 99  # a later swap rewrites the label in place
+    packet.stack[0] = 99  # a later swap rewrites the top label
     records = [(0.25, "data_hop", src, dst, detail)]
     assert sim.trace == _reference_trace(sim, records)
     assert sim.trace_jsonl() == _reference_jsonl(sim, records)
@@ -362,18 +361,16 @@ def test_flat_records_hold_only_untracked_atomic_values():
             assert not gc.is_tracked(rec), rec
 
 
-# a data_hop's stable values, (src, dst, flow, top label, inner label), each
-# label a (tag, value); "LER" and "AMRR" stand for real router ids
-HOP_A = ("LER", "AMRR", "f1", ("i", 16), ("m", TOP))
-HOP_B = ("AMRR", "LER", "f1", ("i", 16), ("m", TOP))  # A's way back
-HOP_C = ("LER", "AMRR", "f1", ("i", 17), ("m", TOP))  # A but the top value
-HOP_D = ("LER", "AMRR", "f1", ("m", 16), ("m", TOP))  # A but the top tag
-HOP_E = ("LER", "AMRR", "f2", ("i", 16), ("m", TOP))  # A but the flow
-HOP_F = ("LER", "LER", "f1", ("i", 16), ("m", TOP))  # A but the dst
-HOP_G = ("LER", "AMRR", "f1", ("i", 16), ("i", TOP))  # A but the inner tag
-HOP_H = ("LER", "AMRR", "f1", ("i", 16), ("m", 17))  # A but the inner value
-HOP_ODD = ("LER", ODD, ODD, (ODD, 16), ("", TOP))
-HOP_ODD_TAGS = (ODD, "AMRR", ODD, ("i", TOP), (ODD, 16))
+# a data_hop's stable values, (src, dst, flow, top label, inner label);
+# "LER" and "AMRR" stand for real router ids
+HOP_A = ("LER", "AMRR", "f1", 16, TOP)
+HOP_B = ("AMRR", "LER", "f1", 16, TOP)  # A's way back
+HOP_C = ("LER", "AMRR", "f1", 17, TOP)  # A but the top label
+HOP_E = ("LER", "AMRR", "f2", 16, TOP)  # A but the flow
+HOP_F = ("LER", "LER", "f1", 16, TOP)  # A but the dst
+HOP_H = ("LER", "AMRR", "f1", 16, 17)  # A but the inner label
+HOP_ODD = ("LER", ODD, ODD, 16, TOP)
+HOP_ODD_SRC = (ODD, "AMRR", ODD, TOP, 16)
 
 
 def _record_hops(sim, hops) -> list:
@@ -385,10 +382,9 @@ def _record_hops(sim, hops) -> list:
     for now, (src, dst, flow, top, inner), seq in hops:
         src, dst = ids.get(src, src), ids.get(dst, dst)
         sim.now = now
-        sim.trace_event("data_hop", src, dst, flow, seq, *top, *inner)
+        sim.trace_event("data_hop", src, dst, flow, seq, top, inner)
         records.append((now, "data_hop", src, dst, {
-            "flow": flow, "seq": seq,
-            "stack": "%s%d/%s%d" % (*top, *inner)}))
+            "flow": flow, "seq": seq, "stack": "i%d/m%d" % (top, inner)}))
     return records
 
 
@@ -398,22 +394,22 @@ def test_a_hop_renders_alike_each_time_its_values_recur():
     sim = _fresh_sim()
     records = _record_hops(sim, [
         (3, HOP_A, 0), (0.5, HOP_B, 0), (3.0, HOP_A, 1), (1.0, HOP_C, 0),
-        (1.0, HOP_D, 0), (2.0, HOP_B, 1), (-0.0, HOP_A, 2), (1.0, HOP_E, 0),
-        (1.0, HOP_F, 0), (1.0, HOP_G, 0), (1.0, HOP_H, 0)])
+        (2.0, HOP_B, 1), (-0.0, HOP_A, 2), (1.0, HOP_E, 0), (1.0, HOP_F, 0),
+        (1.0, HOP_H, 0)])
     text = sim.trace_jsonl()
     assert text == _reference_jsonl(sim, records)
     lines = text.splitlines()
     assert lines[0].endswith('"t": 3}') and lines[2].endswith('"t": 3.0}')
-    assert lines[6].endswith('"t": -0.0}')
-    assert [json.loads(lines[i])["detail"]["seq"] for i in (0, 2, 6)] \
+    assert lines[5].endswith('"t": -0.0}')
+    assert [json.loads(lines[i])["detail"]["seq"] for i in (0, 2, 5)] \
         == [0, 1, 2]
 
 
-def test_hops_with_odd_flow_and_tag_texts_render_as_the_encoder_did():
+def test_hops_with_odd_router_and_flow_texts_render_as_the_encoder_did():
     sim = _fresh_sim()
     records = _record_hops(sim, [
-        (0.25, HOP_ODD, 0), (0.5, HOP_ODD_TAGS, 0), (0.75, HOP_ODD, 1),
-        (1.0, HOP_ODD, 2), (1.25, HOP_ODD_TAGS, 1), (1.5, HOP_ODD_TAGS, 1)])
+        (0.25, HOP_ODD, 0), (0.5, HOP_ODD_SRC, 0), (0.75, HOP_ODD, 1),
+        (1.0, HOP_ODD, 2), (1.25, HOP_ODD_SRC, 1), (1.5, HOP_ODD_SRC, 1)])
     text = sim.trace_jsonl()
     assert text == _reference_jsonl(sim, records)
     assert sim.trace == _reference_trace(sim, records)
@@ -446,7 +442,7 @@ def test_a_second_render_keeps_nothing_from_the_first():
     first call is named in every line of the second, stemmed or not, and
     nothing is left on the simulation or the module."""
     sim = _fresh_sim()
-    unnamed = ("unknown-id", "AMRR", "f9", ("i", 16), ("m", 17))
+    unnamed = ("unknown-id", "AMRR", "f9", 16, 17)
     first = _record_hops(sim, [(0.5, HOP_A, 0), (0.5, unnamed, 0),
                                (1.0, HOP_A, 1), (1.0, unnamed, 1)])
     state = dict(vars(sim)), dict(vars(simulator))
