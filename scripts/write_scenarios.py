@@ -6,12 +6,14 @@ hmlbn.scenarios / hmlbn.sequences; tests compare them.
 """
 
 import json
+import sys
 from pathlib import Path
 
-from hmlbn.scenarios import BUNDLED_SCENARIOS
-from hmlbn.sequences import BUNDLED_PATTERNS
-
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))  # the checkout's package, installed or not
+
+from hmlbn.scenarios import BUNDLED_SCENARIOS  # noqa: E402
+from hmlbn.sequences import BUNDLED_PATTERNS  # noqa: E402
 
 
 def main():

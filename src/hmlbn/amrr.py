@@ -216,8 +216,7 @@ class AmrrNode(ControlNode):
                 try:
                     aler = self.select_aler(rec)
                 except NoAlerAvailable:
-                    self.services.send(MessageKind.BINDING_REPLY_NEGATIVE,
-                                       msg.src, NegativeReplyPayload(prefix))
+                    self._refuse(msg.src, prefix)
                     return
                 rec.lrl.add_external(msg.payload.requestor_area, self.area)
                 reply = self._alias_binding(
@@ -225,8 +224,7 @@ class AmrrNode(ControlNode):
                 self.services.send(MessageKind.BINDING_REPLY_POSITIVE, msg.src,
                                    UpdatePayload(reply))
             else:
-                self.services.send(MessageKind.BINDING_REPLY_NEGATIVE, msg.src,
-                                   NegativeReplyPayload(prefix))
+                self._refuse(msg.src, prefix)
             return
         # internal LER client: the origin LER of a mobile that is ours, else
         # a local ALER's alias of one that is not, once resolved
@@ -242,8 +240,7 @@ class AmrrNode(ControlNode):
                 pending.lers.append(msg.src)
             return
         if not self.peers:
-            self.services.send(MessageKind.BINDING_REPLY_NEGATIVE, msg.src,
-                               NegativeReplyPayload(prefix))
+            self._refuse(msg.src, prefix)
             return
         pending = _PendingRequest(lers=[msg.src], awaiting=set(self.peers))
         self.pending[key] = pending
@@ -257,6 +254,11 @@ class AmrrNode(ControlNode):
         rec.lrl.add_internal(ler)
         self.services.send(MessageKind.BINDING_REPLY_POSITIVE, ler,
                            UpdatePayload(binding))
+
+    def _refuse(self, dst: str, prefix: MobilePrefix):
+        """Tell ``dst`` that no binding for ``prefix`` can be had here."""
+        self.services.send(MessageKind.BINDING_REPLY_NEGATIVE, dst,
+                           NegativeReplyPayload(prefix))
 
     def handle_reply(self, msg: ControlMessage):
         """Aggregate peer replies for a flooded request: first positive wins
@@ -274,8 +276,7 @@ class AmrrNode(ControlNode):
             if not pending.awaiting and not pending.resolved:
                 del self.pending[key]
                 for ler in pending.lers:
-                    self.services.send(MessageKind.BINDING_REPLY_NEGATIVE, ler,
-                                       NegativeReplyPayload(prefix))
+                    self._refuse(ler, prefix)
             return
         if pending.resolved:
             return  # a twin AMRR already answered

@@ -162,12 +162,10 @@ def cmd_check_sequence(args) -> int:
 
 def cmd_dump(args) -> int:
     scenario = load_scenario(args.scenario)
+    graph = scenario.graph  # an unknown node is refused before the run
+    targets = ([graph.rid_of(args.node)] if args.node else
+               graph.by_role(NodeRole.ALER) + graph.by_role(NodeRole.AMRR))
     sim = run_scenario(scenario, seed=args.seed)
-    graph = sim.graph
-    if args.node:
-        targets = [graph.rid_of(args.node)]
-    else:
-        targets = graph.by_role(NodeRole.ALER) + graph.by_role(NodeRole.AMRR)
     titles = {NodeRole.ALER: "FIB", NodeRole.AMRR: "BINDINGS"}
     for rid in targets:
         info = graph.nodes[rid]

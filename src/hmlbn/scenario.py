@@ -286,6 +286,10 @@ def _parse_topology(obj, c):
                       f", got {type(value).__name__}")
         if isinstance(entry.get("role"), str) and entry["role"] not in _ROLES:
             c.err(f"{path}.role", f"unknown role {entry['role']!r}")
+        cells = entry.get("cells")  # missing: build_topology's default
+        if isinstance(cells, list) and not (
+                cells and all(isinstance(cell, str) and cell for cell in cells)):
+            c.err(f"{path}.cells", "expected a non-empty list of cell names")
     if c.problems:
         return None, {}
     try:
@@ -468,6 +472,10 @@ def _parse_flags(obj, c, graph) -> Flags:
                 c.err(path, "high-availability pairs must be ALER nodes")
             elif graph.area_of(a) != graph.area_of(b):
                 c.err(path, "pair members must share an area")
+            elif a == b:
+                c.err(path, "an ALER cannot pair with itself")
+            elif {a, b} & {rid for paired in flags.ha_pairs for rid in paired}:
+                c.err(path, "an ALER can be in one pair only")
             else:
                 flags.ha_pairs.append((a, b))
     return flags

@@ -2,9 +2,11 @@
 
 One builder per exercised procedure: cold start with an on-demand remote
 fill, the three hand-off flavors, binding withdrawal after a reset-and-move
-race, ALER fail-over, and parametric area scaling.  All builders return raw
-scenario documents (plain JSON-compatible dicts) so they can be written to
-disk verbatim and fed back through the validating loader.
+race, ALER fail-over, and parametric area scaling.  Each adds its moves,
+timers, flags or failures to one skeleton: a mobile ``MN`` and a
+correspondent ``CN`` in area 3 that sends it one flow.  All builders return
+raw scenario documents (plain JSON-compatible dicts) so they can be written
+to disk verbatim and fed back through the validating loader.
 
 The shared topology is a three-level build: per-area LERs behind an ALER
 (area 3 and above reach the ALER through a regional LSR), every ALER on a
@@ -16,6 +18,8 @@ from __future__ import annotations
 MN = "10.1.1.1/32"
 CN = "10.3.3.1/32"
 MOBILITY_RANGE = ["10.0.0.0/8"]
+# short enough for dead-time withdrawal and lifetime expiry within a run
+FAST_TIMERS = {"keepalive_s": 0.5, "dead_s": 1.5, "lifetime_s": 15.0}
 
 
 def _router_id(role_octet: int, number: int) -> str:
@@ -75,112 +79,74 @@ def base_topology(n_areas: int = 3, lers_per_area: int = 3,
     return {"nodes": nodes, "edges": edges, "regions": regions}
 
 
-def _skeleton(name: str, duration: float, seed: int = 7, **extra) -> dict:
-    doc = {
-        "name": name,
-        "seed": seed,
-        "duration_s": duration,
-        "mobility_range": list(MOBILITY_RANGE),
-        "topology": base_topology(),
-        "mobility": {"attach": [], "move": [], "detach": []},
-        "flows": [],
-    }
-    doc.update(extra)
-    return doc
+def _entry(t: float, prefix: str, region: str, cell: str | None = None) -> dict:
+    """An attach or move entry; ``cell`` is written only when given."""
+    cells = {} if cell is None else {"cell": cell}
+    return {"t": t, "prefix": prefix, "region": region, **cells}
+
+
+def _skeleton(name: str, duration: float, mn_region: str, rate: int,
+              start: float, stop: float, *, seed: int = 7,
+              cell: str | None = None, moves=(), **extra) -> dict:
+    """The document each bundled scenario starts from.  ``MN`` attaches in
+    ``mn_region`` (in ``cell``, if given) and ``CN`` in MR33, both at t = 0;
+    one ``cn-to-mn`` flow sends ``rate`` packets/s from ``start`` to
+    ``stop``; ``MN`` moves at each ``(t, region[, cell])`` of ``moves``, in
+    order.  ``extra`` sets top-level keys: ``topology`` in its place, any
+    other after ``flows`` in the order given."""
+    return {"name": name, "seed": seed, "duration_s": duration,
+            "mobility_range": list(MOBILITY_RANGE),
+            "topology": base_topology(),
+            "mobility": {"attach": [_entry(0.0, MN, mn_region, cell),
+                                    _entry(0.0, CN, "MR33")],
+                         "move": [_entry(t, MN, *at) for t, *at in moves],
+                         "detach": []},
+            "flows": [{"id": "cn-to-mn", "src": CN, "dst": MN,
+                       "rate_pps": rate, "start_s": start, "stop_s": stop}],
+            **extra}
 
 
 def startup_scenario() -> dict:
     """Mobile registers in area 1, correspondent in area 3 resolves it on
     demand and traffic runs the full segmented path."""
-    doc = _skeleton("startup", duration=0.15)
-    doc["mobility"]["attach"] = [
-        {"t": 0.0, "prefix": MN, "region": "MR12"},
-        {"t": 0.0, "prefix": CN, "region": "MR33"},
-    ]
-    doc["flows"] = [{"id": "cn-to-mn", "src": CN, "dst": MN,
-                     "rate_pps": 500, "start_s": 0.05, "stop_s": 0.1}]
-    return doc
+    return _skeleton("startup", 0.15, "MR12", 500, 0.05, 0.1)
 
 
 def local_handoff_scenario() -> dict:
     """Mobile hops between RAN cells of one region mid-flow; pure tracking."""
-    doc = _skeleton("local_handoff", duration=0.3)
-    doc["mobility"]["attach"] = [
-        {"t": 0.0, "prefix": MN, "region": "MR12", "cell": "c1"},
-        {"t": 0.0, "prefix": CN, "region": "MR33"},
-    ]
-    doc["mobility"]["move"] = [
-        {"t": 0.15, "prefix": MN, "region": "MR12", "cell": "c2"},
-    ]
-    doc["flows"] = [{"id": "cn-to-mn", "src": CN, "dst": MN,
-                     "rate_pps": 200, "start_s": 0.05, "stop_s": 0.25}]
-    return doc
+    return _skeleton("local_handoff", 0.3, "MR12", 200, 0.05, 0.25, cell="c1",
+                     moves=[(0.15, "MR12", "c2")])
 
 
 def intra_area_scenario() -> dict:
     """Hand-off between two LERs behind the same ALER."""
-    doc = _skeleton("intra_area_handoff", duration=0.4)
-    doc["mobility"]["attach"] = [
-        {"t": 0.0, "prefix": MN, "region": "MR12"},
-        {"t": 0.0, "prefix": CN, "region": "MR33"},
-    ]
-    doc["mobility"]["move"] = [
-        {"t": 0.2, "prefix": MN, "region": "MR13"},
-    ]
-    doc["flows"] = [{"id": "cn-to-mn", "src": CN, "dst": MN,
-                     "rate_pps": 200, "start_s": 0.05, "stop_s": 0.35}]
-    doc["flags"] = {"overlap_attach": True}
-    return doc
+    return _skeleton("intra_area_handoff", 0.4, "MR12", 200, 0.05, 0.35,
+                     moves=[(0.2, "MR13")], flags={"overlap_attach": True})
 
 
 def inter_area_scenario() -> dict:
     """Hand-off across areas: requestor-list exchange with the old area and
     the two-stage path migration (old, interim via the old ALER, new)."""
-    doc = _skeleton("inter_area_handoff", duration=0.35)
-    doc["mobility"]["attach"] = [
-        {"t": 0.0, "prefix": MN, "region": "MR13"},
-        {"t": 0.0, "prefix": CN, "region": "MR33"},
-    ]
-    doc["mobility"]["move"] = [
-        {"t": 0.2, "prefix": MN, "region": "MR21"},
-    ]
-    doc["flows"] = [{"id": "cn-to-mn", "src": CN, "dst": MN,
-                     "rate_pps": 1000, "start_s": 0.05, "stop_s": 0.3}]
-    doc["flags"] = {"overlap_attach": True}
-    return doc
+    return _skeleton("inter_area_handoff", 0.35, "MR13", 1000, 0.05, 0.3,
+                     moves=[(0.2, "MR21")], flags={"overlap_attach": True})
 
 
 def withdrawal_scenario() -> dict:
     """Reset-then-move race: the mobile silently resets in area 1, starts
     over in area 2, and the dead-time withdrawal cleans the stale state."""
-    doc = _skeleton("withdrawal", duration=5.0)
-    doc["timers"] = {"keepalive_s": 0.5, "dead_s": 1.5, "lifetime_s": 15.0}
-    doc["mobility"]["attach"] = [
-        {"t": 0.0, "prefix": MN, "region": "MR12"},
-        {"t": 1.3, "prefix": MN, "region": "MR21"},
-        {"t": 0.0, "prefix": CN, "region": "MR33"},
-    ]
-    doc["mobility"]["detach"] = [
-        {"t": 1.0, "prefix": MN},
-    ]
-    doc["flows"] = [{"id": "cn-to-mn", "src": CN, "dst": MN,
-                     "rate_pps": 50, "start_s": 0.05, "stop_s": 4.5}]
+    doc = _skeleton("withdrawal", 5.0, "MR12", 50, 0.05, 4.5,
+                    timers=dict(FAST_TIMERS))
+    doc["mobility"]["attach"].insert(1, _entry(1.3, MN, "MR21"))
+    doc["mobility"]["detach"].append({"t": 1.0, "prefix": MN})
     return doc
 
 
 def ha_failover_scenario() -> dict:
     """ALER pair in area 1; the one carrying a live remote flow fails."""
-    doc = _skeleton("ha_failover", duration=0.4)
-    doc["topology"] = base_topology(ha_area=1)
-    doc["mobility"]["attach"] = [
-        {"t": 0.0, "prefix": MN, "region": "MR11"},
-        {"t": 0.0, "prefix": CN, "region": "MR33"},
-    ]
-    doc["flows"] = [{"id": "cn-to-mn", "src": CN, "dst": MN,
-                     "rate_pps": 500, "start_s": 0.05, "stop_s": 0.35}]
-    doc["failures"] = [{"t": 0.2, "node": "ALER1"}]
-    doc["flags"] = {"ha_pairs": [["ALER1", "ALER1B"]]}
-    return doc
+    return _skeleton("ha_failover", 0.4, "MR11", 500, 0.05, 0.35,
+                     topology=base_topology(ha_area=1),
+                     failures=[{"t": 0.2, "node": "ALER1"}],
+                     flags={"ha_pairs": [["ALER1", "ALER1B"]]})
 
 
 def scaling_intra_scenario(n_areas: int) -> dict:
@@ -202,41 +168,21 @@ def _scaled(doc: dict, name: str, n_areas: int) -> dict:
 def random_walk_scenario() -> dict:
     """Stochastic mobile roaming over the nine regions for longer-horizon
     smoke runs; traffic rides along to exercise resolution under movement."""
-    adjacency = {}
     order = [f"MR{a}{i}" for a in (1, 2, 3) for i in (1, 2, 3)]
-    for idx, region in enumerate(order):
-        nbrs = []
-        if idx > 0:
-            nbrs.append(order[idx - 1])
-        if idx < len(order) - 1:
-            nbrs.append(order[idx + 1])
-        adjacency[region] = nbrs
-    doc = _skeleton("random_walk", duration=40.0, seed=11)
-    doc["timers"] = {"keepalive_s": 0.5, "dead_s": 1.5, "lifetime_s": 15.0}
-    doc["mobility"]["attach"] = [
-        {"t": 0.0, "prefix": MN, "region": "MR11"},
-        {"t": 0.0, "prefix": CN, "region": "MR33"},
-    ]
-    doc["mobility"]["model"] = {"mu": 0.5, "p": 0.5, "prefixes": [MN],
-                                "adjacency": adjacency}
-    doc["flows"] = [{"id": "cn-to-mn", "src": CN, "dst": MN,
-                     "rate_pps": 20, "start_s": 0.5, "stop_s": 39.0}]
-    doc["flags"] = {"overlap_attach": True}
+    doc = _skeleton("random_walk", 40.0, "MR11", 20, 0.5, 39.0, seed=11,
+                    timers=dict(FAST_TIMERS), flags={"overlap_attach": True})
+    doc["mobility"]["model"] = {
+        "mu": 0.5, "p": 0.5, "prefixes": [MN],
+        "adjacency": {region: order[max(i - 1, 0):i] + order[i + 1:i + 2]
+                      for i, region in enumerate(order)}}
     return doc
 
 
 def penalty_probe_scenario() -> dict:
     """Single-flow scenario used by the path-penalty cross check; the
     designated anchor node stands in for a home-agent detour."""
-    doc = _skeleton("penalty_probe", duration=0.2)
-    doc["mobility"]["attach"] = [
-        {"t": 0.0, "prefix": MN, "region": "MR12"},
-        {"t": 0.0, "prefix": CN, "region": "MR33"},
-    ]
-    doc["flows"] = [{"id": "cn-to-mn", "src": CN, "dst": MN,
-                     "rate_pps": 200, "start_s": 0.05, "stop_s": 0.15}]
-    doc["analysis"] = {"ha_node": "LER21"}
-    return doc
+    return _skeleton("penalty_probe", 0.2, "MR12", 200, 0.05, 0.15,
+                     analysis={"ha_node": "LER21"})
 
 
 BUNDLED_SCENARIOS = {

@@ -432,7 +432,7 @@ class Simulation:
                 first, self._event_seq = self._event_seq + 1, self._event_seq + n
                 self.schedule(flow.send_time(0), EventKind.DATA_INGRESS,
                               (flow, 0, first), first)
-        self._tick("_sweep")
+        self._after(sc.timers.keepalive_s, "_sweep")
 
     # ---------------------------------------------------------- event loop
 
@@ -541,43 +541,47 @@ class Simulation:
         cell = spec.cell or region.cells[0]
         return Attachment(spec.region, cell, f"{spec.region}/{cell}", region.ler)
 
+    def _register(self, prefix: MobilePrefix, mobile: MobileState,
+                  at: Attachment):
+        """Register ``mobile`` at ``at`` and keep the area its LER replies."""
+        _, mobile.area_hint = self.nodes[at.ler].handle_registration(
+            prefix, mobile.l2, at.interface, mobile.area_hint)
+
     def _on_attach(self, spec):
         new = self._attachment(spec)
         mobile = self.mobiles.setdefault(spec.prefix, MobileState(spec.l2))
+        mobile.l2 = spec.l2  # a re-attach may come with another address
         mobile.attachments = [new]
         self.trace_event("attach", new.ler, None, mobile.area_hint, new.cell,
                          str(spec.prefix), spec.region)
-        _, reply_area = self.nodes[new.ler].handle_registration(
-            spec.prefix, spec.l2, new.interface, mobile.area_hint)
-        mobile.area_hint = reply_area
-        self._tick("_keepalive", spec.prefix)
+        self._register(spec.prefix, mobile, new)
+        self._after(self.scenario.timers.keepalive_s, "_keepalive", spec.prefix)
         if spec.prefix in self._movers:
-            self._arm_move_decision(spec.prefix)
+            self._after(self.rng.expovariate(self.scenario.model.mu),
+                        "_on_move_decision", spec.prefix)
 
     def _on_move(self, spec):
+        """With ``overlap_attach``, the attachment left stays active for
+        ``overlap_s``: a local move keeps only it, if the cell changed, and a
+        move to another LER keeps every attachment still active."""
         mobile = self.mobiles.get(spec.prefix)
         if mobile is None or not mobile.attachments:
             return
         new, old = self._attachment(spec), mobile.primary()
+        local = old.ler == new.ler
         self.trace_event("move", new.ler, None, old.region,
-                         str(spec.prefix), spec.region, old.ler == new.ler)
-        if old.ler == new.ler:
-            # movement among this LER's RAN cells: pure local tracking
-            retained = []
-            if self.scenario.flags.overlap_attach and old.interface != new.interface:
-                old.expires = self.now + self.scenario.flags.overlap_s
-                retained = [old]
-            mobile.attachments = [new] + retained
-            self.nodes[new.ler].track_local_handoff(spec.prefix, new.interface)
-            return
+                         str(spec.prefix), spec.region, local)
         retained = []
-        if self.scenario.flags.overlap_attach:
-            old.expires = self.now + self.scenario.flags.overlap_s
-            retained = [a for a in mobile.attachments if a.active(self.now)]
+        flags = self.scenario.flags
+        if flags.overlap_attach and (not local or old.interface != new.interface):
+            old.expires = self.now + flags.overlap_s
+            retained = [old] if local else [
+                a for a in mobile.attachments if a.active(self.now)]
         mobile.attachments = [new] + retained
-        _, reply_area = self.nodes[new.ler].handle_registration(
-            spec.prefix, mobile.l2, new.interface, mobile.area_hint)
-        mobile.area_hint = reply_area
+        if local:
+            self.nodes[new.ler].track_local_handoff(spec.prefix, new.interface)
+        else:
+            self._register(spec.prefix, mobile, new)
 
     def _on_detach(self, spec):
         mobile = self.mobiles.get(spec.prefix)
@@ -586,13 +590,6 @@ class Simulation:
         mobile.attachments = []
         mobile.area_hint = 0  # a reset mobile starts over
         self.trace_event("detach", None, None, str(spec.prefix))
-
-    def _arm_move_decision(self, prefix: MobilePrefix):
-        model = self.scenario.model
-        dwell = self.rng.expovariate(model.mu)
-        t = self.now + dwell
-        if t <= self.scenario.duration_s:
-            self.schedule(t, EventKind.TIMER_FIRE, ("_on_move_decision", prefix))
 
     def _on_move_decision(self, prefix: MobilePrefix):
         mobile = self.mobiles.get(prefix)
@@ -603,7 +600,7 @@ class Simulation:
         if neighbors and self.rng.random() < model.p:
             target = neighbors[self.rng.randrange(len(neighbors))]
             self._on_move(MoveSpec(self.now, prefix, target, None))
-        self._arm_move_decision(prefix)
+        self._after(self.rng.expovariate(model.mu), "_on_move_decision", prefix)
 
     # ----------------------------------------------------------- data plane
 
@@ -672,11 +669,11 @@ class Simulation:
 
     # -------------------------------------------------------------- timers
 
-    def _tick(self, method: str, *args):
-        """Call ``method`` with ``args`` one keepalive interval from now, if
-        the run lasts that long."""
-        t = self.now + self.scenario.timers.keepalive_s
-        if t <= self.scenario.duration_s:
+    def _after(self, delay: float, method: str, *args):
+        """Call the simulation's ``method`` with ``args`` ``delay`` seconds
+        from now, if the run lasts that long.  The one timer path: the
+        keepalive tick, the sweep and the mobility model's move decisions."""
+        if (t := self.now + delay) <= self.scenario.duration_s:
             self.schedule(t, EventKind.TIMER_FIRE, (method, *args))
 
     def _on_timer(self, method: str, *args):
@@ -689,13 +686,13 @@ class Simulation:
             self.nodes[rid].scan_dead_registrations(self.now)
         for node in self.nodes.values():  # built in rid order
             getattr(node, node.EXPIRE)(self.now)
-        self._tick("_sweep")
+        self._after(self.scenario.timers.keepalive_s, "_sweep")
 
     def _keepalive(self, prefix: MobilePrefix):
         mobile = self.mobiles.get(prefix)
         if mobile and mobile.attachments:
             self.nodes[mobile.primary().ler].keepalive(prefix, self.now)
-            self._tick("_keepalive", prefix)
+            self._after(self.scenario.timers.keepalive_s, "_keepalive", prefix)
 
     def _on_fail(self, rid: str):
         self.failed.add(rid)

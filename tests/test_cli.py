@@ -162,7 +162,10 @@ def test_dump_of_one_node(node, title, startup_sim, capsys):
     assert capsys.readouterr().out.splitlines() == expected
 
 
-def test_dump_of_an_unknown_node_is_a_runtime_failure(capsys):
+def test_dump_of_an_unknown_node_is_a_runtime_failure(capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the node is checked before the run")
+    monkeypatch.setattr(cli, "run_scenario", no_run)
     assert cli.main(["dump", "--scenario", STARTUP, "--node", "NOPE"]) \
         == cli.EXIT_RUNTIME
     assert "NOPE" in capsys.readouterr().err

@@ -1,6 +1,7 @@
-"""Every name a module of the package or of the tests imports is used in
-that module, read from its syntax tree; a name listed in the module's
-``__all__`` counts as used, as a re-export."""
+"""Lints read from syntax trees.  Every name a module of the package or of
+the tests imports is used in that module; a name listed in the module's
+``__all__`` counts as used, as a re-export.  Every private function, method
+and class of the package is referenced somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -8,8 +9,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted([*(ROOT / "src" / "hmlbn").glob("*.py"),
-                  *(ROOT / "tests").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "hmlbn").glob("*.py"))
+MODULES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -48,3 +49,41 @@ def test_the_check_finds_what_it_should():
     assert unused_imports(
         "from __future__ import annotations\nfrom .x import a, b as c\n"
         "__all__ = ['a']\nx: c\n") == []
+
+
+def unreferenced_private(sources: list[str]) -> tuple[set, list[str]]:
+    """The ``_``-prefixed functions, methods and classes (dunders aside)
+    ``sources`` define, and those of them never referenced there, sorted.
+    A reference is a name, an attribute or a string literal: timers and
+    ``HANDLERS`` name the methods they call as strings."""
+    defined, used = set(), set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined.add(node.name)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)
+    return defined, sorted(defined - used)
+
+
+def test_every_private_definition_is_referenced():
+    defined, dead = unreferenced_private(
+        [path.read_text(encoding="utf-8") for path in PACKAGE])
+    assert dead == []
+    assert len(defined) > 50  # the walk found the package's definitions
+
+
+def test_the_dead_code_check_finds_what_it_should():
+    source = ("class _A:\n    def _tick(self): pass\n"
+              "    def _b(self): return self._c\n"
+              "    def _c(self): pass\n"
+              "    def __init__(self): pass\n"
+              "TIMER = ('_b',)\n_A()\n")
+    assert unreferenced_private([source]) == ({"_A", "_tick", "_b", "_c"},
+                                              ["_tick"])

@@ -67,6 +67,13 @@ MALFORMED = [
     # two flows under one id would be counted as one
     ("flows[1].id", _flow_twice),
     ("duration_s", _without("duration_s")),
+    # a region with no cell, or a cell that is no name, cannot be attached to
+    ("topology.regions.MR11.cells", _set("topology", "regions", "MR11",
+                                         "cells", [])),
+    ("topology.regions.MR11.cells", _set("topology", "regions", "MR11",
+                                         "cells", [{"a": 2}])),
+    ("topology.regions.MR11.cells", _set("topology", "regions", "MR11",
+                                         "cells", [["x"]])),
 ]
 
 
@@ -120,3 +127,18 @@ def test_separate_loads_share_no_prefix(tmp_path):
     first, second = load_scenario(path), load_scenario(path)
     for a, b in zip(_prefixes(first), _prefixes(second), strict=True):
         assert a == b and a is not b
+
+
+# ------------------------------------------------------------- HA pairs
+
+@pytest.mark.parametrize("pairs,message", [
+    ([["ALER1", "ALER1"]], "an ALER cannot pair with itself"),
+    ([["ALER1", "ALER1B"], ["ALER1B", "ALER1"]],
+     "an ALER can be in one pair only"),
+], ids=["itself", "twice"])
+def test_an_ha_pair_is_two_alers_in_no_other_pair(pairs, message):
+    doc = lib.ha_failover_scenario()
+    assert validate_scenario(doc) == []
+    doc["flags"]["ha_pairs"] = pairs
+    assert validate_scenario(doc) == [(f"flags.ha_pairs[{len(pairs) - 1}]",
+                                       message)]

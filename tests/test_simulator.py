@@ -285,6 +285,58 @@ def test_reflect_to_previous_ler_flag_updates_old_serving_ler():
     assert ("AMRR1", "LER12") in {(m["src"], m["dst"]) for m in post}
 
 
+# ----------------------------------------------------- overlap of attachments
+
+def _mn_attachments(doc) -> list:
+    """The mobile's attachments when the run ends, as (interface, expires)."""
+    sim = run(doc)
+    mobile = next(m for p, m in sim.mobiles.items() if str(p) == lib.MN)
+    return [(a.interface, a.expires) for a in mobile.attachments]
+
+
+@pytest.mark.parametrize("moves,expected", [
+    # a move to the cell it is in keeps no second attachment
+    ([(0.15, "MR12", "c1")], [("MR12/c1", None)]),
+    # a move to another cell keeps the old one for overlap_s
+    ([(0.15, "MR12", "c2")], [("MR12/c2", None), ("MR12/c1", 1.15)]),
+    # a local move keeps only the attachment it leaves
+    ([(0.1, "MR13"), (0.15, "MR13", "c2")],
+     [("MR13/c2", None), ("MR13/c1", 1.15)]),
+], ids=["same_cell", "other_cell", "after_a_move"])
+def test_a_local_move_keeps_the_cell_it_leaves(moves, expected):
+    doc = lib.local_handoff_scenario()
+    doc["flags"] = {"overlap_attach": True}
+    doc["mobility"]["move"] = [{"t": t, "prefix": lib.MN, "region": r,
+                                **({"cell": c[0]} if c else {})}
+                               for t, r, *c in moves]
+    assert _mn_attachments(doc) == expected
+
+
+@pytest.mark.parametrize("overlap,expected", [
+    (True, [("MR11/c1", None), ("MR13/c1", 1.3), ("MR12/c1", 1.2)]),
+    (False, [("MR11/c1", None)]),
+])
+def test_moves_to_other_lers_keep_every_active_attachment(overlap, expected):
+    """Two moves within ``overlap_s`` keep three attachments, newest first;
+    without the overlap a move keeps none."""
+    doc = lib.intra_area_scenario()
+    doc["flags"] = {"overlap_attach": overlap}
+    doc["mobility"]["move"].append({"t": 0.3, "prefix": lib.MN,
+                                    "region": "MR11"})
+    assert _mn_attachments(doc) == expected
+
+
+def test_a_move_after_a_reattach_registers_the_new_l2():
+    doc = lib.withdrawal_scenario()
+    first, second = [a for a in doc["mobility"]["attach"]
+                     if a["prefix"] == lib.MN]
+    first["l2"], second["l2"] = "mac-a", "mac-b"
+    doc["mobility"]["move"] = [{"t": 2.0, "prefix": lib.MN, "region": "MR22"}]
+    sim = run(doc)
+    ler = sim.nodes[sim.graph.rid_of("LER22")]
+    assert ler.registrations[lib.MN].l2_address == "mac-b"
+
+
 # ----------------------------------------------------------- validation
 
 def test_timer_hierarchy_enforced():
