@@ -2,13 +2,16 @@
 
 A scenario is a single JSON document with topology, timer, mobility,
 traffic, failure and flag sections plus a seed.  Validation is strict:
-unknown keys are rejected and every problem is reported with its field
-path.  Timer sanity enforces lifetime >= 10 * dead-time >= 30 * keepalive.
+unknown keys are rejected, each list entry is checked on its own, every
+number must be finite (``json.load`` accepts NaN and Infinity, RFC 8259 does
+not), and every problem is reported with its field path.  Timer sanity
+enforces lifetime >= 10 * dead-time >= 30 * keepalive.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 from .errors import ScenarioInvalid, TopologyError
@@ -21,7 +24,7 @@ _FLAG_KEYS = {"reflect_to_previous_ler", "overlap_attach", "overlap_s",
               "ha_pairs"}
 _ENTRY_TYPES = {  # the keys of each topology entry and the types they take
     "nodes": {"id": str, "name": str, "role": str, "area": int},
-    "edges": {"a": str, "b": str, "latency_ms": (int, float)},
+    "edges": {"a": str, "b": str, "latency_ms": float},  # float: via number()
     "regions": {"ler": str, "cells": list},
 }
 _REQUIRED = {"id", "role", "a", "b", "ler"}
@@ -130,26 +133,29 @@ class _Checker:
         """The path of ``key`` inside ``path``; ``""`` is the top level."""
         return f"{path}.{key}" if path else key
 
-    def keys(self, obj, path, allowed):
+    def obj(self, obj, path, allowed) -> bool:
+        """Whether ``obj`` is an object; if not, or a key is not ``allowed``,
+        that is a problem."""
         if not isinstance(obj, dict):
             self.err(path or "$", "expected object")
-            return
+            return False
         for key in obj:
             if key not in allowed:
                 self.err(self.at(path, key), "unknown key")
+        return True
 
     def number(self, obj, path, key, default=None, minimum=None, positive=False):
-        if not isinstance(obj, dict):
-            return default
         where = self.at(path, key)
         if key not in obj:
             if default is None:
                 self.err(where, "missing")
-                return None
             return default
         v = obj[key]
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             self.err(where, f"expected number, got {type(v).__name__}")
+            return None
+        if not abs(v) <= sys.float_info.max:  # NaN, ±Infinity, a too big int
+            self.err(where, "must be finite")
             return None
         if positive and v <= 0:
             self.err(where, "must be positive")
@@ -166,6 +172,21 @@ class _Checker:
             self.err(self.at(path, key), "expected list")
             return []
         return value
+
+    def entries(self, obj, path, key, allowed):
+        """``(i, path, entry)`` for each object in the list ``obj[key]``."""
+        for i, entry in enumerate(self.items(obj, path, key)):
+            where = f"{self.at(path, key)}[{i}]"
+            if self.obj(entry, where, allowed):
+                yield i, where, entry
+
+    def node(self, graph, name, path):
+        """The router id of the node ``name``; if there is none, a problem."""
+        try:
+            return graph.rid_of(str(name))
+        except TopologyError:
+            self.err(path, f"unknown node {name!r}")
+            return None
 
     def prefix(self, text, path):
         if (text := str(text)) not in self._prefixes:
@@ -201,7 +222,7 @@ def parse_scenario(data: dict) -> Scenario:
     c = _Checker()
     if not isinstance(data, dict):
         raise ScenarioInvalid([("$", "scenario must be a JSON object")])
-    c.keys(data, "", _TOP_KEYS)
+    c.obj(data, "", _TOP_KEYS)
     name = str(data.get("name", "scenario"))
     seed = data.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):
@@ -221,20 +242,14 @@ def parse_scenario(data: dict) -> Scenario:
     graph, regions = _parse_topology(data.get("topology"), c)
     attaches, moves, detaches, model = _parse_mobility(
         data.get("mobility", {}), c, regions, ranges)
-    flows = _parse_flows(c.items(data, "", "flows"), c)
-    failures = _parse_failures(c.items(data, "", "failures"), c, graph)
+    flows = _parse_flows(data, c)
+    failures = _parse_failures(data, c, graph)
     flags = _parse_flags(data.get("flags", {}), c, graph)
     analysis = data.get("analysis", {})
-    if not isinstance(analysis, dict):
-        c.err("analysis", "expected object")
+    if not c.obj(analysis, "analysis", {"ha_node"}):
         analysis = {}
-    else:
-        c.keys(analysis, "analysis", {"ha_node"})
-        if graph and "ha_node" in analysis:
-            try:
-                graph.rid_of(str(analysis["ha_node"]))
-            except TopologyError:
-                c.err("analysis.ha_node", "unknown node")
+    elif graph and "ha_node" in analysis:
+        c.node(graph, analysis["ha_node"], "analysis.ha_node")
 
     if c.problems:
         raise ScenarioInvalid(c.problems)
@@ -244,11 +259,9 @@ def parse_scenario(data: dict) -> Scenario:
 
 
 def _parse_timers(obj, c) -> Timers:
-    if not isinstance(obj, dict):
-        c.err("timers", "expected object")
-        return Timers()
     defaults = vars(Timers())
-    c.keys(obj, "timers", defaults)
+    if not c.obj(obj, "timers", defaults):
+        return Timers()
     k, d, life = (c.number(obj, "timers", name, default, positive=True)
                   for name, default in defaults.items())
     if k and d and d < 3 * k:
@@ -262,7 +275,7 @@ def _parse_topology(obj, c):
     if not isinstance(obj, dict):
         c.err("topology", "missing or not an object")
         return None, {}
-    c.keys(obj, "topology", _ENTRY_TYPES)
+    c.obj(obj, "topology", _ENTRY_TYPES)
     for section, kind in (("nodes", list), ("edges", list), ("regions", dict)):
         if not isinstance(obj.get(section, kind()), kind):
             c.err(f"topology.{section}", f"expected {kind.__name__}")
@@ -273,17 +286,17 @@ def _parse_topology(obj, c):
     entries += [(f"topology.regions.{name}", "regions", entry)
                 for name, entry in obj.get("regions", {}).items()]
     for path, section, entry in entries:
-        if not isinstance(entry, dict):
-            c.err(path, "expected object")
+        if not c.obj(entry, path, _ENTRY_TYPES[section]):
             return None, {}
-        c.keys(entry, path, _ENTRY_TYPES[section])
         for key, kind in _ENTRY_TYPES[section].items():
             if key not in entry:
                 if key in _REQUIRED:
                     c.err(f"{path}.{key}", "missing")
+            elif kind is float:
+                c.number(entry, path, key)
             elif type(value := entry[key]) is bool or not isinstance(value, kind):
-                c.err(f"{path}.{key}", f"expected {getattr(kind, '__name__', 'number')}"
-                      f", got {type(value).__name__}")
+                c.err(f"{path}.{key}",
+                      f"expected {kind.__name__}, got {type(value).__name__}")
         if isinstance(entry.get("role"), str) and entry["role"] not in _ROLES:
             c.err(f"{path}.role", f"unknown role {entry['role']!r}")
         cells = entry.get("cells")  # missing: build_topology's default
@@ -301,19 +314,10 @@ def _parse_topology(obj, c):
 
 
 def _parse_mobility(obj, c, regions, ranges):
-    if not isinstance(obj, dict):
-        c.err("mobility", "expected object")
+    if not c.obj(obj, "mobility", {"attach", "move", "detach", "model"}):
         return [], [], [], None
-    c.keys(obj, "mobility", {"attach", "move", "detach", "model"})
     attaches, moves, detaches = [], [], []
     known_prefixes = set()
-
-    for section in ("attach", "move", "detach"):
-        entries = obj.get(section, [])
-        if not isinstance(entries, list) or any(
-                not isinstance(e, dict) for e in entries):
-            c.err(f"mobility.{section}", "expected a list of objects")
-            return [], [], [], None
 
     def check_region(path, entry):
         region = entry.get("region")
@@ -326,9 +330,8 @@ def _parse_mobility(obj, c, regions, ranges):
             return region, None
         return region, cell
 
-    for i, entry in enumerate(obj.get("attach", [])):
-        path = f"mobility.attach[{i}]"
-        c.keys(entry, path, {"t", "prefix", "region", "cell", "l2"})
+    for _, path, entry in c.entries(obj, "mobility", "attach",
+                                    {"t", "prefix", "region", "cell", "l2"}):
         t = c.number(entry, path, "t", 0.0, minimum=0.0)
         prefix = c.prefix(entry.get("prefix"), f"{path}.prefix")
         region, cell = check_region(path, entry)
@@ -338,70 +341,58 @@ def _parse_mobility(obj, c, regions, ranges):
             known_prefixes.add(str(prefix))
             attaches.append(AttachSpec(t, prefix, region, cell,
                                        str(entry.get("l2", f"mac-{prefix}"))))
-    for i, entry in enumerate(obj.get("move", [])):
-        path = f"mobility.move[{i}]"
-        c.keys(entry, path, {"t", "prefix", "region", "cell"})
-        t = c.number(entry, path, "t")
+    for _, path, entry in c.entries(obj, "mobility", "move",
+                                    {"t", "prefix", "region", "cell"}):
+        t = c.number(entry, path, "t", minimum=0.0)
         prefix = c.prefix(entry.get("prefix"), f"{path}.prefix")
         region, cell = check_region(path, entry)
         if prefix and str(prefix) not in known_prefixes:
             c.err(f"{path}.prefix", "moves a prefix that never attaches")
         if t is not None and prefix and region:
             moves.append(MoveSpec(t, prefix, region, cell))
-    for i, entry in enumerate(obj.get("detach", [])):
-        path = f"mobility.detach[{i}]"
-        c.keys(entry, path, {"t", "prefix"})
-        t = c.number(entry, path, "t")
+    for _, path, entry in c.entries(obj, "mobility", "detach", {"t", "prefix"}):
+        t = c.number(entry, path, "t", minimum=0.0)
         prefix = c.prefix(entry.get("prefix"), f"{path}.prefix")
         if t is not None and prefix:
             detaches.append(DetachSpec(t, prefix))
 
     model = None
-    if "model" in obj:
-        entry = obj["model"]
-        path = "mobility.model"
-        if not isinstance(entry, dict):
-            c.err(path, "expected object")
-        else:
-            c.keys(entry, path, {"mu", "p", "prefixes", "adjacency"})
-            mu = c.number(entry, path, "mu", positive=True)
-            p = c.number(entry, path, "p", minimum=0.0)
-            if p is not None and p > 1.0:
-                c.err(f"{path}.p", "transition probability must be <= 1")
-            prefixes = []
-            for j, text in enumerate(c.items(entry, path, "prefixes")):
-                pfx = c.prefix(text, f"{path}.prefixes[{j}]")
-                if pfx:
-                    if str(pfx) not in known_prefixes:
-                        c.err(f"{path}.prefixes[{j}]", "prefix never attaches")
-                    prefixes.append(pfx)
-            adjacency = entry.get("adjacency", {})
-            if not isinstance(adjacency, dict):
-                c.err(f"{path}.adjacency", "expected object")
-                adjacency = {}
-            for region in adjacency:
-                if region not in regions:
-                    c.err(f"{path}.adjacency.{region}", "unknown region")
-                for nbr in c.items(adjacency, f"{path}.adjacency", region):
-                    if not isinstance(nbr, str) or nbr not in regions:
-                        c.err(f"{path}.adjacency.{region}",
-                              f"unknown neighbor region {nbr!r}")
-            if mu is not None and p is not None:
-                model = MovementModel(mu, p, prefixes, adjacency)
-    attaches.sort(key=lambda a: a.t)
-    moves.sort(key=lambda m: m.t)
-    detaches.sort(key=lambda d: d.t)
+    path = "mobility.model"
+    if "model" in obj and c.obj(entry := obj["model"], path,
+                                {"mu", "p", "prefixes", "adjacency"}):
+        mu = c.number(entry, path, "mu", positive=True)
+        p = c.number(entry, path, "p", minimum=0.0)
+        if p is not None and p > 1.0:
+            c.err(f"{path}.p", "transition probability must be <= 1")
+        prefixes = []
+        for j, text in enumerate(c.items(entry, path, "prefixes")):
+            pfx = c.prefix(text, f"{path}.prefixes[{j}]")
+            if pfx:
+                if str(pfx) not in known_prefixes:
+                    c.err(f"{path}.prefixes[{j}]", "prefix never attaches")
+                prefixes.append(pfx)
+        adjacency = entry.get("adjacency", {})
+        if not isinstance(adjacency, dict):
+            c.err(f"{path}.adjacency", "expected object")
+            adjacency = {}
+        for region in adjacency:
+            if region not in regions:
+                c.err(f"{path}.adjacency.{region}", "unknown region")
+            for nbr in c.items(adjacency, f"{path}.adjacency", region):
+                if not isinstance(nbr, str) or nbr not in regions:
+                    c.err(f"{path}.adjacency.{region}",
+                          f"unknown neighbor region {nbr!r}")
+        if mu is not None and p is not None:
+            model = MovementModel(mu, p, prefixes, adjacency)
+    for specs in (attaches, moves, detaches):
+        specs.sort(key=lambda spec: spec.t)
     return attaches, moves, detaches, model
 
 
-def _parse_flows(entries, c):
+def _parse_flows(data, c):
     flows, ids = [], set()
-    for i, entry in enumerate(entries):
-        path = f"flows[{i}]"
-        if not isinstance(entry, dict):
-            c.err(path, "expected object")
-            continue
-        c.keys(entry, path, {"id", "src", "dst", "rate_pps", "start_s", "stop_s"})
+    for i, path, entry in c.entries(data, "", "flows", {
+            "id", "src", "dst", "rate_pps", "start_s", "stop_s"}):
         flow_id = str(entry.get("id", f"f{i}"))
         if flow_id in ids:
             c.err(f"{path}.id", f"duplicate flow id {flow_id!r}")
@@ -418,32 +409,21 @@ def _parse_flows(entries, c):
     return flows
 
 
-def _parse_failures(entries, c, graph):
+def _parse_failures(data, c, graph):
     out = []
-    for i, entry in enumerate(entries):
-        path = f"failures[{i}]"
-        if not isinstance(entry, dict):
-            c.err(path, "expected object")
-            continue
-        c.keys(entry, path, {"t", "node"})
+    for _, path, entry in c.entries(data, "", "failures", {"t", "node"}):
         t = c.number(entry, path, "t", minimum=0.0)
         node = entry.get("node")
         if graph is not None and node is not None:
-            try:
-                node = graph.rid_of(str(node))
-            except TopologyError:
-                c.err(f"{path}.node", f"unknown node {node!r}")
-                node = None
+            node = c.node(graph, node, f"{path}.node")
         if t is not None and node:
             out.append(FailureSpec(t, node))
     return out
 
 
 def _parse_flags(obj, c, graph) -> Flags:
-    if not isinstance(obj, dict):
-        c.err("flags", "expected object")
+    if not c.obj(obj, "flags", _FLAG_KEYS):
         return Flags()
-    c.keys(obj, "flags", _FLAG_KEYS)
     flags = Flags()
     for key in ("reflect_to_previous_ler", "overlap_attach"):
         if key in obj:
@@ -459,14 +439,8 @@ def _parse_flags(obj, c, graph) -> Flags:
             continue
         if graph is None:
             continue
-        rids = []
-        for member in pair:
-            try:
-                rids.append(graph.rid_of(str(member)))
-            except TopologyError:
-                c.err(path, f"unknown node {member!r}")
-        if len(rids) == 2:
-            a, b = rids
+        a, b = (c.node(graph, member, path) for member in pair)
+        if a and b:
             if (graph.role_of(a) is not NodeRole.ALER
                     or graph.role_of(b) is not NodeRole.ALER):
                 c.err(path, "high-availability pairs must be ALER nodes")

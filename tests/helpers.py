@@ -6,6 +6,7 @@ and both would be imported under the one name ``conftest``."""
 
 from __future__ import annotations
 
+import json
 from weakref import WeakKeyDictionary
 
 from hmlbn.messages import ControlMessage, MobilePrefix
@@ -93,6 +94,19 @@ def prefix(text: str) -> MobilePrefix:
 
 def run(doc: dict, seed=None):
     return run_scenario(parse_scenario(doc), seed=seed)
+
+
+def with_token(doc: dict, path: str, token: str) -> dict:
+    """``doc`` through JSON text with the bare ``token``, such as ``NaN`` or
+    ``Infinity``, at ``path``, such as ``flows[0].rate_pps``: ``json.loads``
+    reads those tokens, as ``json.load`` does."""
+    *keys, last = [int(k) if k.isdigit() else k
+                   for k in path.replace("[", ".").replace("]", "").split(".")]
+    target = doc
+    for key in keys:
+        target = target[key]
+    target[last] = "@TOKEN@"
+    return json.loads(json.dumps(doc).replace('"@TOKEN@"', token))
 
 
 # simulation -> (its record count, its trace parsed at that count)

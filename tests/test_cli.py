@@ -11,6 +11,8 @@ from hmlbn.analysis import penalty_table, penalty_table_csv
 from hmlbn.scenario import load_scenario
 from hmlbn.simulator import run_scenario
 
+from helpers import with_token
+
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 STARTUP = str(SCENARIO_DIR / "startup.json")
 # each bundled pattern and the scenario that produces it
@@ -83,6 +85,26 @@ def test_validate_accepts_a_valid_file_and_rejects_a_bad_one(tmp_path,
                      str(tmp_path / "missing.json")]) == cli.EXIT_VALIDATION
     problems = json.loads(capsys.readouterr().err)
     assert [p["path"] for p in problems] == ["$"]
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("path,token", [
+    ("flows[0].rate_pps", "NaN"), ("flows[0].stop_s", "Infinity"),
+    ("duration_s", "Infinity"), ("topology.edges[0].latency_ms", "-Infinity"),
+])
+def test_a_non_finite_number_is_a_validation_failure(tmp_path, command, path,
+                                                      token, capsys):
+    """``json.load`` reads NaN and Infinity; the run must not start."""
+    doc = with_token(json.loads(Path(STARTUP).read_text(encoding="utf-8")),
+                     path, token)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")  # writes the bare token
+    extra = ["--out", str(tmp_path / "out")] if command == "run" else []
+    assert cli.main([command, "--scenario", str(bad)] + extra) \
+        == cli.EXIT_VALIDATION
+    problems = json.loads(capsys.readouterr().err)
+    assert {"path": path, "message": "must be finite"} in problems
+    assert not (tmp_path / "out").exists()
 
 
 def test_analyze_prints_the_penalty_table(tmp_path, capsys):

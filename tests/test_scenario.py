@@ -2,11 +2,16 @@
 problem; it never lets the field reach code that raises on its type."""
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hmlbn import scenarios as lib
 from hmlbn.scenario import load_scenario, parse_scenario, validate_scenario
+
+from helpers import with_token
 
 
 def _set(*keys_and_value):
@@ -74,6 +79,14 @@ MALFORMED = [
                                          "cells", [{"a": 2}])),
     ("topology.regions.MR11.cells", _set("topology", "regions", "MR11",
                                          "cells", [["x"]])),
+    ("mobility.attach[0]", _set("mobility", "attach", 0, "MR11")),
+    ("mobility.detach", _set("mobility", "detach", {"t": 1.0})),
+    ("failures[0].node", _set("failures", [{"t": 1.0, "node": "NOPE"}])),
+    ("analysis.ha_node", _set("analysis", {"ha_node": "NOPE"})),
+    ("flags.ha_pairs[0]", _set("flags", "ha_pairs", [["ALER1", "NOPE"]])),
+    # a move before the attach would be dropped when it fires
+    ("mobility.move[0].t", _set("mobility", "move", [
+        {"t": -1.0, "prefix": lib.MN, "region": "MR12"}])),
 ]
 
 
@@ -86,6 +99,81 @@ def test_malformed_field_is_a_problem_not_an_exception(path, edit):
     edit(doc)
     problems = validate_scenario(doc)
     assert path in [where for where, _ in problems], problems
+
+
+def test_each_mobility_entry_is_checked_on_its_own():
+    """A bad entry in one section hides no problem of the others."""
+    doc = lib.random_walk_scenario()
+    doc["mobility"]["attach"].insert(0, "MR11")
+    doc["mobility"]["detach"] = [{"t": -1.0, "prefix": lib.MN}]
+    doc["analysis"] = {"ha_node": "NOPE"}
+    assert validate_scenario(doc) == [
+        ("mobility.attach[0]", "expected object"),
+        ("mobility.detach[0].t", "must be >= 0.0"),
+        ("analysis.ha_node", "unknown node 'NOPE'"),
+    ]
+
+
+# ----------------------------------------------------- non-finite numbers
+
+FINITE_PATHS = ["duration_s", "timers.keepalive_s", "flows[0].rate_pps",
+                "flows[0].start_s", "flows[0].stop_s", "mobility.attach[0].t",
+                "mobility.model.mu", "flags.overlap_s",
+                "topology.edges[0].latency_ms"]
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("path", FINITE_PATHS)
+def test_a_non_finite_number_is_refused(path, token):
+    problems = validate_scenario(with_token(lib.random_walk_scenario(), path,
+                                            token))
+    assert (path, "must be finite") in problems, problems
+
+
+# ------------------------------------------------------------ fail closed
+
+_BAD = st.sampled_from([None, "x", True, -1, -0.5, math.nan, math.inf,
+                        -math.inf, list, dict]).map(
+    lambda v: v() if isinstance(v, type) else v)  # a new list or dict each
+
+
+def _paths(node, path=()):
+    """The key path of every value inside ``node``."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from _paths(value, path + (key,))
+
+
+def _numbers(scenario) -> list:
+    return ([scenario.duration_s, scenario.flags.overlap_s]
+            + list(vars(scenario.timers).values())
+            + [spec.t for spec in scenario.attaches + scenario.moves
+               + scenario.detaches + scenario.failures]
+            + [x for f in scenario.flows for x in (f.rate_pps, f.start_s,
+                                                   f.stop_s)]
+            + ([scenario.model.mu, scenario.model.p] if scenario.model else [])
+            + [ms for peers in scenario.graph.edges.values()
+               for ms in peers.values()])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_a_mutated_bundled_scenario_fails_closed(data):
+    """Validation never raises, and a document it accepts holds only finite
+    numbers, whatever bad values replace parts of a bundled scenario."""
+    doc = data.draw(st.sampled_from(sorted(lib.BUNDLED_SCENARIOS)).map(
+        lambda name: lib.BUNDLED_SCENARIOS[name]()))
+    for _ in range(data.draw(st.integers(1, 2))):
+        section = data.draw(st.sampled_from(sorted(doc)))
+        path = data.draw(st.sampled_from([()] + list(_paths(doc[section]))))
+        _set(section, *path, data.draw(_BAD))(doc)
+    problems = validate_scenario(doc)
+    assert all(type(p) is tuple and list(map(type, p)) == [str, str]
+               for p in problems), problems
+    if not problems:
+        assert all(math.isfinite(x) for x in _numbers(parse_scenario(doc)))
 
 
 # ------------------------------------------------------------ prefix memo
