@@ -4,8 +4,10 @@ A scenario is a single JSON document with topology, timer, mobility,
 traffic, failure and flag sections plus a seed.  Validation is strict:
 unknown keys are rejected, each list entry is checked on its own, every
 number must be finite (``json.load`` accepts NaN and Infinity, RFC 8259 does
-not), and every problem is reported with its field path.  Timer sanity
-enforces lifetime >= 10 * dead-time >= 30 * keepalive.
+not), a flow's packet count ``(stop_s - start_s) * rate_pps`` must be below
+2**53, where floats stop telling consecutive packet indices apart, and every
+problem is reported with its field path.  Timer sanity enforces lifetime >=
+10 * dead-time >= 30 * keepalive.
 """
 
 from __future__ import annotations
@@ -272,6 +274,7 @@ def _parse_timers(obj, c) -> Timers:
 
 
 def _parse_topology(obj, c):
+    before = len(c.problems)  # problems of the sections before this one
     if not isinstance(obj, dict):
         c.err("topology", "missing or not an object")
         return None, {}
@@ -303,7 +306,7 @@ def _parse_topology(obj, c):
         if isinstance(cells, list) and not (
                 cells and all(isinstance(cell, str) and cell for cell in cells)):
             c.err(f"{path}.cells", "expected a non-empty list of cell names")
-    if c.problems:
+    if len(c.problems) > before:
         return None, {}
     try:
         graph = build_topology(obj)
@@ -402,8 +405,11 @@ def _parse_flows(data, c):
         rate = c.number(entry, path, "rate_pps", positive=True)
         start = c.number(entry, path, "start_s", minimum=0.0)
         stop = c.number(entry, path, "stop_s")
-        if start is not None and stop is not None and stop <= start:
-            c.err(f"{path}.stop_s", "must be after start_s")
+        if start is not None and stop is not None:
+            if stop <= start:
+                c.err(f"{path}.stop_s", "must be after start_s")
+            elif rate and not (stop - start) * rate < 2 ** 53:
+                c.err(path, "(stop_s - start_s) * rate_pps must be below 2**53")
         if src and dst and rate and start is not None and stop is not None:
             flows.append(FlowSpec(flow_id, src, dst, rate, start, stop))
     return flows
@@ -413,11 +419,12 @@ def _parse_failures(data, c, graph):
     out = []
     for _, path, entry in c.entries(data, "", "failures", {"t", "node"}):
         t = c.number(entry, path, "t", minimum=0.0)
-        node = entry.get("node")
-        if graph is not None and node is not None:
-            node = c.node(graph, node, f"{path}.node")
-        if t is not None and node:
-            out.append(FailureSpec(t, node))
+        if "node" not in entry:
+            c.err(f"{path}.node", "missing")
+        elif graph is not None:
+            node = c.node(graph, entry["node"], f"{path}.node")
+            if t is not None and node:
+                out.append(FailureSpec(t, node))
     return out
 
 

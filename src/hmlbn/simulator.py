@@ -17,7 +17,10 @@ recurs for every packet of a flow but for the packet's seq, the record's seq
 and ``t``: from the second time its other values come back in one
 ``trace_jsonl`` call, the line is those three set into a memoised stem of
 the text between them.  A first sighting only marks its values, so hops
-that never recur cost no stem, and no memo outlives the call.
+that never recur cost no stem, and no memo outlives the call.  The records
+of one event share its time object, so a record whose time is the previous
+one's reuses that text; a value rendered for the first time goes straight
+to the function ``json.dumps`` would reach for its exact type.
 """
 
 from __future__ import annotations
@@ -308,6 +311,16 @@ class _Memo(dict):
         return self.setdefault(key, self.render(key))
 
 
+class _Values(dict):
+    """``values[v]`` is ``json.dumps(v)``, rendered on first use only; a str
+    or an int straight by the function ``json.dumps`` reaches for it."""
+
+    def __missing__(self, value, by_type={str: encode_basestring_ascii,
+                                          int: int.__repr__}.get):
+        text = self[value] = by_type(type(value), json.dumps)(value)
+        return text
+
+
 class _Services:
     """Per-node facade over the simulation: clock, messaging, data plane.
     ``calls`` are the simulation's own, bound once and shared by all nodes."""
@@ -476,26 +489,38 @@ class Simulation:
         True)`` writes for its dict (``t`` rounded to 9 places, ids named);
         ``json.dumps`` writes a time that is not finite (``NaN``).  Each
         record's ``LINE_FACTORIES`` line is made anew on each call with
-        fresh memos, which render each value once per call (a wire hex,
-        seldom repeated, is encoded on every use); a ``STEMMED`` entry's
-        line keeps its stems, made for keys seen twice, for that call only.
-        Only nonzero float times are memoised: 3 and 3.0, or 0.0 and -0.0,
-        are one key but two texts.  ``CHUNK_LINES`` lines are joined at a
-        time, so no list of every line outlives its chunk."""
+        fresh ``_Values`` memos, which render each value once per call by
+        its exact type (a wire hex, seldom repeated, is encoded on every
+        use); a ``STEMMED`` entry's line keeps its stems, made for keys seen
+        twice, for that call only.  A record whose time is the previous
+        record's time object reuses its text; other nonzero float times are
+        memoised by value, zero and int times not: 3 and 3.0, or 0.0 and
+        -0.0, are one key but two texts.  ``CHUNK_LINES`` lines are joined
+        at a time, so no list of every line outlives its chunk."""
         encode, names = json.dumps, self._names
         router = _Memo(lambda rid: encode(names.get(rid, rid)))
-        times = _Memo(lambda t: repr(round(t, 9)) if t - t == 0 else encode(t))
-        lines_of = {name: factory(router, *[_Memo(encode) for _ in range(n)])
+        lines_of = {name: factory(router, *[_Values() for _ in range(n)])
                     for name, (factory, n) in LINE_FACTORIES.items()}
-        records, chunks = self._records, []
+        times = {}  # nonzero float times: their texts
+
+        def time_text(t):
+            return repr(round(t, 9)) if t - t == 0 else encode(t)
+
+        records, chunks, seq, last = self._records, [], 0, object()
         for start in range(0, len(records), CHUNK_LINES):
             lines = []
             append = lines.append
-            for seq, rec in enumerate(records[start:start + CHUNK_LINES],
-                                      start + 1):
-                t = rec[0]
-                t = times[t] if type(t) is float and t else times.render(t)
-                append(lines_of[rec[1]](rec, seq, t))
+            for rec in records[start:start + CHUNK_LINES]:
+                seq += 1
+                if rec[0] is not last:  # else one event's time: same text
+                    last = t = rec[0]
+                    if type(t) is float and t:
+                        text = times.get(t)
+                        if text is None:
+                            text = times[t] = time_text(t)
+                    else:
+                        text = time_text(t)
+                append(lines_of[rec[1]](rec, seq, text))
             chunks.append("".join(lines))
         return "".join(chunks)
 

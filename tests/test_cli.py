@@ -107,6 +107,25 @@ def test_a_non_finite_number_is_a_validation_failure(tmp_path, command, path,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("key,value", [("stop_s", 1e308), ("rate_pps", 1e300)])
+def test_a_flow_whose_packets_cannot_be_counted_is_a_validation_failure(
+        tmp_path, command, key, value, capsys):
+    """Set-up raised ``OverflowError`` on the first and never ended on the
+    second; now the run does not start."""
+    doc = json.loads(Path(STARTUP).read_text(encoding="utf-8"))
+    doc["flows"][0][key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    extra = ["--out", str(tmp_path / "out")] if command == "run" else []
+    assert cli.main([command, "--scenario", str(bad)] + extra) \
+        == cli.EXIT_VALIDATION
+    assert json.loads(capsys.readouterr().err) == [{
+        "path": "flows[0]",
+        "message": "(stop_s - start_s) * rate_pps must be below 2**53"}]
+    assert not (tmp_path / "out").exists()
+
+
 def test_analyze_prints_the_penalty_table(tmp_path, capsys):
     argv = ["analyze", "--k-max", "4", "--trials", "200", "--seed", "3"]
     expected = penalty_table_csv(penalty_table(1, 4, trials=200, seed=3))

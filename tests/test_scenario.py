@@ -87,6 +87,8 @@ MALFORMED = [
     # a move before the attach would be dropped when it fires
     ("mobility.move[0].t", _set("mobility", "move", [
         {"t": -1.0, "prefix": lib.MN, "region": "MR12"}])),
+    # a failure of no node would be dropped without a word
+    ("failures[0].node", _set("failures", [{"t": 1.0}])),
 ]
 
 
@@ -114,6 +116,14 @@ def test_each_mobility_entry_is_checked_on_its_own():
     ]
 
 
+def test_a_problem_before_the_topology_hides_no_region():
+    """The graph is built whatever problems the sections before it hold, so
+    the mobility entries still find their regions."""
+    doc = lib.startup_scenario()
+    doc["duration_s"] = "x"
+    assert validate_scenario(doc) == [("duration_s", "expected number, got str")]
+
+
 # ----------------------------------------------------- non-finite numbers
 
 FINITE_PATHS = ["duration_s", "timers.keepalive_s", "flows[0].rate_pps",
@@ -128,6 +138,23 @@ def test_a_non_finite_number_is_refused(path, token):
     problems = validate_scenario(with_token(lib.random_walk_scenario(), path,
                                             token))
     assert (path, "must be finite") in problems, problems
+
+
+UNCOUNTABLE = ("flows[0]", "(stop_s - start_s) * rate_pps must be below 2**53")
+
+
+@pytest.mark.parametrize("edit,problems", [
+    ({"stop_s": 1e308}, [UNCOUNTABLE]),  # set-up raised OverflowError
+    ({"rate_pps": 1e300}, [UNCOUNTABLE]),  # n -= 1 left it as it was
+    ({"start_s": 0.0, "stop_s": 2.0 ** 53, "rate_pps": 1}, [UNCOUNTABLE]),
+    ({"start_s": 0.0, "stop_s": 2.0 ** 53 - 1, "rate_pps": 1}, []),
+])
+def test_a_flow_counts_its_packets_below_2_to_the_53(edit, problems):
+    """Set-up counts a flow's packets in floats, which tell consecutive
+    packet indices apart only below 2**53."""
+    doc = lib.startup_scenario()
+    doc["flows"][0].update(edit)
+    assert validate_scenario(doc) == problems
 
 
 # ------------------------------------------------------------ fail closed

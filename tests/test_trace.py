@@ -28,6 +28,8 @@ SOURCE_DIR = Path(simulator.__file__).resolve().parent
 
 ODD = 'q"b\\s\x01\x1fé\U0001F600'  # quote, backslash, controls, é, non-BMP
 
+SIX = float("6")  # a time object, made anew by each float("6")
+
 # (now, name, src, dst, values, detail): a record as the flat values its
 # call site passes to trace_event, and the detail dict its kind was recorded
 # with before.  "LER" and "AMRR" stand for real router ids, which the old
@@ -50,6 +52,21 @@ RECORDS = [
     (float("inf"), "node_fail", "LER", None, (), {}),
     (5.0, "ctl_drop", None, None, ("50%s%%", "node_failed"),
      {"msg": "50%s%%", "why": "node_failed"}),
+    # one event's time object in two records, then an equal float of
+    # another event, the int of that value, and 0.0 then -0.0; the area slot
+    # sees each value type for the first time
+    (SIX, "warn/area", "LER", None, ("9", ODD, "x"),
+     {"area": "9", "prefix": ODD, "what": "x"}),
+    (SIX, "warn/area", "LER", None, (9, ODD, "x"),
+     {"area": 9, "prefix": ODD, "what": "x"}),
+    (float("6"), "warn/area", "LER", None, (True, ODD, "x"),
+     {"area": True, "prefix": ODD, "what": "x"}),
+    (6, "warn/area", "LER", None, (None, ODD, "x"),
+     {"area": None, "prefix": ODD, "what": "x"}),
+    (0.0, "warn/area", "LER", None, (2.5, ODD, "x"),
+     {"area": 2.5, "prefix": ODD, "what": "x"}),
+    (-0.0, "warn/area", "LER", None, (2 ** 70, ODD, "x"),
+     {"area": 2 ** 70, "prefix": ODD, "what": "x"}),
 ]
 
 
@@ -128,6 +145,11 @@ def test_rendering_matches_the_dict_encoder_byte_for_byte(render_midway):
     assert sim.trace[6]["detail"]["node"] == sim.trace[8]["src"]
     lines = text.splitlines()
     assert lines[5].endswith('"t": 3}') and lines[8].endswith('"t": Infinity}')
+    assert RECORDS[-6][0] is RECORDS[-5][0] is not RECORDS[-4][0]
+    assert [line[line.rindex(":"):] for line in lines[-6:]] == [
+        ": 6.0}", ": 6.0}", ": 6.0}", ": 6}", ": 0.0}", ": -0.0}"]
+    assert [json.loads(line)["detail"]["area"] for line in lines[-6:]] == [
+        "9", 9, True, None, 2.5, 2 ** 70]
 
 
 def test_trace_is_rebuilt_and_not_assignable():
