@@ -12,7 +12,7 @@ from .messages import (
     UpdateType,
     canonical_decode,
     canonical_encode,
-    make_withdrawal,
+    control_message,
 )
 from .scenario import Scenario, load_scenario, parse_scenario, validate_scenario
 from .simulator import Metrics, Simulation, run_scenario
@@ -37,8 +37,8 @@ __all__ = [
     "canonical_decode",
     "canonical_encode",
     "compute_infrastructure_lsps",
+    "control_message",
     "load_scenario",
-    "make_withdrawal",
     "parse_scenario",
     "run_scenario",
     "validate_scenario",

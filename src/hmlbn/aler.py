@@ -21,7 +21,6 @@ from .messages import (
     MobilePrefix,
     MobilityBinding,
     UpdateMode,
-    UpdatePayload,
     UpdateType,
 )
 
@@ -110,8 +109,7 @@ class AlerNode(ControlNode):
                 update_type=announce_as,
                 update_mode=UpdateMode.SELECTIVE_DOWNSTREAM_PUSH)
             for amrr in self.amrrs:
-                self.services.send(MessageKind.BINDING_UPDATE, amrr,
-                                   UpdatePayload(announced))
+                self.services.send(MessageKind.BINDING_UPDATE, amrr, announced)
         return entry
 
     def handle_withdrawal(self, msg: ControlMessage):

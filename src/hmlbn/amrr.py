@@ -17,19 +17,12 @@ from .errors import NoAlerAvailable
 from .messages import (
     ControlMessage,
     ControlNode,
-    FailoverBlanketPayload,
     LastRequestorList,
-    LrlReplyPayload,
-    LrlRequestPayload,
     MessageKind,
     MobilePrefix,
     MobilityBinding,
-    NegativeReplyPayload,
-    RequestPayload,
     UpdateMode,
-    UpdatePayload,
     UpdateType,
-    WithdrawalPayload,
 )
 
 
@@ -137,7 +130,7 @@ class AmrrNode(ControlNode):
             reflected = stored._replace(
                 update_mode=UpdateMode.UNSOLICITED_DOWNSTREAM_PUSH)
             self.services.send(MessageKind.BINDING_UPDATE, previous_origin,
-                               UpdatePayload(reflected))
+                               reflected)
         if target_area is not None:
             if rec.aler_labels:
                 self._send_lrl_exchange(rec, target_area)
@@ -200,8 +193,7 @@ class AmrrNode(ControlNode):
             update_type=update_type,
             update_mode=UpdateMode.UNSOLICITED_DOWNSTREAM_PUSH)
         for aler in self._live_alers():
-            self.services.send(MessageKind.BINDING_UPDATE, aler,
-                               UpdatePayload(reflected))
+            self.services.send(MessageKind.BINDING_UPDATE, aler, reflected)
 
     # ---------------------------------------------------------- requests
 
@@ -222,7 +214,7 @@ class AmrrNode(ControlNode):
                 reply = self._alias_binding(
                     rec, aler, UpdateMode.SELECTIVE_DOWNSTREAM_PUSH)
                 self.services.send(MessageKind.BINDING_REPLY_POSITIVE, msg.src,
-                                   UpdatePayload(reply))
+                                   reply)
             else:
                 self._refuse(msg.src, prefix)
             return
@@ -244,34 +236,33 @@ class AmrrNode(ControlNode):
             return
         pending = _PendingRequest(lers=[msg.src], awaiting=set(self.peers))
         self.pending[key] = pending
-        payload = RequestPayload(prefix, msg.payload.requestor_area)
         for peer in self.peers:
-            self.services.send(MessageKind.BINDING_REQUEST, peer, payload)
+            self.services.send(MessageKind.BINDING_REQUEST, peer, prefix,
+                               msg.payload.requestor_area)
 
     def _answer(self, rec: AmrrRecord, ler: str, binding: MobilityBinding):
         """Remember ``ler`` as an internal requestor of ``rec`` and send it
         ``binding`` in a positive reply."""
         rec.lrl.add_internal(ler)
-        self.services.send(MessageKind.BINDING_REPLY_POSITIVE, ler,
-                           UpdatePayload(binding))
+        self.services.send(MessageKind.BINDING_REPLY_POSITIVE, ler, binding)
 
     def _refuse(self, dst: str, prefix: MobilePrefix):
         """Tell ``dst`` that no binding for ``prefix`` can be had here."""
-        self.services.send(MessageKind.BINDING_REPLY_NEGATIVE, dst,
-                           NegativeReplyPayload(prefix))
+        self.services.send(MessageKind.BINDING_REPLY_NEGATIVE, dst, prefix)
 
     def handle_reply(self, msg: ControlMessage):
         """Aggregate peer replies for a flooded request: first positive wins
         and is pushed down through the ALER; all-negative fails the LERs."""
-        prefix = msg.prefix
+        positive = msg.kind is MessageKind.BINDING_REPLY_POSITIVE
+        prefix = msg.payload.binding.prefix if positive else msg.payload.prefix
         key = str(prefix)
         pending = self.pending.get(key)
         if pending is None:
-            if msg.kind is MessageKind.BINDING_REPLY_POSITIVE:
+            if positive:
                 self.services.emit("warn/from", msg.src, key,
                                    "unexpected_positive_reply")
             return
-        if msg.kind is MessageKind.BINDING_REPLY_NEGATIVE:
+        if not positive:
             pending.awaiting.discard(msg.src)
             if not pending.awaiting and not pending.resolved:
                 del self.pending[key]
@@ -295,10 +286,8 @@ class AmrrNode(ControlNode):
                                "lrl_without_alias")
             return
         for amrr in self.amrrs_by_area.get(target_area, []):
-            self.services.send(MessageKind.BINDING_UPDATE, amrr,
-                               UpdatePayload(content))
-            self.services.send(MessageKind.LRL_REQUEST, amrr,
-                               LrlRequestPayload(rec.prefix))
+            self.services.send(MessageKind.BINDING_UPDATE, amrr, content)
+            self.services.send(MessageKind.LRL_REQUEST, amrr, rec.prefix)
 
     def handle_lrl_request(self, msg: ControlMessage):
         key = str(msg.payload.prefix)
@@ -307,8 +296,8 @@ class AmrrNode(ControlNode):
         if rec is not None:
             areas = tuple(rec.lrl.external)
             rec.lrl.external.clear()  # transferred, not duplicated
-        self.services.send(MessageKind.LRL_REPLY, msg.src,
-                           LrlReplyPayload(msg.payload.prefix, areas))
+        self.services.send(MessageKind.LRL_REPLY, msg.src, msg.payload.prefix,
+                           areas)
 
     def handle_lrl_reply(self, msg: ControlMessage):
         rec = self._live_record(str(msg.payload.prefix))
@@ -320,8 +309,7 @@ class AmrrNode(ControlNode):
             if area == self.area or content is None:
                 continue
             for amrr in self.amrrs_by_area.get(area, []):
-                self.services.send(MessageKind.BINDING_UPDATE, amrr,
-                                   UpdatePayload(content))
+                self.services.send(MessageKind.BINDING_UPDATE, amrr, content)
 
     def _own_external_content(self, rec: AmrrRecord) -> MobilityBinding | None:
         for aler in self._live_alers():
@@ -357,9 +345,9 @@ class AmrrNode(ControlNode):
         if from_ler:
             targets += [amrr for area in rec.lrl.external
                         for amrr in self.amrrs_by_area.get(area, [])]
-        payload = WithdrawalPayload(msg.payload.prefix, msg.payload.origin_next_hop)
-        for dst in targets:
-            self.services.send(MessageKind.BINDING_WITHDRAWAL, dst, payload)
+        for dst in targets:  # the withdrawal's fields, passed on unchanged
+            self.services.send(MessageKind.BINDING_WITHDRAWAL, dst,
+                               *msg.payload)
         del self.records[key]
 
     # ---------------------------------------------------- high availability
@@ -381,11 +369,10 @@ class AmrrNode(ControlNode):
         if survivor is None:
             self.services.emit("warn/node", failed, "aler_failed_without_twin")
             return
-        payload = FailoverBlanketPayload(survivor, failed)
         for peer in self.peers:
             if self.services.area_of(peer) != self.area:
                 self.services.send(MessageKind.ALER_FAILOVER_BLANKET, peer,
-                                   payload)
+                                   survivor, failed)
 
     def handle_blanket(self, msg: ControlMessage):
         survivor, failed = msg.payload.survivor, msg.payload.failed
@@ -395,7 +382,7 @@ class AmrrNode(ControlNode):
                 rec.binding = rec.binding._replace(origin_next_hop=survivor)
         for aler in self._live_alers():
             self.services.send(MessageKind.ALER_FAILOVER_BLANKET, aler,
-                               msg.payload)
+                               survivor, failed)
 
     def _live_alers(self) -> list[str]:
         return [a for a in self.aler_clients if a not in self.failed_alers]

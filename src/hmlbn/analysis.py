@@ -127,12 +127,6 @@ def monte_carlo_ctmc(d_m: int, eta: float, jumps: int,
     return pi, mean
 
 
-def binomial_sigma(p: float, jumps: int) -> float:
-    """Per-bin tolerance scale for the empirical distribution; the extra
-    factor of two absorbs the dwell-time variance on top of visit counts."""
-    return math.sqrt(2.0 * p * (1.0 - p) / jumps)
-
-
 # --------------------------------------------------------- penalty tables
 
 def penalty_table(k_min: int, k_max: int, *, alpha: float = 5.0,

@@ -22,11 +22,8 @@ from .messages import (
     MessageKind,
     MobilePrefix,
     MobilityBinding,
-    RequestPayload,
     UpdateMode,
-    UpdatePayload,
     UpdateType,
-    WithdrawalPayload,
 )
 
 DEFAULT_PENDING_QUEUE_LIMIT = 64
@@ -111,7 +108,7 @@ class LerNode(ControlNode):
         # in the sorted key order of the trace's TRACE_KEYS entry
         self.services.emit("register", binding_area, interface_id, label, key)
         for amrr in self.amrrs:
-            self.services.send(MessageKind.BINDING_UPDATE, amrr, UpdatePayload(binding))
+            self.services.send(MessageKind.BINDING_UPDATE, amrr, binding)
         return record, self.area
 
     def keepalive(self, prefix: MobilePrefix, now: float):
@@ -142,10 +139,10 @@ class LerNode(ControlNode):
             if now - record.last_heard > self.dead_time_s:
                 del self.registrations[key]
                 self.regs_by_label.pop(record.assigned_label, None)
-                payload = WithdrawalPayload(record.prefix, self.rid)
                 for amrr in self.amrrs:
                     out.append(self.services.send(
-                        MessageKind.BINDING_WITHDRAWAL, amrr, payload))
+                        MessageKind.BINDING_WITHDRAWAL, amrr, record.prefix,
+                        self.rid))
         return out
 
     # --------------------------------------------------------------- data
@@ -172,9 +169,9 @@ class LerNode(ControlNode):
         if pending is None:
             pending = _Pending(awaiting=set(self.amrrs))
             self.pending[key] = pending
-            payload = RequestPayload(dst, self.area)
             for amrr in self.amrrs:
-                self.services.send(MessageKind.BINDING_REQUEST, amrr, payload)
+                self.services.send(MessageKind.BINDING_REQUEST, amrr, dst,
+                                   self.area)
         if len(pending.queue) >= DEFAULT_PENDING_QUEUE_LIMIT:
             self.services.drop(packet, self.rid, "queue_overflow")
             return

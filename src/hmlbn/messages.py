@@ -2,8 +2,10 @@
 
 Messages, their payloads and bindings are immutable, hashable
 ``typing.NamedTuple`` values, cheap to build on the hot path; a changed
-copy is made with ``_replace``.  Equality is tuple equality and ignores the
-class (``NegativeReplyPayload(p) == LrlRequestPayload(p) == (p,)``), so a
+copy is made with ``_replace``.  A message's kind names its payload class
+in ``LAYOUT``: senders pass the kind and the fields, and ``control_message``
+builds the payload.  Equality is tuple equality and ignores the class
+(``NegativeReplyPayload(p) == LrlRequestPayload(p) == (p,)``), so a
 message's ``kind`` tells payloads of one shape apart.  ``MobilePrefix`` is
 a frozen dataclass; its text and hash are kept in its instance ``__dict__``.
 
@@ -183,26 +185,6 @@ class ControlMessage(NamedTuple):
     send_time: float
     payload: object
 
-    @property
-    def prefix(self) -> MobilePrefix | None:
-        direct = getattr(self.payload, "prefix", None)
-        if direct is not None:
-            return direct
-        binding = getattr(self.payload, "binding", None)
-        return binding.prefix if binding is not None else None
-
-
-def make_withdrawal(binding: MobilityBinding, src: str = "", dst: str = "",
-                    send_time: float = 0.0) -> ControlMessage:
-    """Withdrawal for a previously issued binding (prefix + its origin)."""
-    return ControlMessage(
-        kind=MessageKind.BINDING_WITHDRAWAL,
-        src=src,
-        dst=dst,
-        send_time=send_time,
-        payload=WithdrawalPayload(binding.prefix, binding.origin_next_hop),
-    )
-
 
 class ControlNode:
     """Base of the LER, ALER and AMRR state machines.  ``handle`` routes a
@@ -315,6 +297,15 @@ def _body(fields):
         return lambda p: write(p[0])
     (write0, _), (write1, _) = fields
     return lambda p: write0(p[0]) + write1(p[1])
+
+
+def control_message(kind: MessageKind, src: str, dst: str, send_time: float,
+                    fields: tuple) -> ControlMessage:
+    """The ``kind`` message whose payload, of the class ``LAYOUT`` lists for
+    the kind, holds ``fields``; a wrong field count raises ``TypeError``.
+    ``fields`` is one tuple, not unpacked arguments: a call that unpacks
+    costs more on the send path."""
+    return ControlMessage(kind, src, dst, send_time, LAYOUT[kind][0](*fields))
 
 
 # kind -> (magic and code bytes, payload writer), built once from LAYOUT

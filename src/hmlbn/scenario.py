@@ -5,9 +5,9 @@ traffic, failure and flag sections plus a seed.  Validation is strict:
 unknown keys are rejected, each list entry is checked on its own, every
 number must be finite (``json.load`` accepts NaN and Infinity, RFC 8259 does
 not), a flow's packet count ``(stop_s - start_s) * rate_pps`` must be below
-2**53, where floats stop telling consecutive packet indices apart, and every
-problem is reported with its field path.  Timer sanity enforces lifetime >=
-10 * dead-time >= 30 * keepalive.
+2**53, where floats stop telling consecutive packet indices apart, a flow
+must stop by ``duration_s``, and every problem is reported with its field
+path.  Timer sanity enforces lifetime >= 10 * dead-time >= 30 * keepalive.
 """
 
 from __future__ import annotations
@@ -230,7 +230,7 @@ def parse_scenario(data: dict) -> Scenario:
     if isinstance(seed, bool) or not isinstance(seed, int):
         c.err("seed", "expected integer")
         seed = 0
-    duration = c.number(data, "", "duration_s", positive=True) or 1.0
+    duration = c.number(data, "", "duration_s", positive=True)
 
     ranges = []
     for i, text in enumerate(c.items(data, "", "mobility_range")):
@@ -244,7 +244,7 @@ def parse_scenario(data: dict) -> Scenario:
     graph, regions = _parse_topology(data.get("topology"), c)
     attaches, moves, detaches, model = _parse_mobility(
         data.get("mobility", {}), c, regions, ranges)
-    flows = _parse_flows(data, c)
+    flows = _parse_flows(data, c, duration)
     failures = _parse_failures(data, c, graph)
     flags = _parse_flags(data.get("flags", {}), c, graph)
     analysis = data.get("analysis", {})
@@ -392,7 +392,7 @@ def _parse_mobility(obj, c, regions, ranges):
     return attaches, moves, detaches, model
 
 
-def _parse_flows(data, c):
+def _parse_flows(data, c, duration):
     flows, ids = [], set()
     for i, path, entry in c.entries(data, "", "flows", {
             "id", "src", "dst", "rate_pps", "start_s", "stop_s"}):
@@ -410,6 +410,10 @@ def _parse_flows(data, c):
                 c.err(f"{path}.stop_s", "must be after start_s")
             elif rate and not (stop - start) * rate < 2 ** 53:
                 c.err(path, "(stop_s - start_s) * rate_pps must be below 2**53")
+            # duration is None if it is a problem itself; a later stop
+            # would have the event loop send packets past the run's end
+            elif duration is not None and stop > duration:
+                c.err(f"{path}.stop_s", "must be <= duration_s")
         if src and dst and rate and start is not None and stop is not None:
             flows.append(FlowSpec(flow_id, src, dst, rate, start, stop))
     return flows

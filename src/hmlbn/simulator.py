@@ -37,8 +37,8 @@ from .aler import AlerNode
 from .amrr import AmrrNode
 from .forwarding import DataPacket, ForwardingEngine
 from .ler import LerNode
-from .messages import (ControlMessage, MessageKind, MobilePrefix, UpdateType,
-                       canonical_encode)
+from .messages import (LAYOUT, ControlMessage, MessageKind, MobilePrefix,
+                       UpdateType, canonical_encode, control_message)
 from .scenario import MoveSpec, Scenario
 from .topology import (
     NodeRole,
@@ -75,6 +75,9 @@ class MobileState:
     l2: str
     area_hint: int = 0
     attachments: list = field(default_factory=list)
+    # attaches so far: each keepalive and move-decision tick carries the
+    # number of the attach that started its chain, stale once another came
+    attaches: int = 0
 
     def primary(self) -> Attachment | None:
         return self.attachments[0] if self.attachments else None
@@ -126,10 +129,6 @@ class Metrics:
     def _end(self, packet: DataPacket) -> dict:
         self.post_ingress_ip_lookups += packet.post_ingress_lookups
         return self.flows[packet.flow_id]
-
-    def record_control(self, kind: str, crossing: bool):
-        self.control_by_kind[kind] += 1
-        self.control_crossing += crossing
 
     @property
     def control_total(self) -> int:
@@ -321,6 +320,27 @@ class _Values(dict):
         return text
 
 
+def _send_binding(sim, src, dst, crossing, wire, text, b):
+    sim.trace_event("ctl_send", src, dst, crossing, b.area_id, wire, b.label,
+                    text, b.origin_next_hop, str(b.prefix),
+                    UPDATE_TYPE_TEXT[b.update_type])
+
+
+def _send_prefix(sim, src, dst, crossing, wire, text, prefix):
+    sim.trace_event("ctl_send/prefix", src, dst, crossing, wire, text,
+                    str(prefix))
+
+
+def _send_blanket(sim, src, dst, crossing, wire, text, _):
+    sim.trace_event("ctl_send/blanket", src, dst, crossing, wire, text)
+
+
+# the function that records a kind's ctl_send line, chosen by the name of
+# its payload's first field, which it is given
+SEND_RECORD = {kind: {"binding": _send_binding, "prefix": _send_prefix}.get(
+    cls._fields[0], _send_blanket) for kind, (cls, _) in LAYOUT.items()}
+
+
 class _Services:
     """Per-node facade over the simulation: clock, messaging, data plane.
     ``calls`` are the simulation's own, bound once and shared by all nodes."""
@@ -334,8 +354,9 @@ class _Services:
     def now(self) -> float:
         return self.sim.now
 
-    def send(self, kind: MessageKind, dst: str, payload) -> ControlMessage:
-        return self.sim.send_control(self.rid, kind, dst, payload)
+    def send(self, kind: MessageKind, dst: str, *fields) -> ControlMessage:
+        """Send ``kind`` with its payload's ``fields``, in ``LAYOUT`` order."""
+        return self.sim.send_control(self.rid, kind, dst, *fields)
 
     def emit(self, name: str, *values):
         """Record the ``values`` of the ``TRACE_KEYS`` entry ``name``."""
@@ -365,7 +386,7 @@ class Simulation:
         # (time, seq, kind, payload): the unique seq settles equal times in
         # scheduling order, so kinds and payloads are never compared
         self._heap: list[tuple] = []
-        # (now, kind, src, dst, detail) per trace record; seq is position + 1
+        # (now, name, src, dst, *values) per trace record; seq is position + 1
         self._records: list[tuple] = []
         self.metrics = Metrics()
         self.failed: set[str] = set()
@@ -527,22 +548,15 @@ class Simulation:
     # ------------------------------------------------------- control plane
 
     def send_control(self, src: str, kind: MessageKind, dst: str,
-                     payload) -> ControlMessage:
-        msg = ControlMessage(kind, src, dst, self.now, payload)
+                     *fields) -> ControlMessage:
+        """Record, count and, unless ``dst`` failed, queue the ``kind``
+        message ``control_message`` builds from ``fields``."""
+        msg = control_message(kind, src, dst, self.now, fields)
         text, wire = MSG_TEXT[kind], canonical_encode(msg).hex()
         crossing = self.graph.area_of(src) != self.graph.area_of(dst)
-        binding = getattr(payload, "binding", None)
-        if binding is not None:
-            self.trace_event("ctl_send", src, dst, crossing, binding.area_id,
-                             wire, binding.label, text,
-                             binding.origin_next_hop, str(binding.prefix),
-                             UPDATE_TYPE_TEXT[binding.update_type])
-        elif getattr(payload, "prefix", None) is not None:
-            self.trace_event("ctl_send/prefix", src, dst, crossing, wire, text,
-                             str(payload.prefix))
-        else:
-            self.trace_event("ctl_send/blanket", src, dst, crossing, wire, text)
-        self.metrics.record_control(text, crossing)
+        SEND_RECORD[kind](self, src, dst, crossing, wire, text, fields[0])
+        self.metrics.control_by_kind[text] += 1
+        self.metrics.control_crossing += crossing
         if dst in self.failed:
             self.trace_event("ctl_drop", src, dst, text, "node_failed")
             return msg
@@ -577,13 +591,15 @@ class Simulation:
         mobile = self.mobiles.setdefault(spec.prefix, MobileState(spec.l2))
         mobile.l2 = spec.l2  # a re-attach may come with another address
         mobile.attachments = [new]
+        mobile.attaches += 1
         self.trace_event("attach", new.ler, None, mobile.area_hint, new.cell,
                          str(spec.prefix), spec.region)
         self._register(spec.prefix, mobile, new)
-        self._after(self.scenario.timers.keepalive_s, "_keepalive", spec.prefix)
+        self._after(self.scenario.timers.keepalive_s, "_keepalive",
+                    spec.prefix, mobile.attaches)
         if spec.prefix in self._movers:
             self._after(self.rng.expovariate(self.scenario.model.mu),
-                        "_on_move_decision", spec.prefix)
+                        "_on_move_decision", spec.prefix, mobile.attaches)
 
     def _on_move(self, spec):
         """With ``overlap_attach``, the attachment left stays active for
@@ -616,16 +632,25 @@ class Simulation:
         mobile.area_hint = 0  # a reset mobile starts over
         self.trace_event("detach", None, None, str(spec.prefix))
 
-    def _on_move_decision(self, prefix: MobilePrefix):
-        mobile = self.mobiles.get(prefix)
+    def _live_chain(self, prefix: MobilePrefix,
+                    attach: int) -> MobileState | None:
+        """The mobile if still attached by attach ``attach``, else None."""
+        mobile = self.mobiles[prefix]  # made by the attach that armed the tick
+        live = mobile.attachments and mobile.attaches == attach
+        return mobile if live else None
+
+    def _on_move_decision(self, prefix: MobilePrefix, attach: int):
+        """A mover's tick, armed only when the scenario has a model."""
+        mobile = self._live_chain(prefix, attach)
         model = self.scenario.model
-        if mobile is None or not mobile.attachments or model is None:
+        if mobile is None:
             return
         neighbors = self._neighbors.get(mobile.primary().region, [])
         if neighbors and self.rng.random() < model.p:
             target = neighbors[self.rng.randrange(len(neighbors))]
             self._on_move(MoveSpec(self.now, prefix, target, None))
-        self._after(self.rng.expovariate(model.mu), "_on_move_decision", prefix)
+        self._after(self.rng.expovariate(model.mu), "_on_move_decision",
+                    prefix, attach)
 
     # ----------------------------------------------------------- data plane
 
@@ -713,11 +738,12 @@ class Simulation:
             getattr(node, node.EXPIRE)(self.now)
         self._after(self.scenario.timers.keepalive_s, "_sweep")
 
-    def _keepalive(self, prefix: MobilePrefix):
-        mobile = self.mobiles.get(prefix)
-        if mobile and mobile.attachments:
+    def _keepalive(self, prefix: MobilePrefix, attach: int):
+        mobile = self._live_chain(prefix, attach)
+        if mobile:
             self.nodes[mobile.primary().ler].keepalive(prefix, self.now)
-            self._after(self.scenario.timers.keepalive_s, "_keepalive", prefix)
+            self._after(self.scenario.timers.keepalive_s, "_keepalive", prefix,
+                        attach)
 
     def _on_fail(self, rid: str):
         self.failed.add(rid)

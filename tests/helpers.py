@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from weakref import WeakKeyDictionary
 
-from hmlbn.messages import ControlMessage, MobilePrefix
+from hmlbn.messages import ControlMessage, MobilePrefix, control_message
 from hmlbn.scenario import parse_scenario
 from hmlbn.simulator import LABEL_PAIR, TRACE_KEYS, run_scenario
 
@@ -53,8 +53,10 @@ class FakeServices:
     def now(self):
         return self.t
 
-    def send(self, kind, dst, payload):
-        msg = ControlMessage(kind, self.rid, dst, self.t, payload)
+    def send(self, kind, dst, *fields):
+        """Keep the message ``Simulation.send_control`` would queue: the
+        ``kind`` payload built from ``fields`` by ``control_message``."""
+        msg = control_message(kind, self.rid, dst, self.t, fields)
         self.sent.append(msg)
         return msg
 

@@ -126,6 +126,23 @@ def test_a_flow_whose_packets_cannot_be_counted_is_a_validation_failure(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_a_flow_that_outlasts_the_run_is_a_validation_failure(
+        tmp_path, command, capsys):
+    """The run went on sending the flow's packets long after
+    ``duration_s``; now it does not start."""
+    doc = json.loads(Path(STARTUP).read_text(encoding="utf-8"))
+    doc["flows"][0]["stop_s"] = 1e6
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    extra = ["--out", str(tmp_path / "out")] if command == "run" else []
+    assert cli.main([command, "--scenario", str(bad)] + extra) \
+        == cli.EXIT_VALIDATION
+    assert json.loads(capsys.readouterr().err) == [{
+        "path": "flows[0].stop_s", "message": "must be <= duration_s"}]
+    assert not (tmp_path / "out").exists()
+
+
 def test_analyze_prints_the_penalty_table(tmp_path, capsys):
     argv = ["analyze", "--k-max", "4", "--trials", "200", "--seed", "3"]
     expected = penalty_table_csv(penalty_table(1, 4, trials=200, seed=3))

@@ -1,12 +1,16 @@
 """Lints read from syntax trees.  Every name a module of the package or of
 the tests imports is used in that module; a name listed in the module's
 ``__all__`` counts as used, as a re-export.  Every private function, method
-and class of the package is referenced somewhere in the package."""
+and class of the package is referenced somewhere in the package.  No module
+of the package but ``messages`` names a payload class ``LAYOUT`` lists: a
+sender passes a message's kind and fields, and the kind names the class."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from hmlbn.messages import LAYOUT
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "hmlbn").glob("*.py"))
@@ -87,3 +91,38 @@ def test_the_dead_code_check_finds_what_it_should():
               "TIMER = ('_b',)\n_A()\n")
     assert unreferenced_private([source]) == ({"_A", "_tick", "_b", "_c"},
                                               ["_tick"])
+
+
+PAYLOADS = {cls.__name__ for cls, _ in LAYOUT.values()}
+SENDERS = [path for path in PACKAGE if path.name != "messages.py"]
+
+
+def payload_names(source: str) -> list[str]:
+    """The ``PAYLOADS`` classes ``source`` imports or names, sorted."""
+    named = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.alias):
+            named.add(node.name)
+        elif isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+    return sorted(named & PAYLOADS)
+
+
+@pytest.mark.parametrize("path", SENDERS, ids=[p.name for p in SENDERS])
+def test_only_messages_names_a_payload_class(path):
+    assert payload_names(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_payload_check_finds_what_it_should():
+    assert payload_names(
+        "from .messages import MessageKind, UpdatePayload\n"
+        "send(MessageKind.BINDING_UPDATE, amrr, binding)\n") \
+        == ["UpdatePayload"]
+    assert payload_names(
+        "from hmlbn import messages\nmessages.RequestPayload(p, 1)\n") \
+        == ["RequestPayload"]
+    assert payload_names(
+        "from .messages import MessageKind\n"
+        "send(MessageKind.BINDING_REQUEST, amrr, prefix, area)\n") == []

@@ -24,7 +24,7 @@ from hmlbn.messages import (
     WithdrawalPayload,
     canonical_decode,
     canonical_encode,
-    make_withdrawal,
+    control_message,
 )
 
 # ------------------------------------------------------------- strategies
@@ -324,7 +324,8 @@ def test_encoding_matches_reference_writer(kind, data):
 def test_withdrawal_carries_prefix_and_origin():
     binding = MobilityBinding(MobilePrefix.parse("10.1.1.1/32"), "20.1.1.12",
                               116, 1)
-    msg = make_withdrawal(binding)
+    msg = control_message(MessageKind.BINDING_WITHDRAWAL, "", "", 0.0,
+                          (binding.prefix, binding.origin_next_hop))
     assert msg.kind is MessageKind.BINDING_WITHDRAWAL
     assert str(msg.payload.prefix) == "10.1.1.1/32"
     assert msg.payload.origin_next_hop == "20.1.1.12"
@@ -333,8 +334,9 @@ def test_withdrawal_carries_prefix_and_origin():
 def test_withdrawal_of_v6_host_binding():
     binding = MobilityBinding(MobilePrefix.parse("2001:db8::7/128"),
                               "20.1.1.12", 200, 2)
-    msg = make_withdrawal(binding, src="20.1.1.12", dst="20.1.3.1",
-                          send_time=4.0)
+    msg = control_message(MessageKind.BINDING_WITHDRAWAL, "20.1.1.12",
+                          "20.1.3.1", 4.0,
+                          (binding.prefix, binding.origin_next_hop))
     assert msg.payload.prefix.family == 6
     assert msg.payload.prefix.prefix_len == 128
     assert canonical_decode(canonical_encode(msg)) == msg

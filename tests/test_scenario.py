@@ -89,6 +89,8 @@ MALFORMED = [
         {"t": -1.0, "prefix": lib.MN, "region": "MR12"}])),
     # a failure of no node would be dropped without a word
     ("failures[0].node", _set("failures", [{"t": 1.0}])),
+    # a flow that outlasts the run would keep the event loop going past it
+    ("flows[0].stop_s", _set("flows", 0, "stop_s", 1e6)),
 ]
 
 
@@ -151,9 +153,11 @@ UNCOUNTABLE = ("flows[0]", "(stop_s - start_s) * rate_pps must be below 2**53")
 ])
 def test_a_flow_counts_its_packets_below_2_to_the_53(edit, problems):
     """Set-up counts a flow's packets in floats, which tell consecutive
-    packet indices apart only below 2**53."""
+    packet indices apart only below 2**53.  The run lasts until the flow
+    stops, so a flow must stop by ``duration_s`` plays no part."""
     doc = lib.startup_scenario()
     doc["flows"][0].update(edit)
+    doc["duration_s"] = max(doc["duration_s"], doc["flows"][0]["stop_s"])
     assert validate_scenario(doc) == problems
 
 

@@ -26,6 +26,7 @@ from hmlbn.messages import (
     UpdatePayload,
     UpdateType,
     WithdrawalPayload,
+    canonical_encode,
 )
 from hmlbn.scenario import load_scenario, parse_scenario, validate_scenario
 from hmlbn.scenarios import BUNDLED_SCENARIOS
@@ -36,7 +37,8 @@ from hmlbn.sequences import (
     roles_from_graph,
     startup_pattern,
 )
-from hmlbn.simulator import EventKind, Simulation, run_scenario
+from hmlbn.simulator import (MSG_TEXT, UPDATE_TYPE_TEXT, EventKind,
+                             Simulation, run_scenario)
 from hmlbn.topology import NodeRole
 
 from helpers import ctl_sends, run
@@ -115,6 +117,38 @@ def test_forced_transitions_alternate_between_two_regions():
     assert len(regions) > 5
     expected = ["MR12", "MR11"] * (len(regions) // 2 + 1)
     assert regions == expected[:len(regions)]
+
+
+def test_a_reattach_while_a_tick_is_pending_leaves_one_chain_of_each_kind():
+    """A second attach at 1.25 s, with the first attach's keepalive and
+    move-decision ticks still pending, starts the mobile's chains anew and
+    stops the old ones.  Before, both chains went on re-arming: 157
+    keepalive ticks instead of 80, and 28 moves instead of 10, as the mover
+    walked at twice its rate."""
+    doc = lib.random_walk_scenario()
+    doc["mobility"]["attach"].append({"t": 1.25, "prefix": lib.MN,
+                                      "region": "MR11"})
+    sim = Simulation(parse_scenario(doc))
+    armed = Counter()
+    after = sim._after
+
+    def arm(delay, method, *args):
+        if args and str(args[0]) == lib.MN:
+            # a timer armed while an equal one is pending is a second chain
+            assert (method, *args) not in [
+                payload for _, _, kind, payload in sim._heap
+                if kind is EventKind.TIMER_FIRE], (sim.now, method)
+            armed[method] += 1
+        after(delay, method, *args)
+
+    sim._after = arm
+    sim.run()
+    # one arm per attach, then one per live tick: 2 ticks of the first
+    # keepalive chain, 77 of the second, and each one's last re-arm, after
+    # the run, is not scheduled
+    assert armed == {"_keepalive": 81, "_on_move_decision": 23}
+    assert sum(e["kind"] == "move" and e["detail"]["prefix"] == lib.MN
+               for e in sim.trace) == 10
 
 
 # ----------------------------------------------------------- sequences
@@ -477,6 +511,91 @@ def test_control_message_reaches_its_handler(monkeypatch, role, kind,
     expected = ((_BLANKET.survivor, _BLANKET.failed) if handler == "apply_failover"
                 else (msg,))
     assert calls == [(dst, expected)]
+
+
+# ---------------------------------------------------------------- sends
+
+def _probing_send(sim, src, kind, dst, payload):
+    """``Simulation.send_control`` as it was when it took a payload and told
+    the shape of its record by probing the payload's attributes."""
+    msg = ControlMessage(kind, src, dst, sim.now, payload)
+    text, wire = MSG_TEXT[kind], canonical_encode(msg).hex()
+    crossing = sim.graph.area_of(src) != sim.graph.area_of(dst)
+    binding = getattr(payload, "binding", None)
+    if binding is not None:
+        sim.trace_event("ctl_send", src, dst, crossing, binding.area_id,
+                        wire, binding.label, text, binding.origin_next_hop,
+                        str(binding.prefix),
+                        UPDATE_TYPE_TEXT[binding.update_type])
+    elif getattr(payload, "prefix", None) is not None:
+        sim.trace_event("ctl_send/prefix", src, dst, crossing, wire, text,
+                        str(payload.prefix))
+    else:
+        sim.trace_event("ctl_send/blanket", src, dst, crossing, wire, text)
+    sim.metrics.control_by_kind[text] += 1
+    sim.metrics.control_crossing += crossing
+    if dst in sim.failed:
+        sim.trace_event("ctl_drop", src, dst, text, "node_failed")
+        return msg
+    sim.schedule(sim.now + sim.latency[src][dst] / 1000.0,
+                 EventKind.CONTROL_DELIVER, (msg,))
+    return msg
+
+
+def _sender_sim(dst_role: NodeRole, failed: bool) -> tuple:
+    """A quiet simulation at t = 0.25 and a sender and receiver in it: an
+    AMRR of area 1, and a ``dst_role`` node of area 2, failed or not."""
+    doc = lib.startup_scenario()
+    doc["mobility"] = {}
+    doc["flows"] = []
+    sim = Simulation(parse_scenario(doc))
+    sim.now = 0.25
+    src = sim.graph.by_role(NodeRole.AMRR, 1)[0]
+    dst = sim.graph.by_role(dst_role, 2)[0]
+    if failed:
+        sim.failed.add(dst)
+    return sim, src, dst
+
+
+def _sent(sim) -> tuple:
+    return (list(sim._records), list(sim._heap),
+            dict(sim.metrics.control_by_kind), sim.metrics.control_crossing)
+
+
+_SEND_PAYLOADS = {
+    MessageKind.BINDING_UPDATE: UpdatePayload(MobilityBinding(
+        _MN, "20.1.1.1", 116, 1, update_type=UpdateType.EXTERNAL)),
+    **_PAYLOADS}
+
+
+@pytest.mark.parametrize("failed", [False, True], ids=["live", "failed"])
+@pytest.mark.parametrize("dst_role", [NodeRole.LER, NodeRole.AMRR],
+                         ids=["to-LER", "to-AMRR"])
+@pytest.mark.parametrize("kind", list(MessageKind), ids=lambda k: k.value)
+def test_every_kind_sends_and_records_as_the_probing_send_did(kind, dst_role,
+                                                              failed):
+    """A kind and its payload's fields make the record, the count and the
+    queued message that the payload made before, and a payload of the
+    kind's own class."""
+    payload = _SEND_PAYLOADS[kind]
+    sim, src, dst = _sender_sim(dst_role, failed)
+    msg = sim.send_control(src, kind, dst, *payload)
+    old, _, _ = _sender_sim(dst_role, failed)
+    assert msg == _probing_send(old, src, kind, dst, payload)
+    assert type(msg.payload) is type(payload)
+    assert _sent(sim) == _sent(old)
+    assert sim._records[0][1].startswith("ctl_send")
+
+
+@pytest.mark.parametrize("kind", list(MessageKind), ids=lambda k: k.value)
+def test_a_wrong_field_count_is_refused_before_anything_is_sent(kind):
+    payload = _SEND_PAYLOADS[kind]
+    sim, src, dst = _sender_sim(NodeRole.AMRR, False)
+    before = _sent(sim)
+    for fields in (payload[:-1], (*payload, payload[-1])):
+        with pytest.raises(TypeError):
+            sim.send_control(src, kind, dst, *fields)
+    assert _sent(sim) == before
 
 
 def test_events_at_one_time_fire_in_scheduling_order():
