@@ -2,7 +2,7 @@
 
 The ALER aliases every mobile prefix it hears about behind a local mobility
 label of its own.  The label trail links that alias to the current
-downstream label and the infrastructure LSP toward the binding's origin, so
+downstream label and, as at a LER, the origin's FEC label and next hop, so
 intra-area movement rewrites one FIB record here instead of updating the
 rest of the network.  The FIB is indexed both by prefix (control plane) and
 by local label (data plane).
@@ -33,17 +33,8 @@ class FibEntry:
     current_mobility_label: int = 0
     expiry: float = 0.0
     origin_router_id: str = ""
-    in_top_label: int = 0
-    out_top_label: int = 0
+    out_top_label: int = 0  # the origin's FEC label, the same at every hop
     next_hop: str = ""
-    out_interface_id: str = ""
-
-    def dump_line(self, name_of) -> str:
-        return (f"prefix={self.prefix} origin={self.origin_router_id}"
-                f"({name_of(self.origin_router_id)}) in_top={self.in_top_label}"
-                f" lml={self.local_mobility_label}"
-                f" cml={self.current_mobility_label}"
-                f" out_top={self.out_top_label} out_if={self.out_interface_id}")
 
 
 class AlerNode(ControlNode):
@@ -138,8 +129,8 @@ class AlerNode(ControlNode):
     def _retrail(self, entry: FibEntry, origin: str):
         """Point ``entry`` at ``origin``: its origin and the trail there."""
         entry.origin_router_id = origin
-        (entry.in_top_label, entry.out_top_label, entry.next_hop,
-         entry.out_interface_id) = self.services.trail_to(self.rid, origin)
+        entry.out_top_label, entry.next_hop = self.services.infra_path(
+            self.rid, origin)
 
     def _live(self, entry: FibEntry | None) -> FibEntry | None:
         """``entry``, or None if it is None or past its lifetime; a dead
@@ -178,5 +169,11 @@ class AlerNode(ControlNode):
                            entry.local_mobility_label, entry.origin_router_id,
                            str(entry.prefix), what)
 
-    def dump(self, name_of) -> list[str]:
-        return [self.fib[key].dump_line(name_of) for key in sorted(self.fib)]
+    def dump(self, graph) -> list[str]:
+        # in_top and out_top are both the origin's one FEC label
+        return [f"prefix={e.prefix} origin={e.origin_router_id}"
+                f"({graph.name_of(e.origin_router_id)})"
+                f" in_top={e.out_top_label} lml={e.local_mobility_label}"
+                f" cml={e.current_mobility_label} out_top={e.out_top_label}"
+                f" out_if={graph.interface_name(self.rid, e.next_hop)}"
+                for e in map(self.fib.get, sorted(self.fib))]

@@ -393,6 +393,6 @@ class AmrrNode(ControlNode):
         for key in [k for k, r in self.records.items() if now > r.expiry]:
             del self.records[key]
 
-    def dump(self, name_of) -> list[str]:
-        return [self.records[key].dump_line(name_of)
+    def dump(self, graph) -> list[str]:
+        return [self.records[key].dump_line(graph.name_of)
                 for key in sorted(self.records)]

@@ -173,7 +173,7 @@ def cmd_dump(args) -> int:
             print(f"# {info.name} ({rid}): no dumpable state")
             continue
         print(f"# {titles[info.role]} {info.name} ({rid})")
-        for line in sim.nodes[rid].dump(graph.name_of):
+        for line in sim.nodes[rid].dump(graph):
             print(line)
     return EXIT_OK
 

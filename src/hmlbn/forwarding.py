@@ -4,11 +4,11 @@ A packet carries at most two labels, top first.  As in MPLS (RFC 3032), a
 label is a plain int and its position gives its role: the top label is the
 infrastructure label selecting the LSP toward a router id, the one beneath
 it the mobility label naming the mobile prefix or the next LSP segment.
-Intermediate nodes act on label position and table lookups only.  A swap
-rewrites the top value; an ALER rewrites the inner value and pushes the next
-segment's top value, so only imposition allocates labels.
-A hop reads its action by one subscript on the node's self-filling row of
-``LspTable.in_actions``.  At a pop the node's role picks the handler: an
+Intermediate nodes act on label position and table lookups only.  A
+transit node keeps the label and passes the packet to its next hop, read by
+one subscript on its self-filling row of ``LspTable.in_actions``; an ALER
+rewrites the inner value and pushes the next segment's top value, so only
+imposition allocates labels.  At a pop the node's role picks the handler: an
 ALER transits, a LER delivers, any other pop drops as ``no_label_entry``.
 Reading the destination prefix after ingress is recorded on the packet,
 which lets tests prove that no interior node does an IP lookup.
@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 from . import topology
 from .messages import MobilePrefix
+from .topology import POP
 
 @dataclass(slots=True)
 class DataPacket:
@@ -69,9 +70,8 @@ class ForwardingEngine:
         if action is None:
             self.transport.drop(packet, node, "no_label_entry")
             return
-        if action[0] == topology.SWAP:
-            _, stack[0], next_hop = action
-            self.transport.transmit(packet, node, next_hop)
+        if action is not POP:  # transit: the label stays as it is
+            self.transport.transmit(packet, node, action)
             return
         # top label pops here: this node terminates the LSP segment
         del stack[0]

@@ -35,7 +35,6 @@ class RegistrationRecord:
     l2_address: str
     interface_id: str
     assigned_label: int
-    advertised_area: int
     last_heard: float
 
 
@@ -92,7 +91,7 @@ class LerNode(ControlNode):
             self.regs_by_label.pop(old.assigned_label, None)
         label = self.allocator.allocate()
         record = RegistrationRecord(prefix, l2_address, interface_id, label,
-                                    self.area, now)
+                                    now)
         self.registrations[key] = record
         self.regs_by_label[label] = record
         binding_area = self.area if mn_area == 0 else mn_area

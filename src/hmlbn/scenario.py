@@ -5,9 +5,9 @@ traffic, failure and flag sections plus a seed.  Validation is strict:
 unknown keys are rejected, each list entry is checked on its own, every
 number must be finite (``json.load`` accepts NaN and Infinity, RFC 8259 does
 not), a flow's packet count ``(stop_s - start_s) * rate_pps`` must be below
-2**53, where floats stop telling consecutive packet indices apart, a flow
-must stop by ``duration_s``, and every problem is reported with its field
-path.  Timer sanity enforces lifetime >= 10 * dead-time >= 30 * keepalive.
+2**53, where floats stop telling consecutive packet indices apart, no flow
+stop or event time may pass ``duration_s``, and each problem names its
+field path.  Timers need lifetime >= 10 * dead-time >= 30 * keepalive.
 """
 
 from __future__ import annotations
@@ -126,6 +126,7 @@ class _Checker:
     def __init__(self):
         self.problems = []
         self._prefixes = {}  # text -> its MobilePrefix, parsed once per parse
+        self.duration = None  # duration_s, unless it is a problem itself
 
     def err(self, path, msg):
         self.problems.append((path, msg))
@@ -166,6 +167,13 @@ class _Checker:
             self.err(where, f"must be >= {minimum}")
             return None
         return float(v)
+
+    def by_end(self, t, where):
+        """``t``, a problem at ``where`` if after ``duration_s``: the event
+        loop would run its event past the run's end."""
+        if t is not None and self.duration is not None and t > self.duration:
+            self.err(where, "must be <= duration_s")
+        return t
 
     def items(self, obj, path, key) -> list:
         """``obj[key]``, a list (missing: empty); anything else is a problem."""
@@ -230,7 +238,7 @@ def parse_scenario(data: dict) -> Scenario:
     if isinstance(seed, bool) or not isinstance(seed, int):
         c.err("seed", "expected integer")
         seed = 0
-    duration = c.number(data, "", "duration_s", positive=True)
+    duration = c.duration = c.number(data, "", "duration_s", positive=True)
 
     ranges = []
     for i, text in enumerate(c.items(data, "", "mobility_range")):
@@ -244,7 +252,7 @@ def parse_scenario(data: dict) -> Scenario:
     graph, regions = _parse_topology(data.get("topology"), c)
     attaches, moves, detaches, model = _parse_mobility(
         data.get("mobility", {}), c, regions, ranges)
-    flows = _parse_flows(data, c, duration)
+    flows = _parse_flows(data, c)
     failures = _parse_failures(data, c, graph)
     flags = _parse_flags(data.get("flags", {}), c, graph)
     analysis = data.get("analysis", {})
@@ -335,7 +343,8 @@ def _parse_mobility(obj, c, regions, ranges):
 
     for _, path, entry in c.entries(obj, "mobility", "attach",
                                     {"t", "prefix", "region", "cell", "l2"}):
-        t = c.number(entry, path, "t", 0.0, minimum=0.0)
+        t = c.by_end(c.number(entry, path, "t", 0.0, minimum=0.0),
+                     f"{path}.t")
         prefix = c.prefix(entry.get("prefix"), f"{path}.prefix")
         region, cell = check_region(path, entry)
         if prefix and not prefix.covered_by(ranges):
@@ -346,7 +355,7 @@ def _parse_mobility(obj, c, regions, ranges):
                                        str(entry.get("l2", f"mac-{prefix}"))))
     for _, path, entry in c.entries(obj, "mobility", "move",
                                     {"t", "prefix", "region", "cell"}):
-        t = c.number(entry, path, "t", minimum=0.0)
+        t = c.by_end(c.number(entry, path, "t", minimum=0.0), f"{path}.t")
         prefix = c.prefix(entry.get("prefix"), f"{path}.prefix")
         region, cell = check_region(path, entry)
         if prefix and str(prefix) not in known_prefixes:
@@ -354,7 +363,7 @@ def _parse_mobility(obj, c, regions, ranges):
         if t is not None and prefix and region:
             moves.append(MoveSpec(t, prefix, region, cell))
     for _, path, entry in c.entries(obj, "mobility", "detach", {"t", "prefix"}):
-        t = c.number(entry, path, "t", minimum=0.0)
+        t = c.by_end(c.number(entry, path, "t", minimum=0.0), f"{path}.t")
         prefix = c.prefix(entry.get("prefix"), f"{path}.prefix")
         if t is not None and prefix:
             detaches.append(DetachSpec(t, prefix))
@@ -392,7 +401,7 @@ def _parse_mobility(obj, c, regions, ranges):
     return attaches, moves, detaches, model
 
 
-def _parse_flows(data, c, duration):
+def _parse_flows(data, c):
     flows, ids = [], set()
     for i, path, entry in c.entries(data, "", "flows", {
             "id", "src", "dst", "rate_pps", "start_s", "stop_s"}):
@@ -410,10 +419,8 @@ def _parse_flows(data, c, duration):
                 c.err(f"{path}.stop_s", "must be after start_s")
             elif rate and not (stop - start) * rate < 2 ** 53:
                 c.err(path, "(stop_s - start_s) * rate_pps must be below 2**53")
-            # duration is None if it is a problem itself; a later stop
-            # would have the event loop send packets past the run's end
-            elif duration is not None and stop > duration:
-                c.err(f"{path}.stop_s", "must be <= duration_s")
+            else:
+                c.by_end(stop, f"{path}.stop_s")
         if src and dst and rate and start is not None and stop is not None:
             flows.append(FlowSpec(flow_id, src, dst, rate, start, stop))
     return flows
@@ -422,7 +429,7 @@ def _parse_flows(data, c, duration):
 def _parse_failures(data, c, graph):
     out = []
     for _, path, entry in c.entries(data, "", "failures", {"t", "node"}):
-        t = c.number(entry, path, "t", minimum=0.0)
+        t = c.by_end(c.number(entry, path, "t", minimum=0.0), f"{path}.t")
         if "node" not in entry:
             c.err(f"{path}.node", "missing")
         elif graph is not None:

@@ -362,12 +362,6 @@ class _Services:
         """Record the ``values`` of the ``TRACE_KEYS`` entry ``name``."""
         self.sim.trace_event(name, self.rid, None, *values)
 
-    def trail_to(self, rid: str, origin: str):
-        in_top = self.sim.lsp.in_label_for(rid, origin)
-        out_top, next_hop = self.sim.lsp.next_hop(rid, origin)
-        out_if = self.sim.graph.interface_name(rid, next_hop)
-        return in_top, out_top, next_hop, out_if
-
 
 class Simulation:
     def __init__(self, scenario: Scenario, seed_override: int | None = None):

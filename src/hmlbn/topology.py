@@ -213,8 +213,7 @@ def bfs_hops(adjacency: dict, source) -> dict:
     return dist
 
 
-POP = "pop"
-SWAP = "swap"
+POP = object()  # the in_actions entry at a FEC's owner; no router id is it
 
 
 class LspTable:
@@ -223,14 +222,15 @@ class LspTable:
     Every node binds the same label to a FEC: ``16 + i`` for the ``i``-th
     forwarding node in router-id order, which is what one monotonic
     allocator per node hands out when the FECs are visited in that order.
-    Labels are therefore computed, not stored.
+    Labels are therefore computed, not stored, and a transit hop keeps its
+    label, as an SR-MPLS CONTINUE does under one label block.
 
-    ``fec_next[node][fec]`` gives the (out_label, next_hop) used to inject a
+    ``fec_next[node][fec]`` gives the (label, next_hop) used to inject a
     packet at ``node`` toward the router-id FEC; a FEC has entries only at
     nodes no farther from it than the farthest node looked up.
-    ``in_actions[node][label]`` resolves an arriving top label to a swap or
-    a pop at the FEC owner; each row fills an entry on its first lookup, and
-    gives ``None`` for a label outside the mesh without storing it.
+    ``in_actions[node][label]`` resolves an arriving top label to the next
+    hop toward its FEC, or ``POP`` at its owner; each row fills an entry on
+    its first lookup, and gives ``None`` for a label outside the mesh.
     """
 
     def __init__(self, graph: NetworkGraph):
@@ -283,11 +283,11 @@ class LspTable:
             raise NoRouteToNextHop(f"{node} has no trail toward {fec}")
         return row[fec]
 
-    def action(self, node: RouterId, label: int) -> tuple | None:
+    def action(self, node: RouterId, label: int) -> RouterId | object | None:
         row = self.in_actions.get(node)  # None: not a forwarding node
         return None if row is None else row[label]
 
-    def in_label_for(self, node: RouterId, fec: RouterId) -> int:
+    def label(self, fec: RouterId) -> int:
         return self._label[fec]
 
     def trail(self, src: RouterId, fec: RouterId) -> list[RouterId]:
@@ -305,20 +305,21 @@ class LspTable:
 
 
 class _ActionRow(dict):
-    """Arriving top label -> action at one node; a missing label in the
-    mesh's range is resolved and stored, any other gives ``None``."""
+    """Arriving top label -> next hop toward its FEC, or ``POP``, at one
+    node; a missing label in the mesh's range is resolved and stored, any
+    other gives ``None``."""
     __slots__ = ("table", "node")
 
     def __init__(self, table: LspTable, node: RouterId):
         self.table, self.node = table, node
 
-    def __missing__(self, label: int) -> tuple | None:
+    def __missing__(self, label: int) -> RouterId | object | None:
         table, node = self.table, self.node
         if not 0 <= label - LABEL_MIN < len(table.fecs):
             return None
         fec = table.fecs[label - LABEL_MIN]
-        act = self[label] = ((POP,) if node == fec
-                             else (SWAP, label, table.next_hop(node, fec)[1]))
+        act = self[label] = (POP if node == fec
+                             else table.next_hop(node, fec)[1])
         return act
 
 

@@ -78,13 +78,8 @@ class FakeServices:
         self.delivered.append((packet, record))
 
     def infra_path(self, rid, origin):
-        in_top, out_top, next_hop, _ = self.trail_to(rid, origin)
-        return out_top, next_hop
-
-    def trail_to(self, rid, origin):
-        if (rid, origin) in self.trails:
-            return self.trails[(rid, origin)]
-        return (16, 17, f"nh-{origin}", "GIG0/0/0")
+        """``trails[(rid, origin)]``, a (label, next_hop) pair, if set."""
+        return self.trails.get((rid, origin), (17, f"nh-{origin}"))
 
     def area_of(self, rid):
         return self.areas.get(rid, 0)

@@ -38,12 +38,11 @@ def update(binding, kind=UpdateType.INTERNAL, src="20.1.3.1"):
 def test_new_internal_binding_builds_trail_and_reoriginates():
     node, services = make_aler()
     node.allocator = LabelAllocator(start=216)
-    services.trails[("20.1.2.1", LER12)] = (16, 17, "20.1.4.100", "GIG1/0/3")
+    services.trails[("20.1.2.1", LER12)] = (17, "20.1.4.100")
     entry = node.handle_internal_update(
         update(MobilityBinding(MN, LER12, 116, 1)))
-    assert (entry.in_top_label, entry.local_mobility_label,
-            entry.current_mobility_label, entry.out_top_label,
-            entry.out_interface_id) == (16, 216, 116, 17, "GIG1/0/3")
+    assert (entry.local_mobility_label, entry.current_mobility_label,
+            entry.out_top_label, entry.next_hop) == (216, 116, 17, "20.1.4.100")
     assert entry.origin_router_id == LER12
     (msg,) = services.sent
     ext = msg.payload.binding
@@ -102,7 +101,7 @@ def test_inter_area_move_updates_trail_without_reorigination():
 def test_transit_swap_and_push():
     node, services = make_aler()
     node.allocator = LabelAllocator(start=216)
-    services.trails[("20.1.2.1", LER12)] = (16, 17, "20.1.4.100", "GIG1/0/3")
+    services.trails[("20.1.2.1", LER12)] = (17, "20.1.4.100")
     node.handle_internal_update(update(MobilityBinding(MN, LER12, 116, 1)))
     pkt = DataPacket("f0", 0, prefix("10.3.3.1/32"), MN, 0.0)
     pkt.stack = [216]  # the engine popped the top label before delegation
@@ -133,7 +132,7 @@ def test_withdrawal_removes_entry():
 
 def test_failover_rewrites_matching_origins_only():
     node, services = make_aler()
-    services.trails[("20.1.2.1", "20.1.2.9")] = (50, 51, "20.1.4.100", "G9")
+    services.trails[("20.1.2.1", "20.1.2.9")] = (51, "20.1.4.100")
     node.handle_external_update(
         update(MobilityBinding(MN, ALER2, 300, 2), kind=UpdateType.EXTERNAL))
     other = prefix("10.1.1.2/32")

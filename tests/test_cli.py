@@ -1,6 +1,7 @@
 """``hmlbn`` sub-commands end to end through ``cli.main``: what each writes
 or prints, and its exit code on success, on bad input and on a mismatch."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 from hmlbn import cli
 from hmlbn.analysis import penalty_table, penalty_table_csv
 from hmlbn.scenario import load_scenario
+from hmlbn.scenarios import BUNDLED_SCENARIOS
 from hmlbn.simulator import run_scenario
 
 from helpers import with_token
@@ -18,6 +20,26 @@ STARTUP = str(SCENARIO_DIR / "startup.json")
 # each bundled pattern and the scenario that produces it
 PATTERNS = {"startup": "startup", "intra_area": "intra_area_handoff",
             "inter_area": "inter_area_handoff"}
+# scenario name -> sha256 of what `hmlbn dump` prints for it at its own seed;
+# a change that alters the dump on purpose updates it and says why
+PINNED_DUMPS = {
+    "ha_failover":
+        "471d1ad4520d1d40b1140f176901930c9d3753303e0298af00b8898073e5bfc8",
+    "inter_area_handoff":
+        "8efc19ef32eada8a5b21a1441a0e21151f2f949f8937e14485b500a0a74094a9",
+    "intra_area_handoff":
+        "68affbe93760487ad2caa3744b30e62efb8b70c2f80ad920d38affd8a7cd681b",
+    "local_handoff":
+        "a428345c2d1acf9f3eb9213d758b0f3a1f0985219c07e11f2b11b93c9d0e5388",
+    "penalty_probe":
+        "a428345c2d1acf9f3eb9213d758b0f3a1f0985219c07e11f2b11b93c9d0e5388",
+    "random_walk":
+        "69310cc0fa80f8d0cfe0dc2dde1ff3932a7715961c39e386f0f66d4229642724",
+    "startup":
+        "a428345c2d1acf9f3eb9213d758b0f3a1f0985219c07e11f2b11b93c9d0e5388",
+    "withdrawal":
+        "d9843d35cf9b6b1217eaeee8f606023f6860d762d648520889688d82925a9108",
+}
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +165,24 @@ def test_a_flow_that_outlasts_the_run_is_a_validation_failure(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_an_event_after_the_run_is_a_validation_failure(tmp_path, command,
+                                                        capsys):
+    """An attach at t = 500 of a run of 0.15 s fired, and the run wrote
+    records up to t = 500.004; now it does not start."""
+    doc = json.loads(Path(STARTUP).read_text(encoding="utf-8"))
+    doc["mobility"]["attach"].append(
+        {"t": 500, "prefix": "10.2.2.1/32", "region": "MR21"})
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    extra = ["--out", str(tmp_path / "out")] if command == "run" else []
+    assert cli.main([command, "--scenario", str(bad)] + extra) \
+        == cli.EXIT_VALIDATION
+    assert json.loads(capsys.readouterr().err) == [{
+        "path": "mobility.attach[2].t", "message": "must be <= duration_s"}]
+    assert not (tmp_path / "out").exists()
+
+
 def test_analyze_prints_the_penalty_table(tmp_path, capsys):
     argv = ["analyze", "--k-max", "4", "--trials", "200", "--seed", "3"]
     expected = penalty_table_csv(penalty_table(1, 4, trials=200, seed=3))
@@ -201,7 +241,7 @@ def test_dump_prints_aler_and_amrr_state(startup_sim, capsys):
     for title, role in (("FIB", "ALER"), ("BINDINGS", "AMRR")):
         for rid in graph.by_role(cli.NodeRole(role)):
             expected.append(f"# {title} {graph.name_of(rid)} ({rid})")
-            expected += startup_sim.nodes[rid].dump(graph.name_of)
+            expected += startup_sim.nodes[rid].dump(graph)
     assert out == expected
 
 
@@ -216,8 +256,22 @@ def test_dump_of_one_node(node, title, startup_sim, capsys):
         expected = [f"{title} ({rid}): no dumpable state"]
     else:
         expected = [f"{title} ({rid})",
-                    *startup_sim.nodes[rid].dump(graph.name_of)]
+                    *startup_sim.nodes[rid].dump(graph)]
     assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_every_bundled_scenario_has_a_pinned_dump():
+    assert set(PINNED_DUMPS) == set(BUNDLED_SCENARIOS)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DUMPS))
+def test_dump_matches_pinned_hash(name, capsys):
+    """The whole dump, byte for byte: the tests above compare it only with
+    the nodes' own ``dump``, which a table change would carry along."""
+    assert cli.main(["dump", "--scenario",
+                     str(SCENARIO_DIR / f"{name}.json")]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_DUMPS[name]
 
 
 def test_dump_of_an_unknown_node_is_a_runtime_failure(capsys, monkeypatch):

@@ -151,7 +151,7 @@ def test_deep_stack_counted_at_transmit():
 def test_top_label_popped_at_an_lsr_drops_no_label_entry():
     sim, pkt = _hop_setup()
     p0 = sim.graph.rid_of("P0")
-    pkt.stack = [sim.lsp.in_label_for(p0, p0), 116]
+    pkt.stack = [sim.lsp.label(p0), 116]
     sim.engine.step(pkt, p0)
     assert pkt.stack == [116]  # the top popped
     assert _drops(sim) == {"no_label_entry": 1}
@@ -168,7 +168,6 @@ def test_out_of_range_label_drops_and_is_not_stored():
     assert _drops(sim) == {"no_label_entry": 2}
     assert not any(value in row for value in outside)
     # a label in range is resolved once and kept
-    label = sim.lsp.in_label_for(p3, sim.graph.rid_of("ALER3"))
-    assert row[label] == sim.lsp.action(p3, label) == \
-        ("swap", label, sim.graph.rid_of("ALER3"))
+    label = sim.lsp.label(sim.graph.rid_of("ALER3"))
+    assert row[label] == sim.lsp.action(p3, label) == sim.graph.rid_of("ALER3")
     assert list(row) == [label]

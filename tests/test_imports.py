@@ -3,7 +3,9 @@ the tests imports is used in that module; a name listed in the module's
 ``__all__`` counts as used, as a re-export.  Every private function, method
 and class of the package is referenced somewhere in the package.  No module
 of the package but ``messages`` names a payload class ``LAYOUT`` lists: a
-sender passes a message's kind and fields, and the kind names the class."""
+sender passes a message's kind and fields, and the kind names the class.
+Every trace record the package names by a literal passes one value for each
+of its ``TRACE_KEYS`` keys."""
 
 import ast
 from pathlib import Path
@@ -11,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from hmlbn.messages import LAYOUT
+from hmlbn.simulator import LABEL_PAIR, TRACE_KEYS
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "hmlbn").glob("*.py"))
@@ -126,3 +129,64 @@ def test_the_payload_check_finds_what_it_should():
     assert payload_names(
         "from .messages import MessageKind\n"
         "send(MessageKind.BINDING_REQUEST, amrr, prefix, area)\n") == []
+
+
+# record call -> the arguments it takes before the record's values
+RECORDERS = {"trace_event": 3, "emit": 1}  # (name, src, dst) and (name,)
+
+
+def record_arity_problems(source: str) -> tuple[int, list[str]]:
+    """How many record calls in ``source`` name their record by a literal,
+    and one line for each of them whose value count is not its
+    ``TRACE_KEYS`` entry's, a ``LABEL_PAIR`` stack counting as two.  The
+    values are positional, so a short record fails only when it is
+    rendered and a long one loses its extra values without a word."""
+    checked, problems = 0, []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        called = func.attr if isinstance(func, ast.Attribute) else (
+            func.id if isinstance(func, ast.Name) else None)
+        if called not in RECORDERS or not node.args:
+            continue
+        first = node.args[0]
+        if not (isinstance(first, ast.Constant) and isinstance(first.value, str)):
+            continue
+        checked += 1
+        name = first.value
+        if name not in TRACE_KEYS:
+            problems.append(f"line {node.lineno}: no record {name!r}")
+            continue
+        wanted = len(TRACE_KEYS[name]) + (name == LABEL_PAIR)
+        values = node.args[RECORDERS[called]:]
+        if (any(isinstance(v, ast.Starred) for v in values)
+                or len(values) != wanted):
+            problems.append(f"line {node.lineno}: {name} passes"
+                            f" {len(values)} values, wants {wanted}")
+    return checked, problems
+
+
+def test_every_literal_record_passes_one_value_per_key():
+    checked = 0
+    for path in PACKAGE:
+        found, problems = record_arity_problems(path.read_text(encoding="utf-8"))
+        assert problems == [], path.name
+        checked += found
+    assert checked > 20  # the walk found the package's records
+
+
+def test_the_record_arity_check_finds_what_it_should():
+    assert record_arity_problems(
+        "sim.trace_event('ctl_drop', src, dst, text)\n"
+        "self.services.emit('local_handoff', interface, key)\n"
+        "sim.trace_event('data_hop', a, b, flow, seq, top, inner)\n"
+        "sim.trace_event(name, a, b, *values)\n") == (3, [
+            "line 1: ctl_drop passes 1 values, wants 2"])
+    assert record_arity_problems(
+        "emit('register', area, interface, label)\n"
+        "emit('node_fail', *values)\n"
+        "emit('no_such_record')\n") == (3, [
+            "line 1: register passes 3 values, wants 4",
+            "line 2: node_fail passes 1 values, wants 0",
+            "line 3: no record 'no_such_record'"])

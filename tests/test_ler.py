@@ -123,7 +123,7 @@ def binding_for(label=216, origin="20.1.2.1"):
 
 def test_ingress_cache_hit_imposes_two_label_stack():
     ler, services = make_ler()
-    services.trails[("20.1.1.12", "20.1.2.1")] = (40, 41, "20.1.4.100", "GIG0/0/1")
+    services.trails[("20.1.1.12", "20.1.2.1")] = (41, "20.1.4.100")
     ler._cache_store(binding_for(label=216))
     pkt = packet()
     ler.ingress_forward(pkt)
@@ -157,7 +157,7 @@ def test_queue_overflow_drops_at_bound():
 
 def test_positive_reply_flushes_fifo():
     ler, services = make_ler()
-    services.trails[("20.1.1.12", "20.1.2.1")] = (40, 41, "20.1.4.100", "g")
+    services.trails[("20.1.1.12", "20.1.2.1")] = (41, "20.1.4.100")
     for seq in range(3):
         ler.ingress_forward(packet(seq=seq))
     reply = ControlMessage(MessageKind.BINDING_REPLY_POSITIVE, "20.1.3.1",

@@ -91,6 +91,13 @@ MALFORMED = [
     ("failures[0].node", _set("failures", [{"t": 1.0}])),
     # a flow that outlasts the run would keep the event loop going past it
     ("flows[0].stop_s", _set("flows", 0, "stop_s", 1e6)),
+    # an event after the run's end would still fire
+    ("mobility.attach[1].t", _set("mobility", "attach", 1, "t", 1e6)),
+    ("mobility.move[0].t", _set("mobility", "move", [
+        {"t": 1e6, "prefix": lib.MN, "region": "MR12"}])),
+    ("mobility.detach[0].t", _set("mobility", "detach", [
+        {"t": 1e6, "prefix": lib.MN}])),
+    ("failures[0].t", _set("failures", [{"t": 1e6, "node": "P0"}])),
 ]
 
 
@@ -124,6 +131,44 @@ def test_a_problem_before_the_topology_hides_no_region():
     doc = lib.startup_scenario()
     doc["duration_s"] = "x"
     assert validate_scenario(doc) == [("duration_s", "expected number, got str")]
+
+
+# (section, entry) of one event of each kind in startup_scenario's topology
+EVENTS = [
+    ("attach", {"prefix": "10.2.2.1/32", "region": "MR21"}),
+    ("move", {"prefix": lib.MN, "region": "MR13"}),
+    ("detach", {"prefix": lib.MN}),
+    ("failures", {"node": "P0"}),
+]
+
+
+def _with_event(doc, section, entry, t):
+    """``doc`` with ``entry`` at time ``t`` appended to ``section``, and the
+    problem path that entry has."""
+    events = (doc.setdefault("failures", []) if section == "failures"
+              else doc["mobility"][section])
+    events.append(dict(entry, t=t))
+    where = section if section == "failures" else f"mobility.{section}"
+    return f"{where}[{len(events) - 1}].t"
+
+
+@pytest.mark.parametrize("section,entry", EVENTS, ids=[s for s, _ in EVENTS])
+def test_an_event_after_the_run_is_refused(section, entry):
+    """The event loop ran such an event after ``duration_s``: an attach at
+    t = 500 of a run of 0.15 s wrote records up to t = 500.004.  An event
+    at ``duration_s`` itself stays valid."""
+    doc = lib.startup_scenario()
+    _with_event(doc, section, entry, doc["duration_s"])
+    assert validate_scenario(doc) == []
+    path = _with_event(doc, section, entry, 500.0)
+    assert validate_scenario(doc) == [(path, "must be <= duration_s")]
+
+
+def test_event_times_are_not_compared_with_a_bad_duration():
+    doc = lib.startup_scenario()
+    doc["duration_s"] = -1.0
+    _with_event(doc, "attach", EVENTS[0][1], 500.0)
+    assert validate_scenario(doc) == [("duration_s", "must be positive")]
 
 
 # ----------------------------------------------------- non-finite numbers

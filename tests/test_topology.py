@@ -19,6 +19,7 @@ from hmlbn.labels import LABEL_MAX, LabelAllocator
 from hmlbn.scenarios import CN, MN, base_topology, startup_scenario
 from hmlbn.topology import (
     FORWARDING_ROLES,
+    POP,
     NodeRole,
     build_topology,
     compute_infrastructure_lsps,
@@ -162,7 +163,7 @@ def test_mesh_covers_every_ordered_pair():
             trail = lsp.trail(src, dst)
             assert trail[0] == src and trail[-1] == dst
             # the last in-label pops at the owner
-            assert lsp.action(dst, lsp.in_label_for(dst, dst))[0] == "pop"
+            assert lsp.action(dst, lsp.label(dst)) is POP
 
 
 def test_trail_lengths_match_independent_oracle():
@@ -260,7 +261,9 @@ def _eager_hop_distances(graph, source):
 
 def eager_mesh(graph):
     """The full mesh as it was built before the first event: one monotonic
-    label allocator per node, one BFS per FEC, lowest-router-id ties."""
+    label allocator per node, one BFS per FEC, lowest-router-id ties.
+    Every node binds the same label to a FEC, so a row entry is the next
+    hop, the label staying as it is, or ``POP`` at the FEC's owner."""
     fwd = graph.forwarding_nodes()
     allocators = {node: LabelAllocator() for node in fwd}
     fec_next = {n: {} for n in fwd}
@@ -269,8 +272,9 @@ def eager_mesh(graph):
     for fec in fwd:
         dist = _eager_hop_distances(graph, fec)
         labels = {node: allocators[node].allocate() for node in fwd}
+        assert len(set(labels.values())) == 1, (fec, labels)
         in_label[fec] = labels
-        in_actions[fec][labels[fec]] = ("pop",)
+        in_actions[fec][labels[fec]] = POP
         for node in fwd:
             if node == fec:
                 continue
@@ -278,7 +282,7 @@ def eager_mesh(graph):
                      if graph.nodes[p].role in FORWARDING_ROLES and p in dist
                      and dist[p] == dist[node] - 1)
             fec_next[node][fec] = (labels[nh], nh)
-            in_actions[node][labels[node]] = ("swap", labels[nh], nh)
+            in_actions[node][labels[node]] = nh
     return fec_next, in_actions, in_label
 
 
@@ -318,7 +322,7 @@ def assert_lazy_tables_match_eager(graph, permute=seeded_shuffle):
     # so both fill orders are exercised
     by_fec = compute_infrastructure_lsps(graph)
     for node, fec in permute([(node, fec) for node in fwd for fec in fwd]):
-        assert by_fec.in_label_for(node, fec) == in_label[fec][node]
+        assert by_fec.label(fec) == in_label[fec][node]
         if node == fec:
             with pytest.raises(NoRouteToNextHop):
                 by_fec.next_hop(node, fec)
