@@ -45,10 +45,8 @@ class AlerNode(ControlNode):
         MessageKind.ALER_FAILOVER_BLANKET: "handle_blanket",
     }
 
-    def __init__(self, rid, name, area, *, amrrs, services):
+    def __init__(self, rid, *, amrrs, services):
         self.rid = rid
-        self.name = name
-        self.area = area
         self.amrrs = sorted(amrrs)
         self.services = services
         self.allocator = LabelAllocator()

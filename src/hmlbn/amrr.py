@@ -28,7 +28,6 @@ from .messages import (
 
 @dataclass
 class AmrrRecord:
-    prefix: MobilePrefix
     binding: MobilityBinding  # last truth update (LER internal or peer external)
     area_id: int
     lrl: LastRequestorList = field(default_factory=LastRequestorList)
@@ -41,7 +40,7 @@ class AmrrRecord:
         alers = ",".join(name_of(a) for a in sorted(self.aler_labels)) or "-"
         elrl = ",".join(str(a) for a in self.lrl.external) or "-"
         ilrl = ",".join(name_of(r) for r in self.lrl.internal) or "-"
-        return (f"prefix={self.prefix} area={self.area_id}"
+        return (f"prefix={self.binding.prefix} area={self.area_id}"
                 f" origin={name_of(self.binding.origin_next_hop)}"
                 f" label={self.binding.label} alers={alers}"
                 f" elrl={elrl} ilrl={ilrl} expiry={self.expiry:.3f}")
@@ -67,10 +66,9 @@ class AmrrNode(ControlNode):
         MessageKind.ALER_FAILOVER_BLANKET: "handle_blanket",
     }
 
-    def __init__(self, rid, name, area, *, peers, ler_clients, aler_clients,
+    def __init__(self, rid, area, *, peers, ler_clients, aler_clients,
                  amrrs_by_area, ha_twin, services, reflect_to_previous=False):
         self.rid = rid
-        self.name = name
         self.area = area
         self.peers = sorted(peers)
         self.ler_clients = set(ler_clients)
@@ -146,8 +144,7 @@ class AmrrNode(ControlNode):
         rec = self._live_record(key)
         if rec is None:
             self.services.emit("warn/from", sender, key, what)
-            rec = self.records[key] = AmrrRecord(binding.prefix, binding,
-                                                 binding.area_id)
+            rec = self.records[key] = AmrrRecord(binding, binding.area_id)
         rec.aler_labels[sender] = binding.label
         rec.expiry = self.services.now() + binding.lifetime_s
         return rec
@@ -180,8 +177,7 @@ class AmrrNode(ControlNode):
         key = str(binding.prefix)
         rec = self._live_record(key)
         if rec is None:
-            rec = self.records[key] = AmrrRecord(binding.prefix, binding,
-                                                 area_id)
+            rec = self.records[key] = AmrrRecord(binding, area_id)
         else:
             rec.binding = binding
             rec.area_id = area_id
@@ -282,12 +278,13 @@ class AmrrNode(ControlNode):
     def _send_lrl_exchange(self, rec: AmrrRecord, target_area: int):
         content = self._own_external_content(rec)
         if content is None:
-            self.services.emit("warn/prefix", str(rec.prefix),
+            self.services.emit("warn/prefix", str(rec.binding.prefix),
                                "lrl_without_alias")
             return
         for amrr in self.amrrs_by_area.get(target_area, []):
             self.services.send(MessageKind.BINDING_UPDATE, amrr, content)
-            self.services.send(MessageKind.LRL_REQUEST, amrr, rec.prefix)
+            self.services.send(MessageKind.LRL_REQUEST, amrr,
+                               rec.binding.prefix)
 
     def handle_lrl_request(self, msg: ControlMessage):
         key = str(msg.payload.prefix)
@@ -322,7 +319,7 @@ class AmrrNode(ControlNode):
                        mode: UpdateMode) -> MobilityBinding:
         """The external binding of ``rec`` through one local ALER alias."""
         return MobilityBinding(
-            prefix=rec.prefix, origin_next_hop=aler,
+            prefix=rec.binding.prefix, origin_next_hop=aler,
             label=rec.aler_labels[aler], area_id=self.area, update_mode=mode,
             update_type=UpdateType.EXTERNAL, lifetime_s=rec.binding.lifetime_s)
 
@@ -356,7 +353,7 @@ class AmrrNode(ControlNode):
         """Round-robin over the live ALER aliases of a record."""
         live = [a for a in sorted(rec.aler_labels) if a not in self.failed_alers]
         if not live:
-            raise NoAlerAvailable(f"no live ALER for {rec.prefix}")
+            raise NoAlerAvailable(f"no live ALER for {rec.binding.prefix}")
         choice = live[self.rr_counter % len(live)]
         self.rr_counter += 1
         return choice

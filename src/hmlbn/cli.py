@@ -3,8 +3,8 @@
 Sub-commands: ``validate`` (schema + invariants), ``run`` (trace + metrics
 files), ``analyze`` (penalty table), ``check-sequence`` (trace pattern
 conformance) and ``dump`` (ALER forwarding entries and AMRR binding
-stores at end of run).  Exit codes: 0 success, 1 validation failure,
-2 runtime assertion failure.
+stores at end of run).  Exit codes: 0 success, 1 validation failure or
+an output directory that cannot be made, 2 runtime assertion failure.
 """
 
 from __future__ import annotations
@@ -80,9 +80,9 @@ def cmd_validate(args) -> int:
 
 def cmd_run(args) -> int:
     scenario = load_scenario(args.scenario)
-    sim = run_scenario(scenario, seed=args.seed)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out.mkdir(parents=True, exist_ok=True)  # main() reports an OSError
+    sim = run_scenario(scenario, seed=args.seed)
     (out / "trace.jsonl").write_text(sim.trace_jsonl(), encoding="utf-8")
     (out / "metrics.csv").write_text(sim.metrics.to_csv(), encoding="utf-8")
     rows = sim.metrics.finalize()
@@ -192,6 +192,9 @@ def main(argv=None) -> int:
     except ScenarioInvalid as exc:
         print(json.dumps([{"path": p, "message": m} for p, m in exc.problems],
                          indent=2), file=sys.stderr)
+        return EXIT_VALIDATION
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except HmlbnError as exc:
         print(f"error: {exc}", file=sys.stderr)

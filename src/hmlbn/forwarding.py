@@ -26,7 +26,6 @@ from .topology import POP
 class DataPacket:
     flow_id: str
     seq: int
-    src_prefix: MobilePrefix
     dst_prefix: MobilePrefix
     created_at: float
     stack: list[int] = field(default_factory=list)  # top first

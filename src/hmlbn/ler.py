@@ -32,7 +32,6 @@ DEFAULT_PENDING_QUEUE_LIMIT = 64
 @dataclass
 class RegistrationRecord:
     prefix: MobilePrefix
-    l2_address: str
     interface_id: str
     assigned_label: int
     last_heard: float
@@ -74,8 +73,8 @@ class LerNode(ControlNode):
 
     # ------------------------------------------------------------ mobiles
 
-    def handle_registration(self, prefix: MobilePrefix, l2_address: str,
-                            interface_id: str, mn_area: int):
+    def handle_registration(self, prefix: MobilePrefix, interface_id: str,
+                            mn_area: int):
         """Register a mobile; returns (record, area id told to the mobile).
 
         A fresh label is always assigned.  The internal update toward the
@@ -90,8 +89,7 @@ class LerNode(ControlNode):
         if old:
             self.regs_by_label.pop(old.assigned_label, None)
         label = self.allocator.allocate()
-        record = RegistrationRecord(prefix, l2_address, interface_id, label,
-                                    now)
+        record = RegistrationRecord(prefix, interface_id, label, now)
         self.registrations[key] = record
         self.regs_by_label[label] = record
         binding_area = self.area if mn_area == 0 else mn_area
@@ -130,19 +128,16 @@ class LerNode(ControlNode):
         record.last_heard = now
         return record
 
-    def scan_dead_registrations(self, now: float) -> list[ControlMessage]:
+    def scan_dead_registrations(self, now: float):
         """Withdraw registrations silent for longer than the dead time."""
-        out = []
         for key in sorted(self.registrations):
             record = self.registrations[key]
             if now - record.last_heard > self.dead_time_s:
                 del self.registrations[key]
                 self.regs_by_label.pop(record.assigned_label, None)
                 for amrr in self.amrrs:
-                    out.append(self.services.send(
-                        MessageKind.BINDING_WITHDRAWAL, amrr, record.prefix,
-                        self.rid))
-        return out
+                    self.services.send(MessageKind.BINDING_WITHDRAWAL, amrr,
+                                       record.prefix, self.rid)
 
     # --------------------------------------------------------------- data
 

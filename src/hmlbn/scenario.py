@@ -57,7 +57,6 @@ class AttachSpec:
     prefix: MobilePrefix
     region: str
     cell: str | None
-    l2: str
 
 
 @dataclass
@@ -342,7 +341,7 @@ def _parse_mobility(obj, c, regions, ranges):
         return region, cell
 
     for _, path, entry in c.entries(obj, "mobility", "attach",
-                                    {"t", "prefix", "region", "cell", "l2"}):
+                                    {"t", "prefix", "region", "cell"}):
         t = c.by_end(c.number(entry, path, "t", 0.0, minimum=0.0),
                      f"{path}.t")
         prefix = c.prefix(entry.get("prefix"), f"{path}.prefix")
@@ -351,8 +350,7 @@ def _parse_mobility(obj, c, regions, ranges):
             c.err(f"{path}.prefix", "outside the mobility address range")
         if t is not None and prefix and region:
             known_prefixes.add(str(prefix))
-            attaches.append(AttachSpec(t, prefix, region, cell,
-                                       str(entry.get("l2", f"mac-{prefix}"))))
+            attaches.append(AttachSpec(t, prefix, region, cell))
     for _, path, entry in c.entries(obj, "mobility", "move",
                                     {"t", "prefix", "region", "cell"}):
         t = c.by_end(c.number(entry, path, "t", minimum=0.0), f"{path}.t")

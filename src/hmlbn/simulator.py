@@ -72,7 +72,6 @@ class Attachment:
 
 @dataclass
 class MobileState:
-    l2: str
     area_hint: int = 0
     attachments: list = field(default_factory=list)
     # attaches so far: each keepalive and move-decision tick carries the
@@ -109,7 +108,6 @@ class Metrics:
         self.control_by_kind: Counter[str] = Counter()
         self.control_crossing = 0
         self.post_ingress_ip_lookups = 0
-        self.max_stack_depth = 0
         self.stack_violations = 0
 
     def record_ingress(self, flow_id: str):
@@ -422,13 +420,13 @@ class Simulation:
                 )
             elif info.role is NodeRole.ALER:
                 self.nodes[rid] = AlerNode(
-                    rid, info.name, info.area,
+                    rid,
                     amrrs=amrrs_by_area.get(info.area, []),
                     services=_Services(self, rid, calls),
                 )
             elif info.role is NodeRole.AMRR:
                 self.nodes[rid] = AmrrNode(
-                    rid, info.name, info.area,
+                    rid, info.area,
                     peers=[r for r in self.graph.by_role(NodeRole.AMRR) if r != rid],
                     ler_clients=self.graph.by_role(NodeRole.LER, info.area),
                     aler_clients=self.graph.by_role(NodeRole.ALER, info.area),
@@ -578,12 +576,11 @@ class Simulation:
                   at: Attachment):
         """Register ``mobile`` at ``at`` and keep the area its LER replies."""
         _, mobile.area_hint = self.nodes[at.ler].handle_registration(
-            prefix, mobile.l2, at.interface, mobile.area_hint)
+            prefix, at.interface, mobile.area_hint)
 
     def _on_attach(self, spec):
         new = self._attachment(spec)
-        mobile = self.mobiles.setdefault(spec.prefix, MobileState(spec.l2))
-        mobile.l2 = spec.l2  # a re-attach may come with another address
+        mobile = self.mobiles.setdefault(spec.prefix, MobileState())
         mobile.attachments = [new]
         mobile.attaches += 1
         self.trace_event("attach", new.ler, None, mobile.area_hint, new.cell,
@@ -652,7 +649,7 @@ class Simulation:
         """Packet ``seq`` of ``flow`` enters; ``key`` is its event's number."""
         if (t := flow.send_time(seq + 1)) is not None:
             self.schedule(t, EventKind.DATA_INGRESS, (flow, seq + 1, key + 1), key + 1)
-        packet = DataPacket(flow.flow_id, seq, flow.src, flow.dst, self.now)
+        packet = DataPacket(flow.flow_id, seq, flow.dst, self.now)
         self.metrics.record_ingress(flow.flow_id)
         mobile = self.mobiles.get(flow.src)
         attachment = mobile.primary() if mobile else None
@@ -662,9 +659,12 @@ class Simulation:
             packet.ingressed = True
             self.drop(packet, None, "source_not_attached")
             return
-        ler: LerNode = self.nodes[attachment.ler]
         self.trace_event("data_ingress", attachment.ler, None, flow.flow_id,
                          seq)
+        if attachment.ler in self.failed:
+            self.drop(packet, attachment.ler, "node_failed")
+            return
+        ler: LerNode = self.nodes[attachment.ler]
         packet.hop_trace.append(ler.name)
         ler.keepalive(flow.src, self.now)  # uplink traffic doubles as liveness
         ler.ingress_forward(packet)
@@ -672,8 +672,6 @@ class Simulation:
     def transmit(self, packet: DataPacket, from_node: str, to_node: str):
         stack = packet.stack
         depth = len(stack)
-        if depth > self.metrics.max_stack_depth:
-            self.metrics.max_stack_depth = depth
         if depth > 2:
             self.metrics.stack_violations += 1
         if depth == 2:

@@ -46,7 +46,6 @@ FORWARDING_ROLES = {NodeRole.LER, NodeRole.ALER, NodeRole.LSR}
 
 @dataclass(frozen=True)
 class NodeInfo:
-    router_id: RouterId
     name: str
     role: NodeRole
     area: int  # 0 only for LSR backbone nodes
@@ -143,7 +142,7 @@ def build_topology(spec: dict) -> NetworkGraph:
         if role in (NodeRole.LER, NodeRole.ALER, NodeRole.AMRR) and area < 1:
             # a mobility node outside any real area leaves that area unserved
             raise AreaWithoutAler(f"{name} has role {role.value} but no area")
-        nodes[rid] = NodeInfo(rid, name, role, area)
+        nodes[rid] = NodeInfo(name, role, area)
         names[name] = rid
 
     edges: dict[RouterId, dict[RouterId, float]] = {r: {} for r in nodes}
@@ -283,25 +282,8 @@ class LspTable:
             raise NoRouteToNextHop(f"{node} has no trail toward {fec}")
         return row[fec]
 
-    def action(self, node: RouterId, label: int) -> RouterId | object | None:
-        row = self.in_actions.get(node)  # None: not a forwarding node
-        return None if row is None else row[label]
-
     def label(self, fec: RouterId) -> int:
         return self._label[fec]
-
-    def trail(self, src: RouterId, fec: RouterId) -> list[RouterId]:
-        """Node sequence src..fec, following the tables; raises on loops."""
-        path = [src]
-        node = src
-        seen = {src}
-        while node != fec:
-            _, node = self.next_hop(node, fec)
-            if node in seen:
-                raise NoRouteToNextHop(f"label trail loop at {node} for FEC {fec}")
-            seen.add(node)
-            path.append(node)
-        return path
 
 
 class _ActionRow(dict):

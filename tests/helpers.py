@@ -1,5 +1,6 @@
-"""Shared helpers: an independent all-pairs oracle, a recording services
-stub for node-level tests, and scenario runners with trace filters.
+"""Shared helpers: an independent all-pairs oracle, a walk along the LSP
+mesh, a recording services stub for node-level tests, and scenario runners
+with trace filters.
 
 A module of its own, not ``conftest``: ``bench/tests`` has a conftest too,
 and both would be imported under the one name ``conftest``."""
@@ -9,6 +10,7 @@ from __future__ import annotations
 import json
 from weakref import WeakKeyDictionary
 
+from hmlbn.errors import NoRouteToNextHop
 from hmlbn.messages import ControlMessage, MobilePrefix, control_message
 from hmlbn.scenario import parse_scenario
 from hmlbn.simulator import LABEL_PAIR, TRACE_KEYS, run_scenario
@@ -34,6 +36,19 @@ def floyd_warshall(adjacency: dict) -> dict:
                 if alt < row_i[j]:
                     row_i[j] = alt
     return dist
+
+
+def trail(lsp, src: str, fec: str) -> list[str]:
+    """The nodes from ``src`` to ``fec`` along ``lsp.next_hop``; raises
+    ``NoRouteToNextHop`` on a loop."""
+    path, seen = [src], {src}
+    while path[-1] != fec:
+        _, node = lsp.next_hop(path[-1], fec)
+        if node in seen:
+            raise NoRouteToNextHop(f"label trail loop at {node} for FEC {fec}")
+        seen.add(node)
+        path.append(node)
+    return path
 
 
 class FakeServices:

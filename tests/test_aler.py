@@ -23,7 +23,7 @@ ALER2 = "20.1.2.2"
 
 def make_aler(rid="20.1.2.1", **kw):
     services = FakeServices(rid)
-    node = AlerNode(rid, "ALER1", 1, amrrs=["20.1.3.1"], services=services, **kw)
+    node = AlerNode(rid, amrrs=["20.1.3.1"], services=services, **kw)
     return node, services
 
 
@@ -103,7 +103,7 @@ def test_transit_swap_and_push():
     node.allocator = LabelAllocator(start=216)
     services.trails[("20.1.2.1", LER12)] = (17, "20.1.4.100")
     node.handle_internal_update(update(MobilityBinding(MN, LER12, 116, 1)))
-    pkt = DataPacket("f0", 0, prefix("10.3.3.1/32"), MN, 0.0)
+    pkt = DataPacket("f0", 0, MN, 0.0)
     pkt.stack = [216]  # the engine popped the top label before delegation
     node.forward_transit(pkt)
     ((sent, _, next_hop),) = services.transmitted
@@ -113,7 +113,7 @@ def test_transit_swap_and_push():
 
 def test_transit_unknown_alias_drops():
     node, services = make_aler()
-    pkt = DataPacket("f0", 0, prefix("10.3.3.1/32"), MN, 0.0)
+    pkt = DataPacket("f0", 0, MN, 0.0)
     pkt.stack = [999]
     node.forward_transit(pkt)
     assert services.dropped[0][2] == "unknown_local_mobility_label"

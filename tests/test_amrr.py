@@ -30,7 +30,7 @@ def make_amrr(area=1, rid=AMRR1, n_areas=3, alers=None, ha_twin=None, **kw):
     peers = [r for v in amrrs_by_area.values() for r in v if r != rid]
     services = FakeServices(rid)
     services.areas = {AMRR1: 1, AMRR2: 2, AMRR3: 3, AMRR4: 4}
-    node = AmrrNode(rid, f"AMRR{area}", area, peers=peers,
+    node = AmrrNode(rid, area, peers=peers,
                     ler_clients=[LER12, LER13],
                     aler_clients=alers or [ALER1],
                     amrrs_by_area=amrrs_by_area,

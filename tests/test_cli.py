@@ -61,6 +61,24 @@ def test_run_writes_the_simulations_outputs(tmp_path, startup_sim, capsys):
     assert "delivered" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [["run", "--scenario", STARTUP],
+                                  ["analyze", "--k-max", "3"]],
+                         ids=["run", "analyze"])
+def test_an_out_path_naming_a_file_is_refused_before_the_run(
+        argv, tmp_path, capsys, monkeypatch):
+    """One line on stderr, exit 1, the file kept; ``run`` simulates
+    nothing."""
+    taken = tmp_path / "taken"
+    taken.write_text("kept", encoding="utf-8")
+    monkeypatch.setattr(cli, "run_scenario",
+                        lambda *args, **kwargs: pytest.fail("the run started"))
+    assert cli.main(argv + ["--out", str(taken)]) == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(taken) in captured.err
+    assert captured.err.count("\n") == 1
+    assert taken.read_text(encoding="utf-8") == "kept"
+
 @pytest.mark.parametrize("command", ["run", "dump", "check-sequence"])
 def test_missing_scenario_file_is_a_validation_failure(tmp_path, command,
                                                        capsys):

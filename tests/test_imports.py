@@ -5,7 +5,8 @@ and class of the package is referenced somewhere in the package.  No module
 of the package but ``messages`` names a payload class ``LAYOUT`` lists: a
 sender passes a message's kind and fields, and the kind names the class.
 Every trace record the package names by a literal passes one value for each
-of its ``TRACE_KEYS`` keys."""
+of its ``TRACE_KEYS`` keys.  Every dataclass field and stored attribute of
+the package is read somewhere in the package or the benchmark's child."""
 
 import ast
 from pathlib import Path
@@ -17,6 +18,7 @@ from hmlbn.simulator import LABEL_PAIR, TRACE_KEYS
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "hmlbn").glob("*.py"))
+BENCH_CHILD = ROOT / "bench" / "child.py"
 MODULES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
 
 
@@ -190,3 +192,65 @@ def test_the_record_arity_check_finds_what_it_should():
             "line 1: register passes 3 values, wants 4",
             "line 2: node_fail passes 1 values, wants 0",
             "line 3: no record 'no_such_record'"])
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        if isinstance(decorator, ast.Call):
+            decorator = decorator.func
+        if getattr(decorator, "id", getattr(decorator, "attr", None)) \
+                == "dataclass":
+            return True
+    return False
+
+
+def unread_attributes(sources: list[str],
+                      readers: list[str]) -> tuple[set, list[str]]:
+    """The ``@dataclass`` fields and the attributes stored as ``x.attr =``
+    (or ``+=``) in ``sources``, and those of them that neither ``sources``
+    nor ``readers`` read as ``.attr``, sorted.
+
+    The check goes by name only: a field passes if any object's attribute
+    of that name is read.  So it misses a field that repeats another's name,
+    such as a record's ``prefix`` beside its binding's ``prefix``, and a
+    constructor argument kept as ``self.name`` when another class's
+    ``.name`` is read."""
+    stored = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                stored.update(stmt.target.id for stmt in node.body
+                              if isinstance(stmt, ast.AnnAssign)
+                              and isinstance(stmt.target, ast.Name))
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Store)):
+                stored.add(node.attr)
+    read = {node.attr for source in sources + readers
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute)
+            and not isinstance(node.ctx, ast.Store)}
+    return stored, sorted(stored - read)
+
+
+def test_every_stored_attribute_is_read():
+    stored, unread = unread_attributes(
+        [path.read_text(encoding="utf-8") for path in PACKAGE],
+        [BENCH_CHILD.read_text(encoding="utf-8")])
+    assert unread == []
+    assert len(stored) > 100  # the walk found the package's fields
+
+
+def test_the_unread_attribute_check_finds_what_it_should():
+    source = ("@dataclass\nclass A:\n    kept: int\n    lost: str\n"
+              "@dataclasses.dataclass(slots=True)\nclass B:\n"
+              "    benched: int = 0\n"
+              "class C:\n    plain: int\n"
+              "def f(a, o):\n    o.count += 1\n    o.seen = a.kept\n"
+              "    o.total, o.pair = 0, 1\n    return o.total\n")
+    readers = ["print(x.benched)\nx.pair = 2\n"]
+    assert unread_attributes([source], readers) == (
+        {"kept", "lost", "benched", "count", "seen", "total", "pair"},
+        ["count", "lost", "pair", "seen"])
+    assert unread_attributes([source], []) == (
+        {"kept", "lost", "benched", "count", "seen", "total", "pair"},
+        ["benched", "count", "lost", "pair", "seen"])

@@ -28,14 +28,14 @@ def make_ler(area=1, rid="20.1.1.12", amrrs=("20.1.3.1",), **kw):
 
 
 def packet(dst=MN, seq=0):
-    return DataPacket("f0", seq, prefix("10.3.3.1/32"), dst, 0.0)
+    return DataPacket("f0", seq, dst, 0.0)
 
 
 # ---------------------------------------------------------- registration
 
 def test_startup_registration_rewrites_area_zero():
     ler, services = make_ler(area=1)
-    record, reply_area = ler.handle_registration(MN, "mac1", "MR12/c1", 0)
+    record, reply_area = ler.handle_registration(MN, "MR12/c1", 0)
     assert reply_area == 1
     assert record.assigned_label == 16
     (msg,) = services.sent
@@ -48,15 +48,15 @@ def test_startup_registration_rewrites_area_zero():
 
 def test_reregistration_allocates_fresh_label():
     ler, services = make_ler()
-    first, _ = ler.handle_registration(MN, "mac1", "MR12/c1", 0)
-    second, _ = ler.handle_registration(MN, "mac1", "MR12/c2", 1)
+    first, _ = ler.handle_registration(MN, "MR12/c1", 0)
+    second, _ = ler.handle_registration(MN, "MR12/c2", 1)
     assert second.assigned_label == first.assigned_label + 1
     assert ler.regs_by_label.get(first.assigned_label) is None
 
 
 def test_foreign_area_hint_passes_through():
     ler, services = make_ler(area=2, rid="20.1.1.21")
-    _, reply_area = ler.handle_registration(MN, "mac1", "MR12/c1", 1)
+    _, reply_area = ler.handle_registration(MN, "MR12/c1", 1)
     assert reply_area == 2
     assert services.sent[0].payload.binding.area_id == 1
 
@@ -64,14 +64,14 @@ def test_foreign_area_hint_passes_through():
 def test_unknown_interface_rejected():
     ler, _ = make_ler()
     with pytest.raises(UnknownInterface):
-        ler.handle_registration(MN, "mac1", "MR99/c1", 0)
+        ler.handle_registration(MN, "MR99/c1", 0)
 
 
 # --------------------------------------------------------- local tracking
 
 def test_local_handoff_is_silent():
     ler, services = make_ler()
-    ler.handle_registration(MN, "mac1", "MR12/c1", 0)
+    ler.handle_registration(MN, "MR12/c1", 0)
     services.sent.clear()
     services.t = 5.0
     record = ler.track_local_handoff(MN, "MR12/c2")
@@ -82,7 +82,7 @@ def test_local_handoff_is_silent():
 
 def test_local_handoff_same_interface_refreshes_only():
     ler, services = make_ler()
-    ler.handle_registration(MN, "mac1", "MR12/c1", 0)
+    ler.handle_registration(MN, "MR12/c1", 0)
     services.t = 4.0
     record = ler.track_local_handoff(MN, "MR12/c1")
     assert record.interface_id == "MR12/c1"
@@ -99,20 +99,23 @@ def test_local_handoff_requires_registration():
 
 def test_silent_registration_withdrawn_after_dead_time():
     ler, services = make_ler()
-    ler.handle_registration(MN, "mac1", "MR12/c1", 0)
+    ler.handle_registration(MN, "MR12/c1", 0)
     services.sent.clear()
-    out = ler.scan_dead_registrations(10.0)  # 10 > D = 9
-    assert len(out) == 1
-    assert out[0].kind is MessageKind.BINDING_WITHDRAWAL
-    assert out[0].payload.origin_next_hop == "20.1.1.12"
+    ler.scan_dead_registrations(10.0)  # 10 > D = 9
+    (msg,) = services.sent
+    assert msg.kind is MessageKind.BINDING_WITHDRAWAL
+    assert msg.payload.origin_next_hop == "20.1.1.12"
     assert MN.__str__() not in ler.registrations
 
 
 def test_keepalive_before_dead_time_prevents_withdrawal():
     ler, services = make_ler()
-    ler.handle_registration(MN, "mac1", "MR12/c1", 0)
+    ler.handle_registration(MN, "MR12/c1", 0)
     ler.keepalive(MN, 8.0)
-    assert ler.scan_dead_registrations(10.0) == []
+    services.sent.clear()
+    ler.scan_dead_registrations(10.0)
+    assert services.sent == []
+    assert str(MN) in ler.registrations
 
 
 # ----------------------------------------------------------- ingress path
@@ -202,7 +205,7 @@ def test_out_of_range_destination_not_labeled():
 
 def test_locally_registered_destination_short_circuits():
     ler, services = make_ler()
-    ler.handle_registration(MN, "mac1", "MR12/c1", 0)
+    ler.handle_registration(MN, "MR12/c1", 0)
     ler.ingress_forward(packet())
     assert len(services.delivered) == 1
     assert services.transmitted == []
@@ -212,7 +215,7 @@ def test_locally_registered_destination_short_circuits():
 
 def test_egress_matches_registration_by_label():
     ler, services = make_ler()
-    record, _ = ler.handle_registration(MN, "mac1", "MR12/c1", 0)
+    record, _ = ler.handle_registration(MN, "MR12/c1", 0)
     pkt = packet()
     pkt.stack = [record.assigned_label]
     ler.egress_deliver(pkt)

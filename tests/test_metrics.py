@@ -10,7 +10,7 @@ HOST = MobilePrefix.parse("10.1.1.1/32")
 
 def _packet(seq: int, created_at: float, hops: int,
             lookups: int = 0) -> DataPacket:
-    packet = DataPacket("f", seq, HOST, HOST, created_at)
+    packet = DataPacket("f", seq, HOST, created_at)
     packet.hop_trace = [f"n{i}" for i in range(hops + 1)]
     packet.post_ingress_lookups = lookups
     return packet

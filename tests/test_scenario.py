@@ -98,6 +98,8 @@ MALFORMED = [
     ("mobility.detach[0].t", _set("mobility", "detach", [
         {"t": 1e6, "prefix": lib.MN}])),
     ("failures[0].t", _set("failures", [{"t": 1e6, "node": "P0"}])),
+    # the simulator keeps no layer-2 address, so one would be ignored
+    ("mobility.attach[0].l2", _set("mobility", "attach", 0, "l2", "mac-a")),
 ]
 
 

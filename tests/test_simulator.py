@@ -223,8 +223,8 @@ def test_handoff_cost_does_not_grow_with_uninvolved_areas(areas):
 
 def _table_sizes(sim) -> dict:
     """End-of-run size of every ALER FIB and AMRR record store, by name."""
-    return {node.name: len(node.fib if isinstance(node, AlerNode)
-                           else node.records)
+    return {sim.graph.name_of(node.rid):
+            len(node.fib if isinstance(node, AlerNode) else node.records)
             for node in sim.nodes.values()
             if isinstance(node, (AlerNode, AmrrNode))}
 
@@ -311,6 +311,26 @@ def test_control_messages_to_a_failed_node_are_dropped_and_traced():
     ]
 
 
+def test_a_packet_entering_at_a_failed_ler_is_dropped_there():
+    """LER33, where the correspondent attaches, fails at t=0 after the
+    attach: each packet is traced entering there and dropped as
+    ``node_failed``, and the failed LER asks nobody for a binding."""
+    doc = lib.startup_scenario()
+    doc["failures"] = [{"t": 0.0, "node": "LER33"}]
+    sim = run(doc)
+    (row,) = sim.metrics.finalize().values()
+    assert row["ingress"] == row["drops"]["node_failed"] == 25
+    assert row["delivered"] == row["in_flight"] == 0
+    trace = sim.trace
+    failed_at = next(i for i, e in enumerate(trace)
+                     if e["kind"] == "node_fail")
+    assert trace[failed_at]["src"] == "LER33"
+    assert [e for e in trace[failed_at:]
+            if e["kind"] == "ctl_send" and e["src"] == "LER33"] == []
+    drops = [e for e in trace if e["kind"] == "data_drop"]
+    assert {(e["src"], e["detail"]["reason"]) for e in drops} == {
+        ("LER33", "node_failed")}
+
 def test_reflect_to_previous_ler_flag_updates_old_serving_ler():
     doc = lib.intra_area_scenario()
     doc["flags"]["reflect_to_previous_ler"] = True
@@ -360,15 +380,12 @@ def test_moves_to_other_lers_keep_every_active_attachment(overlap, expected):
     assert _mn_attachments(doc) == expected
 
 
-def test_a_move_after_a_reattach_registers_the_new_l2():
+def test_a_move_after_a_reattach_registers_at_the_new_ler():
     doc = lib.withdrawal_scenario()
-    first, second = [a for a in doc["mobility"]["attach"]
-                     if a["prefix"] == lib.MN]
-    first["l2"], second["l2"] = "mac-a", "mac-b"
     doc["mobility"]["move"] = [{"t": 2.0, "prefix": lib.MN, "region": "MR22"}]
     sim = run(doc)
     ler = sim.nodes[sim.graph.rid_of("LER22")]
-    assert ler.registrations[lib.MN].l2_address == "mac-b"
+    assert ler.registrations[lib.MN].interface_id == "MR22/c1"
 
 
 # ----------------------------------------------------------- validation

@@ -26,7 +26,7 @@ from hmlbn.topology import (
     control_latency_matrix,
 )
 
-from helpers import floyd_warshall, run
+from helpers import floyd_warshall, run, trail
 
 
 # ----------------------------------------------------------- label space
@@ -140,15 +140,15 @@ def test_own_fec_is_local_delivery():
     graph = build_topology(base_topology())
     lsp = compute_infrastructure_lsps(graph)
     rid = graph.rid_of("LER12")
-    assert lsp.trail(rid, rid) == [rid]
+    assert trail(lsp, rid, rid) == [rid]
 
 
 def test_reference_trails_exist_and_are_loop_free():
     graph = build_topology(base_topology())
     lsp = compute_infrastructure_lsps(graph)
-    t1 = lsp.trail(graph.rid_of("LER33"), graph.rid_of("ALER3"))
+    t1 = trail(lsp, graph.rid_of("LER33"), graph.rid_of("ALER3"))
     assert [graph.name_of(r) for r in t1] == ["LER33", "P3", "ALER3"]
-    t2 = lsp.trail(graph.rid_of("ALER3"), graph.rid_of("ALER1"))
+    t2 = trail(lsp, graph.rid_of("ALER3"), graph.rid_of("ALER1"))
     assert [graph.name_of(r) for r in t2] == ["ALER3", "P0", "ALER1"]
 
 
@@ -160,10 +160,10 @@ def test_mesh_covers_every_ordered_pair():
         for dst in fwd:
             if src == dst:
                 continue
-            trail = lsp.trail(src, dst)
-            assert trail[0] == src and trail[-1] == dst
+            path = trail(lsp, src, dst)
+            assert path[0] == src and path[-1] == dst
             # the last in-label pops at the owner
-            assert lsp.action(dst, lsp.label(dst)) is POP
+            assert lsp.in_actions[dst][lsp.label(dst)] is POP
 
 
 def test_trail_lengths_match_independent_oracle():
@@ -175,7 +175,7 @@ def test_trail_lengths_match_independent_oracle():
     oracle = floyd_warshall(adjacency)
     for src in fwd:
         for dst in fwd:
-            assert len(lsp.trail(src, dst)) - 1 == oracle[src][dst]
+            assert len(trail(lsp, src, dst)) - 1 == oracle[src][dst]
 
 
 @st.composite
@@ -222,8 +222,8 @@ def test_mesh_complete_and_optimal_on_random_graphs(spec):
     oracle = floyd_warshall(adjacency)
     for src in fwd:
         for dst in fwd:
-            trail = lsp.trail(src, dst)  # raises on loops
-            assert len(trail) - 1 == oracle[src][dst]
+            path = trail(lsp, src, dst)  # raises on loops
+            assert len(path) - 1 == oracle[src][dst]
 
 
 def test_control_latency_symmetric_and_covers_amrrs():
@@ -331,11 +331,15 @@ def assert_lazy_tables_match_eager(graph, permute=seeded_shuffle):
     assert by_fec.fec_next == fec_next
     by_label = compute_infrastructure_lsps(graph)
     labels = range(15, 16 + len(fwd) + 1)  # both ends of the label range
-    for node in sorted(graph.nodes):  # AMRRs forward nothing
+    for node in sorted(graph.nodes):
+        if node not in in_actions:  # AMRRs forward nothing
+            assert node not in by_label.in_actions
+            assert node not in by_fec.in_actions
+            continue
         for label in labels:
-            expected = in_actions.get(node, {}).get(label)
-            assert by_label.action(node, label) == expected
-            assert by_fec.action(node, label) == expected
+            expected = in_actions[node].get(label)
+            assert by_label.in_actions[node][label] == expected
+            assert by_fec.in_actions[node][label] == expected
 
     eager = eager_latencies(graph)
     pairs = [(src, dst) for src in eager for dst in eager[src]]

@@ -356,7 +356,7 @@ def test_transmit_records_a_stack_of_any_depth(depth):
     src = sim.graph.by_role(NodeRole.LER)[0]
     dst = sim.graph.neighbors(src)[0]
     host = MobilePrefix.parse("10.0.0.1/32")
-    packet = DataPacket(ODD, 5, host, host, 0.0)
+    packet = DataPacket(ODD, 5, host, 0.0)
     packet.stack = [16, TOP, 17][:depth]
     detail = {"flow": ODD, "seq": 5, "stack": packet.render_stack()}
     sim.now = 0.25
