@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import NoAlerAvailable
 from .messages import (
     ControlMessage,
     ControlNode,
@@ -66,11 +65,12 @@ class AmrrNode(ControlNode):
         MessageKind.ALER_FAILOVER_BLANKET: "handle_blanket",
     }
 
-    def __init__(self, rid, area, *, peers, ler_clients, aler_clients,
+    def __init__(self, rid, area, *, ler_clients, aler_clients,
                  amrrs_by_area, ha_twin, services, reflect_to_previous=False):
         self.rid = rid
         self.area = area
-        self.peers = sorted(peers)
+        self.peers = sorted(r for rids in amrrs_by_area.values()
+                            for r in rids if r != rid)
         self.ler_clients = set(ler_clients)
         self.aler_clients = sorted(aler_clients)
         self.amrrs_by_area = {a: sorted(v) for a, v in amrrs_by_area.items()}
@@ -200,19 +200,16 @@ class AmrrNode(ControlNode):
         if msg.src not in self.ler_clients:
             # peer area asks: positive only while the mobile is ours, and
             # only through a live ALER alias (loop avoidance)
-            if rec is not None and rec.area_id == self.area and rec.aler_labels:
-                try:
-                    aler = self.select_aler(rec)
-                except NoAlerAvailable:
-                    self._refuse(msg.src, prefix)
-                    return
-                rec.lrl.add_external(msg.payload.requestor_area, self.area)
-                reply = self._alias_binding(
-                    rec, aler, UpdateMode.SELECTIVE_DOWNSTREAM_PUSH)
-                self.services.send(MessageKind.BINDING_REPLY_POSITIVE, msg.src,
-                                   reply)
-            else:
+            owned = rec is not None and rec.area_id == self.area
+            aler = self.select_aler(rec) if owned else None
+            if aler is None:
                 self._refuse(msg.src, prefix)
+                return
+            rec.lrl.add_external(msg.payload.requestor_area, self.area)
+            reply = self._alias_binding(
+                rec, aler, UpdateMode.SELECTIVE_DOWNSTREAM_PUSH)
+            self.services.send(MessageKind.BINDING_REPLY_POSITIVE, msg.src,
+                               reply)
             return
         # internal LER client: the origin LER of a mobile that is ours, else
         # a local ALER's alias of one that is not, once resolved
@@ -349,11 +346,12 @@ class AmrrNode(ControlNode):
 
     # ---------------------------------------------------- high availability
 
-    def select_aler(self, rec: AmrrRecord) -> str:
-        """Round-robin over the live ALER aliases of a record."""
+    def select_aler(self, rec: AmrrRecord) -> str | None:
+        """Round-robin over the live ALER aliases of a record; None if it
+        has none."""
         live = [a for a in sorted(rec.aler_labels) if a not in self.failed_alers]
         if not live:
-            raise NoAlerAvailable(f"no live ALER for {rec.binding.prefix}")
+            return None
         choice = live[self.rr_counter % len(live)]
         self.rr_counter += 1
         return choice

@@ -174,14 +174,14 @@ def penalty_table_csv(rows: list[dict]) -> str:
 
 # ------------------------------------------------- simulator cross check
 
-def measure_simulated_penalty(scenario, ha_node: str | None = None) -> list[dict]:
+def measure_simulated_penalty(scenario) -> list[dict]:
     """Walk the mobile through every region of a one-flow scenario and
     compare measured packet paths with the graph model.
 
     Per region: the converged path hop count measured from delivered
     packets, the direct shortest path between the serving edge routers, and
-    the hypothetical detour through the designated anchor vertex, checked
-    against :func:`hop_difference` on the same graph.
+    the hypothetical detour through the scenario's ``analysis.ha_node``,
+    checked against :func:`hop_difference` on the same graph.
     """
     from .scenario import parse_scenario
     from .simulator import run_scenario
@@ -190,7 +190,7 @@ def measure_simulated_penalty(scenario, ha_node: str | None = None) -> list[dict
     if len(base.flows) != 1:
         raise ValueError("penalty probe needs exactly one flow")
     flow = base.flows[0]
-    ha_name = ha_node or base.analysis.get("ha_node")
+    ha_name = base.analysis.get("ha_node")
     if not ha_name:
         raise ValueError("no anchor vertex designated")
     graph = base.graph

@@ -41,10 +41,6 @@ class NoRouteToNextHop(HmlbnError):
     pass
 
 
-class NoAlerAvailable(HmlbnError):
-    pass
-
-
 class DecodeError(HmlbnError):
     """Malformed or truncated control-message byte sequence."""
 

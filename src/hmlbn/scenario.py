@@ -7,7 +7,8 @@ number must be finite (``json.load`` accepts NaN and Infinity, RFC 8259 does
 not), a flow's packet count ``(stop_s - start_s) * rate_pps`` must be below
 2**53, where floats stop telling consecutive packet indices apart, no flow
 stop or event time may pass ``duration_s``, and each problem names its
-field path.  Timers need lifetime >= 10 * dead-time >= 30 * keepalive.
+field path.  Timers need lifetime >= 10 * dead-time >= 30 * keepalive, the
+products taken of the numbers as written: 0.3 is three times 0.1.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, field
+from decimal import Decimal
 
 from .errors import ScenarioInvalid, TopologyError
 from .messages import MobilePrefix
@@ -22,8 +24,6 @@ from .topology import NetworkGraph, NodeRole, build_topology
 
 _TOP_KEYS = {"name", "seed", "duration_s", "mobility_range", "timers",
              "topology", "mobility", "flows", "failures", "flags", "analysis"}
-_FLAG_KEYS = {"reflect_to_previous_ler", "overlap_attach", "overlap_s",
-              "ha_pairs"}
 _ENTRY_TYPES = {  # the keys of each topology entry and the types they take
     "nodes": {"id": str, "name": str, "role": str, "area": int},
     "edges": {"a": str, "b": str, "latency_ms": float},  # float: via number()
@@ -52,15 +52,10 @@ class Flags:
 
 
 @dataclass
-class AttachSpec:
-    t: float
-    prefix: MobilePrefix
-    region: str
-    cell: str | None
+class Placement:
+    """Where a mobile attaches, or moves to, at ``t``: a region and, unless
+    None, one of its cells."""
 
-
-@dataclass
-class MoveSpec:
     t: float
     prefix: MobilePrefix
     region: str
@@ -273,9 +268,9 @@ def _parse_timers(obj, c) -> Timers:
         return Timers()
     k, d, life = (c.number(obj, "timers", name, default, positive=True)
                   for name, default in defaults.items())
-    if k and d and d < 3 * k:
+    if k and d and Decimal(repr(d)) < 3 * Decimal(repr(k)):
         c.err("timers.dead_s", f"dead time {d} must be >= 3x keepalive {k}")
-    if d and life and life < 10 * d:
+    if d and life and Decimal(repr(life)) < 10 * Decimal(repr(d)):
         c.err("timers.lifetime_s", f"lifetime {life} must be >= 10x dead time {d}")
     return Timers(k, d, life)  # None only beside a problem: never used
 
@@ -327,39 +322,28 @@ def _parse_mobility(obj, c, regions, ranges):
     if not c.obj(obj, "mobility", {"attach", "move", "detach", "model"}):
         return [], [], [], None
     attaches, moves, detaches = [], [], []
-    known_prefixes = set()
-
-    def check_region(path, entry):
-        region = entry.get("region")
-        if not isinstance(region, str) or region not in regions:
-            c.err(f"{path}.region", f"unknown region {region!r}")
-            return None, None
-        cell = entry.get("cell")
-        if cell is not None and cell not in regions[region].cells:
-            c.err(f"{path}.cell", f"region {region} has no cell {cell!r}")
-            return region, None
-        return region, cell
-
-    for _, path, entry in c.entries(obj, "mobility", "attach",
-                                    {"t", "prefix", "region", "cell"}):
-        t = c.by_end(c.number(entry, path, "t", 0.0, minimum=0.0),
-                     f"{path}.t")
-        prefix = c.prefix(entry.get("prefix"), f"{path}.prefix")
-        region, cell = check_region(path, entry)
-        if prefix and not prefix.covered_by(ranges):
-            c.err(f"{path}.prefix", "outside the mobility address range")
-        if t is not None and prefix and region:
-            known_prefixes.add(str(prefix))
-            attaches.append(AttachSpec(t, prefix, region, cell))
-    for _, path, entry in c.entries(obj, "mobility", "move",
-                                    {"t", "prefix", "region", "cell"}):
-        t = c.by_end(c.number(entry, path, "t", minimum=0.0), f"{path}.t")
-        prefix = c.prefix(entry.get("prefix"), f"{path}.prefix")
-        region, cell = check_region(path, entry)
-        if prefix and str(prefix) not in known_prefixes:
-            c.err(f"{path}.prefix", "moves a prefix that never attaches")
-        if t is not None and prefix and region:
-            moves.append(MoveSpec(t, prefix, region, cell))
+    known_prefixes = set()  # those of the attaches kept
+    for section, specs in (("attach", attaches), ("move", moves)):
+        attach = section == "attach"  # else a move, whose time is required
+        for _, path, entry in c.entries(obj, "mobility", section,
+                                        {"t", "prefix", "region", "cell"}):
+            t = c.by_end(c.number(entry, path, "t", 0.0 if attach else None,
+                                  minimum=0.0), f"{path}.t")
+            prefix = c.prefix(entry.get("prefix"), f"{path}.prefix")
+            region, cell = entry.get("region"), entry.get("cell")
+            if not isinstance(region, str) or region not in regions:
+                c.err(f"{path}.region", f"unknown region {region!r}")
+                region = None
+            elif cell is not None and cell not in regions[region].cells:
+                c.err(f"{path}.cell", f"region {region} has no cell {cell!r}")
+            if prefix and attach and not prefix.covered_by(ranges):
+                c.err(f"{path}.prefix", "outside the mobility address range")
+            elif prefix and not attach and str(prefix) not in known_prefixes:
+                c.err(f"{path}.prefix", "moves a prefix that never attaches")
+            if t is not None and prefix and region:
+                if attach:
+                    known_prefixes.add(str(prefix))
+                specs.append(Placement(t, prefix, region, cell))
     for _, path, entry in c.entries(obj, "mobility", "detach", {"t", "prefix"}):
         t = c.by_end(c.number(entry, path, "t", minimum=0.0), f"{path}.t")
         prefix = c.prefix(entry.get("prefix"), f"{path}.prefix")
@@ -438,9 +422,9 @@ def _parse_failures(data, c, graph):
 
 
 def _parse_flags(obj, c, graph) -> Flags:
-    if not c.obj(obj, "flags", _FLAG_KEYS):
-        return Flags()
     flags = Flags()
+    if not c.obj(obj, "flags", vars(flags)):
+        return flags
     for key in ("reflect_to_previous_ler", "overlap_attach"):
         if key in obj:
             if not isinstance(obj[key], bool):

@@ -39,7 +39,7 @@ from .forwarding import DataPacket, ForwardingEngine
 from .ler import LerNode
 from .messages import (LAYOUT, ControlMessage, MessageKind, MobilePrefix,
                        UpdateType, canonical_encode, control_message)
-from .scenario import MoveSpec, Scenario
+from .scenario import Placement, Scenario
 from .topology import (
     NodeRole,
     compute_infrastructure_lsps,
@@ -427,7 +427,6 @@ class Simulation:
             elif info.role is NodeRole.AMRR:
                 self.nodes[rid] = AmrrNode(
                     rid, info.area,
-                    peers=[r for r in self.graph.by_role(NodeRole.AMRR) if r != rid],
                     ler_clients=self.graph.by_role(NodeRole.LER, info.area),
                     aler_clients=self.graph.by_role(NodeRole.ALER, info.area),
                     amrrs_by_area=amrrs_by_area,
@@ -438,14 +437,12 @@ class Simulation:
 
     def _schedule_scenario(self):
         sc = self.scenario
-        for a in sc.attaches:
-            self.schedule(a.t, EventKind.MN_ATTACH, (a,))
-        for m in sc.moves:
-            self.schedule(m.t, EventKind.MN_MOVE, (m,))
-        for d in sc.detaches:
-            self.schedule(d.t, EventKind.MN_DETACH, (d,))
-        for f in sc.failures:
-            self.schedule(f.t, EventKind.NODE_FAIL, (f.node,))
+        for specs, kind in ((sc.attaches, EventKind.MN_ATTACH),
+                            (sc.moves, EventKind.MN_MOVE),
+                            (sc.detaches, EventKind.MN_DETACH),
+                            (sc.failures, EventKind.NODE_FAIL)):
+            for spec in specs:
+                self.schedule(spec.t, kind, (spec,))
         # each flow reserves one sequence number per packet, counted by the
         # test each send_time makes, and keeps one pending: i + 1 as i enters
         for flow in sc.flows:
@@ -574,9 +571,11 @@ class Simulation:
 
     def _register(self, prefix: MobilePrefix, mobile: MobileState,
                   at: Attachment):
-        """Register ``mobile`` at ``at`` and keep the area its LER replies."""
-        _, mobile.area_hint = self.nodes[at.ler].handle_registration(
-            prefix, at.interface, mobile.area_hint)
+        """Register ``mobile`` at ``at`` and keep the area its LER replies;
+        a failed LER learns of no mobile."""
+        if at.ler not in self.failed:
+            _, mobile.area_hint = self.nodes[at.ler].handle_registration(
+                prefix, at.interface, mobile.area_hint)
 
     def _on_attach(self, spec):
         new = self._attachment(spec)
@@ -610,10 +609,10 @@ class Simulation:
             retained = [old] if local else [
                 a for a in mobile.attachments if a.active(self.now)]
         mobile.attachments = [new] + retained
-        if local:
-            self.nodes[new.ler].track_local_handoff(spec.prefix, new.interface)
-        else:
+        if not local:
             self._register(spec.prefix, mobile, new)
+        elif new.ler not in self.failed:
+            self.nodes[new.ler].track_local_handoff(spec.prefix, new.interface)
 
     def _on_detach(self, spec):
         mobile = self.mobiles.get(spec.prefix)
@@ -639,7 +638,7 @@ class Simulation:
         neighbors = self._neighbors.get(mobile.primary().region, [])
         if neighbors and self.rng.random() < model.p:
             target = neighbors[self.rng.randrange(len(neighbors))]
-            self._on_move(MoveSpec(self.now, prefix, target, None))
+            self._on_move(Placement(self.now, prefix, target, None))
         self._after(self.rng.expovariate(model.mu), "_on_move_decision",
                     prefix, attach)
 
@@ -723,22 +722,26 @@ class Simulation:
 
     def _sweep(self):
         """The periodic tick: dead LER registrations, then each node's
-        ``EXPIRE`` method."""
+        ``EXPIRE`` method; a failed node runs neither."""
+        failed = self.failed
         for rid in self.graph.by_role(NodeRole.LER):
-            self.nodes[rid].scan_dead_registrations(self.now)
-        for node in self.nodes.values():  # built in rid order
-            getattr(node, node.EXPIRE)(self.now)
+            if rid not in failed:
+                self.nodes[rid].scan_dead_registrations(self.now)
+        for rid, node in self.nodes.items():  # built in rid order
+            if rid not in failed:
+                getattr(node, node.EXPIRE)(self.now)
         self._after(self.scenario.timers.keepalive_s, "_sweep")
 
     def _keepalive(self, prefix: MobilePrefix, attach: int):
         mobile = self._live_chain(prefix, attach)
         if mobile:
-            self.nodes[mobile.primary().ler].keepalive(prefix, self.now)
+            if (ler := mobile.primary().ler) not in self.failed:
+                self.nodes[ler].keepalive(prefix, self.now)
             self._after(self.scenario.timers.keepalive_s, "_keepalive", prefix,
                         attach)
 
-    def _on_fail(self, rid: str):
-        self.failed.add(rid)
+    def _on_fail(self, spec):
+        self.failed.add(rid := spec.node)
         self.trace_event("node_fail", rid, None)
         if self.graph.role_of(rid) is NodeRole.ALER:
             for amrr_rid in self.graph.by_role(NodeRole.AMRR,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import (
@@ -63,11 +63,9 @@ class NetworkGraph:
     nodes: dict[RouterId, NodeInfo]
     edges: dict[RouterId, dict[RouterId, float]]  # symmetric, latency in ms
     regions: dict[str, Region]
-    names: dict[str, RouterId] = field(default_factory=dict)
+    names: dict[str, RouterId]  # node name -> its router id
 
     def __post_init__(self):
-        if not self.names:
-            self.names = {info.name: rid for rid, info in self.nodes.items()}
         # the graph never changes after build_topology, so each adjacency is
         # sorted once; interface numbers are positions in that order
         self._neighbors = {rid: tuple(sorted(peers))

@@ -1,7 +1,6 @@
 import pytest
 
 from hmlbn.amrr import AmrrNode
-from hmlbn.errors import NoAlerAvailable
 from hmlbn.messages import (
     ControlMessage,
     LrlReplyPayload,
@@ -27,10 +26,9 @@ AMRR1, AMRR2, AMRR3, AMRR4 = "20.1.3.1", "20.1.3.2", "20.1.3.3", "20.1.3.4"
 def make_amrr(area=1, rid=AMRR1, n_areas=3, alers=None, ha_twin=None, **kw):
     all_amrrs = {1: [AMRR1], 2: [AMRR2], 3: [AMRR3], 4: [AMRR4]}
     amrrs_by_area = {a: v for a, v in all_amrrs.items() if a <= n_areas}
-    peers = [r for v in amrrs_by_area.values() for r in v if r != rid]
     services = FakeServices(rid)
     services.areas = {AMRR1: 1, AMRR2: 2, AMRR3: 3, AMRR4: 4}
-    node = AmrrNode(rid, area, peers=peers,
+    node = AmrrNode(rid, area,
                     ler_clients=[LER12, LER13],
                     aler_clients=alers or [ALER1],
                     amrrs_by_area=amrrs_by_area,
@@ -192,6 +190,33 @@ def test_external_request_unknown_prefix_is_negative():
         MessageKind.BINDING_REQUEST, AMRR3, AMRR1, 0.0, RequestPayload(MN, 3)))
     (reply,) = services.sent
     assert reply.kind is MessageKind.BINDING_REPLY_NEGATIVE
+
+
+def _only_alias_failed(node):
+    node.handle_aler_failure(ALER1)
+
+
+def _no_alias(node):
+    node.records[str(MN)].aler_labels.clear()
+
+
+@pytest.mark.parametrize("unaliased", [_only_alias_failed, _no_alias],
+                         ids=["only_alias_failed", "no_alias"])
+def test_external_request_on_owned_record_without_live_alias_is_negative(
+        unaliased):
+    """An owned record is answered only through a live ALER alias, so
+    without one the peer is refused, and nothing is remembered or picked."""
+    node, services = make_amrr()
+    _owned_record(node, services)
+    unaliased(node)
+    services.sent.clear()
+    node.handle_request(ControlMessage(
+        MessageKind.BINDING_REQUEST, AMRR3, AMRR1, 0.0, RequestPayload(MN, 3)))
+    (reply,) = services.sent
+    assert reply.kind is MessageKind.BINDING_REPLY_NEGATIVE
+    assert reply.dst == AMRR3 and reply.payload.prefix == MN
+    assert node.records[str(MN)].lrl.external == []
+    assert node.rr_counter == 0
 
 
 def test_internal_request_on_owned_record_returns_origin_ler():
@@ -399,12 +424,12 @@ def test_failed_aler_excluded_from_selection():
     assert {node.select_aler(rec) for _ in range(4)} == {ALER1}
 
 
-def test_no_live_aler_raises():
+def test_no_live_aler_selects_none():
     node, services = make_amrr(ha_twin={ALER1: "20.1.2.11"})
     _owned_record(node, services)
     node.failed_alers.add(ALER1)
-    with pytest.raises(NoAlerAvailable):
-        node.select_aler(node.records[str(MN)])
+    assert node.select_aler(node.records[str(MN)]) is None
+    assert node.rr_counter == 0
 
 
 def test_aler_failure_blankets_other_area_peers():

@@ -6,7 +6,11 @@ of the package but ``messages`` names a payload class ``LAYOUT`` lists: a
 sender passes a message's kind and fields, and the kind names the class.
 Every trace record the package names by a literal passes one value for each
 of its ``TRACE_KEYS`` keys.  Every dataclass field and stored attribute of
-the package is read somewhere in the package or the benchmark's child."""
+the package is read somewhere in the package or the benchmark's child.  No
+two dataclasses of the package have one shape, the same field names under
+the same annotations: one fact gets one class.  ``NamedTuple`` payloads are
+not checked, since ``LAYOUT`` tells payloads of one shape apart by their
+message kind."""
 
 import ast
 from pathlib import Path
@@ -254,3 +258,37 @@ def test_the_unread_attribute_check_finds_what_it_should():
     assert unread_attributes([source], []) == (
         {"kept", "lost", "benched", "count", "seen", "total", "pair"},
         ["benched", "count", "lost", "pair", "seen"])
+
+
+def same_shape_dataclasses(sources: list[str]) -> list[list[str]]:
+    """Each group, sorted, of two or more ``@dataclass`` classes in
+    ``sources`` whose fields have the same names and annotations, in order;
+    the groups sorted too."""
+    by_shape = {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                shape = tuple((stmt.target.id, ast.unparse(stmt.annotation))
+                              for stmt in node.body
+                              if isinstance(stmt, ast.AnnAssign)
+                              and isinstance(stmt.target, ast.Name))
+                by_shape.setdefault(shape, []).append(node.name)
+    return sorted(sorted(names) for names in by_shape.values()
+                  if len(names) > 1)
+
+
+def test_no_two_dataclasses_share_a_shape():
+    assert same_shape_dataclasses(
+        [path.read_text(encoding="utf-8") for path in PACKAGE]) == []
+
+
+def test_the_shape_check_finds_what_it_should():
+    source = ("@dataclass\nclass A:\n    t: float\n    p: str = ''\n"
+              "@dataclass(frozen=True)\nclass B:\n    t: float\n    p: str\n"
+              "@dataclass\nclass C:\n    t: float\n    p: int\n"
+              "@dataclass\nclass D:\n    p: str\n    t: float\n"
+              "class E(NamedTuple):\n    t: float\n    p: str\n")
+    assert same_shape_dataclasses([source]) == [["A", "B"]]
+    assert same_shape_dataclasses(
+        [source, "@dataclasses.dataclass\nclass F:\n    p: str\n"
+                 "    t: float\n"]) == [["A", "B"], ["D", "F"]]

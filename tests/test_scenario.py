@@ -135,6 +135,78 @@ def test_a_problem_before_the_topology_hides_no_region():
     assert validate_scenario(doc) == [("duration_s", "expected number, got str")]
 
 
+def test_every_mobility_fault_keeps_its_path_message_and_order():
+    """Each kind of attach and move fault, on its own and several in one
+    entry: an attach's prefix must be inside the mobility range, a move's
+    must attach somewhere, and only an attach that is kept makes a prefix
+    known to the moves."""
+    doc = lib.random_walk_scenario()
+    doc["mobility"]["attach"] += [
+        {"t": "soon", "prefix": "10.1.1.2/32", "region": "MR11"},
+        {"prefix": "10.1.1.300/32", "region": "MR11"},
+        {"prefix": "10.1.1.3/32", "region": "MR99"},
+        {"prefix": "10.1.1.4/32", "region": "MR12", "cell": "c9"},
+        {"prefix": "11.0.0.1/32", "region": "MR13"},
+        {"t": -1, "prefix": "11.0.0.2/32", "region": "MR12", "cell": "c9"},
+    ]
+    doc["mobility"]["move"] = [
+        {"t": -1.0, "prefix": lib.MN, "region": "MR12"},
+        {"t": 1.0, "prefix": "bogus", "region": "MR12"},
+        {"t": 1.0, "prefix": lib.MN, "region": "MR99"},
+        {"t": 1.0, "prefix": lib.MN, "region": "MR12", "cell": "c9"},
+        {"t": 1.0, "prefix": "10.9.9.9/32", "region": "MR12"},
+        {"prefix": lib.MN, "region": "MR12"},
+        {"t": 1.0, "prefix": "10.1.1.2/32", "region": "MR12"},
+        {"t": 1.0, "prefix": "10.1.1.4/32", "region": "MR12"},
+        {"t": "x", "prefix": "10.9.9.8/32", "region": "MR98", "cell": "c1"},
+    ]
+    no_network = "does not appear to be an IPv4 or IPv6 network"
+    assert validate_scenario(doc) == [
+        ("mobility.attach[2].t", "expected number, got str"),
+        ("mobility.attach[3].prefix",
+         f"bad prefix: '10.1.1.300/32' {no_network}"),
+        ("mobility.attach[4].region", "unknown region 'MR99'"),
+        ("mobility.attach[5].cell", "region MR12 has no cell 'c9'"),
+        ("mobility.attach[6].prefix", "outside the mobility address range"),
+        ("mobility.attach[7].t", "must be >= 0.0"),
+        ("mobility.attach[7].cell", "region MR12 has no cell 'c9'"),
+        ("mobility.attach[7].prefix", "outside the mobility address range"),
+        ("mobility.move[0].t", "must be >= 0.0"),
+        ("mobility.move[1].prefix", f"bad prefix: 'bogus' {no_network}"),
+        ("mobility.move[2].region", "unknown region 'MR99'"),
+        ("mobility.move[3].cell", "region MR12 has no cell 'c9'"),
+        ("mobility.move[4].prefix", "moves a prefix that never attaches"),
+        ("mobility.move[5].t", "missing"),
+        ("mobility.move[6].prefix", "moves a prefix that never attaches"),
+        ("mobility.move[8].t", "expected number, got str"),
+        ("mobility.move[8].region", "unknown region 'MR98'"),
+        ("mobility.move[8].prefix", "moves a prefix that never attaches"),
+    ]
+
+
+@pytest.mark.parametrize("timers", [
+    # as floats, 3 * 0.1 > 0.3 and 10 * 0.07 > 0.7
+    {"keepalive_s": 0.1, "dead_s": 0.3, "lifetime_s": 3.0},
+    {"keepalive_s": 0.01, "dead_s": 0.07, "lifetime_s": 0.7},
+], ids=["dead_s", "lifetime_s"])
+def test_a_timer_at_its_exact_ratio_is_accepted(timers):
+    doc = lib.startup_scenario()
+    doc["timers"] = timers
+    assert validate_scenario(doc) == []
+
+
+@pytest.mark.parametrize("timers,problem", [
+    ({"keepalive_s": 0.1, "dead_s": 0.29, "lifetime_s": 3.0},
+     ("timers.dead_s", "dead time 0.29 must be >= 3x keepalive 0.1")),
+    ({"keepalive_s": 0.01, "dead_s": 0.07, "lifetime_s": 0.69},
+     ("timers.lifetime_s", "lifetime 0.69 must be >= 10x dead time 0.07")),
+], ids=["dead_s", "lifetime_s"])
+def test_a_timer_just_below_its_ratio_is_refused(timers, problem):
+    doc = lib.startup_scenario()
+    doc["timers"] = timers
+    assert validate_scenario(doc) == [problem]
+
+
 # (section, entry) of one event of each kind in startup_scenario's topology
 EVENTS = [
     ("attach", {"prefix": "10.2.2.1/32", "region": "MR21"}),

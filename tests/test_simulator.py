@@ -331,6 +331,36 @@ def test_a_packet_entering_at_a_failed_ler_is_dropped_there():
     assert {(e["src"], e["detail"]["reason"]) for e in drops} == {
         ("LER33", "node_failed")}
 
+
+def test_a_failed_ler_sweeps_nothing():
+    """LER33 fails at t=0 with the correspondent registered there, which
+    then detaches: the failed LER neither keeps the registration alive nor
+    withdraws it when its dead time runs out."""
+    doc = lib.startup_scenario()
+    doc.update(duration_s=1.0, flows=[],
+               timers={"keepalive_s": 0.1, "dead_s": 0.4, "lifetime_s": 4.0},
+               failures=[{"t": 0.0, "node": "LER33"}])
+    doc["mobility"]["detach"] = [{"t": 0.1, "prefix": "10.3.3.1/32"}]
+    trace = run(doc).trace
+    failed_at = next(i for i, e in enumerate(trace)
+                     if e["kind"] == "node_fail")
+    assert [e for e in trace[failed_at:]
+            if e["kind"] == "ctl_send" and e["src"] == "LER33"] == []
+
+
+def test_a_mobile_attaching_at_a_failed_ler_registers_nowhere():
+    """The correspondent attaches in MR33 after LER33 failed: no
+    registration is made or announced there, and each packet it sends drops
+    at the failed LER."""
+    doc = lib.startup_scenario()
+    doc["mobility"]["attach"][1]["t"] = 0.01
+    doc["failures"] = [{"t": 0.0, "node": "LER33"}]
+    sim = run(doc)
+    assert [e for e in sim.trace if e["src"] == "LER33"
+            and e["kind"] in ("register", "ctl_send")] == []
+    (row,) = sim.metrics.finalize().values()
+    assert row["ingress"] == row["drops"]["node_failed"] == 25
+
 def test_reflect_to_previous_ler_flag_updates_old_serving_ler():
     doc = lib.intra_area_scenario()
     doc["flags"]["reflect_to_previous_ler"] = True
