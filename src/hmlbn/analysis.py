@@ -160,13 +160,13 @@ def penalty_table(k_min: int, k_max: int, *, alpha: float = 5.0,
 def penalty_table_csv(rows: list[dict]) -> str:
     columns = ["k", "kind", "dm_upper", "mean_hop_penalty", "delay_mean_ms",
                "delay_std_ms", "loss_prob"]
-    if rows and "mc_mean" in rows[0]:
+    if any("mc_mean" in row for row in rows):
         columns += ["mc_mean", "mc_max_bin_err"]
     lines = [",".join(columns)]
     for row in rows:
         cells = []
         for col in columns:
-            value = row[col]
+            value = row.get(col, "")  # no Monte Carlo run of a one-state chain
             cells.append(f"{value:.6f}" if isinstance(value, float) else str(value))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
@@ -215,8 +215,7 @@ def measure_simulated_penalty(scenario) -> list[dict]:
         path = delivered[-1]["detail"]["path"]
         measured = len(path.split(">")) - 1
         mn_ler = graph.ler_of_region(region)
-        direct = bfs_hops(adjacency, cn_ler).get(mn_ler, 0)
-        k_o, k_t, diff = hop_difference(adjacency, cn_ler, ha_rid, mn_ler)
+        direct, k_t, diff = hop_difference(adjacency, cn_ler, ha_rid, mn_ler)
         rows.append({
             "region": region,
             "measured_hops": measured,

@@ -60,12 +60,17 @@ class ForwardingEngine:
                  nodes: dict, transport):
         self.graph = graph
         self.actions = lsp.in_actions
+        self.rows = lsp.in_actions.made  # the rows made so far, a plain dict
         self.nodes = nodes
         self.transport = transport
 
     def step(self, packet: DataPacket, node: str):
         stack = packet.stack
-        action = self.actions[node][stack[0]] if stack else None
+        try:
+            row = self.rows[node]
+        except KeyError:
+            row = self.actions[node]
+        action = row[stack[0]] if stack else None
         if action is None:
             self.transport.drop(packet, node, "no_label_entry")
             return

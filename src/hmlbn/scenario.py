@@ -6,9 +6,10 @@ unknown keys are rejected, each list entry is checked on its own, every
 number must be finite (``json.load`` accepts NaN and Infinity, RFC 8259 does
 not), a flow's packet count ``(stop_s - start_s) * rate_pps`` must be below
 2**53, where floats stop telling consecutive packet indices apart, no flow
-stop or event time may pass ``duration_s``, and each problem names its
-field path.  Timers need lifetime >= 10 * dead-time >= 30 * keepalive, the
-products taken of the numbers as written: 0.3 is three times 0.1.
+stop or event time may pass ``duration_s``, no node fails twice (none
+recovers), and each problem names its field path.  Timers need lifetime >=
+10 * dead-time >= 30 * keepalive, the products taken of the numbers as
+written: 0.3 is three times 0.1.
 """
 
 from __future__ import annotations
@@ -409,14 +410,19 @@ def _parse_flows(data, c):
 
 
 def _parse_failures(data, c, graph):
-    out = []
-    for _, path, entry in c.entries(data, "", "failures", {"t", "node"}):
+    out, first = [], {}  # node -> the index of the entry that fails it
+    for i, path, entry in c.entries(data, "", "failures", {"t", "node"}):
+        known = len(c.problems)
         t = c.by_end(c.number(entry, path, "t", minimum=0.0), f"{path}.t")
         if "node" not in entry:
             c.err(f"{path}.node", "missing")
         elif graph is not None:
             node = c.node(graph, entry["node"], f"{path}.node")
-            if t is not None and node:
+            if len(c.problems) > known:  # an entry refused fails no node
+                continue
+            if (j := first.setdefault(node, i)) != i:  # none recovers
+                c.err(f"{path}.node", f"already fails at failures[{j}]")
+            else:
                 out.append(FailureSpec(t, node))
     return out
 

@@ -41,6 +41,7 @@ from .messages import (LAYOUT, ControlMessage, MessageKind, MobilePrefix,
                        UpdateType, canonical_encode, control_message)
 from .scenario import Placement, Scenario
 from .topology import (
+    Memo,
     NodeRole,
     compute_infrastructure_lsps,
     control_latency_matrix,
@@ -102,7 +103,7 @@ class Metrics:
     kept by seq and summed in seq order; deliveries come in time order."""
 
     def __init__(self):
-        self.flows: dict[str, dict] = _Memo(lambda flow_id: {
+        self.flows: dict[str, dict] = Memo(lambda flow_id: {
             "ingress": 0, "drops": Counter(), "hops": Counter(),
             "latencies": {}, "max_gap_s": 0.0, "last": None})
         self.control_by_kind: Counter[str] = Counter()
@@ -298,16 +299,6 @@ def _line_factories(schema: dict) -> dict:
 LINE_FACTORIES = _line_factories(TRACE_KEYS)
 
 
-class _Memo(dict):
-    """``memo[key]`` is ``render(key)``, rendered on first use only."""
-
-    def __init__(self, render):
-        self.render = render
-
-    def __missing__(self, key):
-        return self.setdefault(key, self.render(key))
-
-
 class _Values(dict):
     """``values[v]`` is ``json.dumps(v)``, rendered on first use only; a str
     or an int straight by the function ``json.dumps`` reaches for it."""
@@ -369,7 +360,7 @@ class Simulation:
         self.graph = scenario.graph
         self._names = {rid: info.name for rid, info in self.graph.nodes.items()}
         # each edge's latency in seconds, a router's row made on first use
-        self._edge_s = _Memo(lambda rid: {
+        self._edge_s = Memo(lambda rid: {
             peer: ms / 1000.0 for peer, ms in self.graph.edges[rid].items()})
         self.lsp = compute_infrastructure_lsps(self.graph)
         self.latency = control_latency_matrix(self.graph)
@@ -388,28 +379,32 @@ class Simulation:
         # each region's mobility-model neighbours, sorted once
         self._neighbors = ({region: sorted(nbrs) for region, nbrs
                             in model.adjacency.items()} if model else {})
-        self.nodes: dict[str, object] = {}
-        self._build_nodes()
+        # router id -> its LER, ALER or AMRR state machine, made the first
+        # time the id is read; an LSR has none
+        self.nodes: dict[str, object] = Memo(self._node_maker())
         self.engine = ForwardingEngine(self.graph, self.lsp, self.nodes, self)
         self._schedule_scenario()
 
     # ------------------------------------------------------------- set-up
 
-    def _build_nodes(self):
-        sc = self.scenario
+    def _node_maker(self):
+        """The function that makes the node at a router id; an LSR or an
+        unknown id raises ``KeyError``."""
+        sc, graph = self.scenario, self.graph
         ha_twin = {a: b for pair in sc.flags.ha_pairs for a, b in (pair, pair[::-1])}
-        amrrs_by_area = {area: self.graph.by_role(NodeRole.AMRR, area)
-                         for area in self.graph.areas()}
+        amrrs_by_area = {area: graph.by_role(NodeRole.AMRR, area)
+                         for area in graph.areas()}
         calls = (self.transmit, self.drop, self.deliver_local,
-                 self.lsp.next_hop, self.graph.area_of)
+                 self.lsp.next_hop, graph.area_of)
         interfaces = {}  # LER rid -> its regions' cells, in region order
-        for region in self.graph.regions.values():
+        for region in graph.regions.values():
             interfaces.setdefault(region.ler, []).extend(
                 f"{region.name}/{cell}" for cell in region.cells)
-        for rid in sorted(self.graph.nodes):
-            info = self.graph.nodes[rid]
+
+        def make(rid):
+            info = graph.nodes[rid]
             if info.role is NodeRole.LER:
-                self.nodes[rid] = LerNode(
+                return LerNode(
                     rid, info.name, info.area,
                     amrrs=amrrs_by_area.get(info.area, []),
                     interfaces=interfaces.get(rid, []),
@@ -418,22 +413,21 @@ class Simulation:
                     default_lifetime_s=sc.timers.lifetime_s,
                     services=_Services(self, rid, calls),
                 )
-            elif info.role is NodeRole.ALER:
-                self.nodes[rid] = AlerNode(
-                    rid,
-                    amrrs=amrrs_by_area.get(info.area, []),
-                    services=_Services(self, rid, calls),
-                )
-            elif info.role is NodeRole.AMRR:
-                self.nodes[rid] = AmrrNode(
+            if info.role is NodeRole.ALER:
+                return AlerNode(rid, amrrs=amrrs_by_area.get(info.area, []),
+                                services=_Services(self, rid, calls))
+            if info.role is NodeRole.AMRR:
+                return AmrrNode(
                     rid, info.area,
-                    ler_clients=self.graph.by_role(NodeRole.LER, info.area),
-                    aler_clients=self.graph.by_role(NodeRole.ALER, info.area),
+                    ler_clients=graph.by_role(NodeRole.LER, info.area),
+                    aler_clients=graph.by_role(NodeRole.ALER, info.area),
                     amrrs_by_area=amrrs_by_area,
                     ha_twin=ha_twin,
                     services=_Services(self, rid, calls),
                     reflect_to_previous=sc.flags.reflect_to_previous_ler,
                 )
+            raise KeyError(rid)
+        return make
 
     def _schedule_scenario(self):
         sc = self.scenario
@@ -508,7 +502,7 @@ class Simulation:
         -0.0, are one key but two texts.  ``CHUNK_LINES`` lines are joined
         at a time, so no list of every line outlives its chunk."""
         encode, names = json.dumps, self._names
-        router = _Memo(lambda rid: encode(names.get(rid, rid)))
+        router = Memo(lambda rid: encode(names.get(rid, rid)))
         lines_of = {name: factory(router, *[_Values() for _ in range(n)])
                     for name, (factory, n) in LINE_FACTORIES.items()}
         times = {}  # nonzero float times: their texts
@@ -559,7 +553,11 @@ class Simulation:
                              "node_failed")
             return
         self.trace_event("ctl_recv", msg.src, msg.dst, MSG_TEXT[msg.kind])
-        self.nodes[msg.dst].handle(msg)
+        try:
+            node = self.nodes.made[msg.dst]
+        except KeyError:
+            node = self.nodes[msg.dst]
+        node.handle(msg)
 
     # ------------------------------------------------------------ mobility
 
@@ -721,15 +719,17 @@ class Simulation:
         getattr(self, method)(*args)
 
     def _sweep(self):
-        """The periodic tick: dead LER registrations, then each node's
-        ``EXPIRE`` method; a failed node runs neither."""
-        failed = self.failed
-        for rid in self.graph.by_role(NodeRole.LER):
-            if rid not in failed:
-                self.nodes[rid].scan_dead_registrations(self.now)
-        for rid, node in self.nodes.items():  # built in rid order
-            if rid not in failed:
-                getattr(node, node.EXPIRE)(self.now)
+        """The periodic tick over the nodes made so far, in router-id order:
+        dead LER registrations, then each node's ``EXPIRE`` method; a failed
+        node runs neither.  A node never made holds nothing to scan or
+        expire, so visiting it would change nothing."""
+        live = [node for rid, node in sorted(self.nodes.items())
+                if rid not in self.failed]
+        for node in live:
+            if isinstance(node, LerNode):
+                node.scan_dead_registrations(self.now)
+        for node in live:
+            getattr(node, node.EXPIRE)(self.now)
         self._after(self.scenario.timers.keepalive_s, "_sweep")
 
     def _keepalive(self, prefix: MobilePrefix, attach: int):

@@ -7,7 +7,9 @@ forwarding node's router id is the FEC of one LSP in a full logical mesh.
 The graph is immutable once built.  A run only ever sends over a few paths,
 so each FEC of the mesh keeps one BFS and each row of the control-latency
 matrix one Dijkstra, resumed by a missing entry just until it is found;
-every value equals what a full computation at build time would give.
+every value equals what a full computation at build time would give.  A
+node's LSP rows, latency row and links are made on its first read (a
+``Memo``), so set-up follows the nodes a run reaches, not the graph's size.
 """
 
 from __future__ import annotations
@@ -210,6 +212,19 @@ def bfs_hops(adjacency: dict, source) -> dict:
     return dist
 
 
+class Memo(dict):
+    """``memo[key]`` is ``make(key)``, made on first use only.  ``made`` is a
+    plain dict of the same entries, whose subscript CPython specialises: a
+    hot path reads it and ``memo[key]`` only on a ``KeyError``."""
+
+    def __init__(self, make):
+        self.make, self.made = make, {}
+
+    def __missing__(self, key):
+        value = self.made[key] = self[key] = self.make(key)
+        return value
+
+
 POP = object()  # the in_actions entry at a FEC's owner; no router id is it
 
 
@@ -227,7 +242,9 @@ class LspTable:
     nodes no farther from it than the farthest node looked up.
     ``in_actions[node][label]`` resolves an arriving top label to the next
     hop toward its FEC, or ``POP`` at its owner; each row fills an entry on
-    its first lookup, and gives ``None`` for a label outside the mesh.
+    its first lookup, and gives ``None`` for a label outside the mesh.  A
+    node's rows in both are made on its first read; a node that forwards
+    nothing has none, and reading one raises ``KeyError``.
     """
 
     def __init__(self, graph: NetworkGraph):
@@ -239,16 +256,21 @@ class LspTable:
         self._adjacency = graph.forwarding_adjacency
         # fec -> (nodes seen, next level to expand) of its paused BFS
         self._searches: dict[RouterId, tuple[set, list]] = {}
-        self.fec_next: dict[RouterId, dict[RouterId, tuple[int, RouterId]]] = {
-            node: {} for node in self.fecs}
-        self.in_actions: dict[RouterId, _ActionRow] = {
-            node: _ActionRow(self, node) for node in self.fecs}
+        self.fec_next: dict[RouterId, dict[RouterId, tuple[int, RouterId]]] = Memo(
+            lambda node: self._row(node, {}))
+        self.in_actions: dict[RouterId, _ActionRow] = Memo(
+            lambda node: self._row(node, _ActionRow(self, node)))
+
+    def _row(self, node: RouterId, row: dict) -> dict:
+        if node not in self._label:  # it forwards nothing
+            raise KeyError(node)
+        return row
 
     def next_hop(self, node: RouterId, fec: RouterId) -> tuple[int, RouterId]:
         try:
-            return self.fec_next[node][fec]
+            return self.fec_next.made[node][fec]
         except KeyError:
-            if node not in self.fec_next or node == fec or fec not in self._label:
+            if node == fec or node not in self._label or fec not in self._label:
                 raise NoRouteToNextHop(f"{node} has no trail toward {fec}")
         return self._search(node, fec)
 
@@ -309,8 +331,11 @@ def compute_infrastructure_lsps(graph: NetworkGraph) -> LspTable:
     return LspTable(graph)
 
 
-class _LatencyRows(dict):
-    """Source -> {destination: ms}; a missing row starts empty.
+class _LatencyRow(dict):
+    """Destination -> ms for the nodes one source's Dijkstra has popped; a
+    missing destination resumes it until that node is popped.  A popped
+    distance is final and a resumed search runs the same pops and
+    relaxations as an uninterrupted one, so every value is the same.
 
     Each row is a Dijkstra from its own source, never mirrored from another
     row: float sums taken in another order could differ in the last bit.
@@ -318,36 +343,16 @@ class _LatencyRows(dict):
     heap in router-id order.
     """
 
-    def __init__(self, graph: NetworkGraph):
+    def __init__(self, rids: list, index: dict, links: Memo, start: int):
         super().__init__()
-        self._rids = sorted(graph.nodes)
-        self._index = {rid: i for i, rid in enumerate(self._rids)}
-        self._links = [[(self._index[peer], graph.edges[rid][peer])
-                        for peer in graph.neighbors(rid)]
-                       for rid in self._rids]
-
-    def __missing__(self, src: RouterId) -> _LatencyRow:
-        row = self[src] = _LatencyRow(self, self._index[src])
-        return row
-
-
-class _LatencyRow(dict):
-    """Destination -> ms for the nodes one source's Dijkstra has popped; a
-    missing destination resumes it until that node is popped.  A popped
-    distance is final and a resumed search runs the same pops and
-    relaxations as an uninterrupted one, so every value is the same."""
-
-    def __init__(self, rows: _LatencyRows, start: int):
-        super().__init__()
-        self._rows = rows
-        self._dist = [float("inf")] * len(rows._rids)
+        self._rids, self._index, self._links = rids, index, links
+        self._dist = [float("inf")] * len(rids)
         self._dist[start] = 0.0
         self._heap = [(0.0, start)]
 
     def __missing__(self, dst: RouterId) -> float:
-        rows = self._rows
-        target = rows._index[dst]
-        rids, links = rows._rids, rows._links
+        target = self._index[dst]
+        rids, links = self._rids, self._links
         dist, heap = self._dist, self._heap
         pop, push = heapq.heappop, heapq.heappush
         while heap:
@@ -368,7 +373,12 @@ class _LatencyRow(dict):
 def control_latency_matrix(graph: NetworkGraph) -> dict[RouterId, dict[RouterId, float]]:
     """All-pairs minimum latency (ms) over the full graph, AMRR edges included.
 
-    Control sessions ride these values; the matrix is symmetric.  Iterating
-    the result shows only the rows and entries indexed so far.
+    Control sessions ride these values; the matrix is symmetric.  A source's
+    row, and a node's list of (number, ms) links, is made on its first read;
+    iterating the result shows only the rows and entries indexed so far.
     """
-    return _LatencyRows(graph)
+    rids = sorted(graph.nodes)
+    index = {rid: i for i, rid in enumerate(rids)}
+    links = Memo(lambda i: [(index[peer], graph.edges[rids[i]][peer])
+                            for peer in graph.neighbors(rids[i])])
+    return Memo(lambda src: _LatencyRow(rids, index, links, index[src]))

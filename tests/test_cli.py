@@ -1,7 +1,9 @@
 """``hmlbn`` sub-commands end to end through ``cli.main``: what each writes
 or prints, and its exit code on success, on bad input and on a mismatch."""
 
+import csv
 import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -208,6 +210,24 @@ def test_analyze_prints_the_penalty_table(tmp_path, capsys):
     assert capsys.readouterr().out == expected
     assert cli.main(argv + ["--out", str(tmp_path)]) == cli.EXIT_OK
     assert (tmp_path / "penalty.csv").read_text(encoding="utf-8") == expected
+
+
+def _analyze_rows(capsys, *args) -> list[dict]:
+    argv = ["analyze", "--trials", "200", "--seed", "3", *args]
+    assert cli.main(argv) == cli.EXIT_OK
+    return list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+
+
+def test_analyze_keeps_the_monte_carlo_columns_when_k_starts_at_one(capsys):
+    """The k=1 fixedToMobile chain has one state, so no Monte Carlo run:
+    its two cells are empty, and every other row keeps its own."""
+    mc = ("mc_mean", "mc_max_bin_err")
+    from_one = _analyze_rows(capsys, "--k-max", "2")
+    from_two = _analyze_rows(capsys, "--k-min", "2", "--k-max", "2")
+    assert (from_one[0]["dm_upper"], *map(from_one[0].get, mc)) == ("0", "", "")
+    assert all(row[col] for row in from_one[1:] for col in mc)
+    assert [[row[col] for col in mc] for row in from_one[2:]] \
+        == [[row[col] for col in mc] for row in from_two]
 
 
 @pytest.mark.parametrize("args,flag", [

@@ -114,6 +114,20 @@ def test_malformed_field_is_a_problem_not_an_exception(path, edit):
     assert path in [where for where, _ in problems], problems
 
 
+def test_a_second_failure_of_a_failed_node_is_refused():
+    """A node never recovers, so failing it again could only repeat its
+    ``node_fail`` record and fail-over messages; the first entry stands."""
+    doc = lib.ha_failover_scenario()
+    assert validate_scenario(doc) == []
+    doc["failures"] += [{"t": 0.3, "node": "P0"},
+                        {"t": 0.21, "node": "ALER1"},
+                        {"t": 0.1, "node": "P0"}]
+    assert validate_scenario(doc) == [
+        ("failures[2].node", "already fails at failures[0]"),
+        ("failures[3].node", "already fails at failures[1]"),
+    ]
+
+
 def test_each_mobility_entry_is_checked_on_its_own():
     """A bad entry in one section hides no problem of the others."""
     doc = lib.random_walk_scenario()

@@ -222,11 +222,35 @@ def test_handoff_cost_does_not_grow_with_uninvolved_areas(areas):
 
 
 def _table_sizes(sim) -> dict:
-    """End-of-run size of every ALER FIB and AMRR record store, by name."""
-    return {sim.graph.name_of(node.rid):
-            len(node.fib if isinstance(node, AlerNode) else node.records)
-            for node in sim.nodes.values()
-            if isinstance(node, (AlerNode, AmrrNode))}
+    """End-of-run size of every ALER FIB and AMRR record store, by name; a
+    node the run never made is made here, with empty tables."""
+    return {sim.graph.name_of(rid): len(sim.nodes[rid].fib) for rid
+            in sim.graph.by_role(NodeRole.ALER)} | {
+        sim.graph.name_of(rid): len(sim.nodes[rid].records) for rid
+        in sim.graph.by_role(NodeRole.AMRR)}
+
+
+def test_nodes_are_made_on_first_use_only():
+    """A run makes the state machines of the nodes it reaches: none before
+    it starts, and far from all of a 20-area network for one flow."""
+    doc = lib.startup_scenario()
+    doc["topology"] = lib.base_topology(n_areas=20, lers_per_area=15)
+    doc["mobility"]["attach"] = [
+        {"t": 0.0, "prefix": lib.MN, "region": "MR1_2"},
+        {"t": 0.0, "prefix": lib.CN, "region": "MR3_3"},
+    ]
+    sim = Simulation(parse_scenario(doc))
+    assert len(sim.nodes) == 0
+    sim.run()
+    row = sim.metrics.finalize()["cn-to-mn"]
+    assert row["ingress"] > 0 and row["delivered"] == row["ingress"]
+    mobility = [rid for role in (NodeRole.LER, NodeRole.ALER, NodeRole.AMRR)
+                for rid in sim.graph.by_role(role)]
+    assert 0 < len(sim.nodes) < len(mobility)
+    assert set(sim.nodes) < set(mobility)
+    for rid in (sim.graph.by_role(NodeRole.LSR)[0], "no-such-node"):
+        with pytest.raises(KeyError):
+            sim.nodes[rid]
 
 
 @pytest.mark.parametrize("area", [1, 2, 4])
