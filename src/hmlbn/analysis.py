@@ -195,10 +195,11 @@ def measure_simulated_penalty(scenario) -> list[dict]:
         raise ValueError("no anchor vertex designated")
     graph = base.graph
     ha_rid = graph.rid_of(str(ha_name))
-    adjacency = graph.forwarding_adjacency
+    fwd = set(graph.forwarding_nodes())
+    adjacency = {rid: [p for p in graph.edges[rid] if p in fwd] for rid in fwd}
     cn_region = next(a.region for a in base.attaches
                      if str(a.prefix) == str(flow.src))
-    cn_ler = graph.ler_of_region(cn_region)
+    cn_ler = graph.regions[cn_region].ler
     rows = []
     for region in sorted(graph.regions):
         doc = dict(base.raw)
@@ -214,7 +215,7 @@ def measure_simulated_penalty(scenario) -> list[dict]:
             raise ValueError(f"no deliveries with mobile in {region}")
         path = delivered[-1]["detail"]["path"]
         measured = len(path.split(">")) - 1
-        mn_ler = graph.ler_of_region(region)
+        mn_ler = graph.regions[region].ler
         direct, k_t, diff = hop_difference(adjacency, cn_ler, ha_rid, mn_ler)
         rows.append({
             "region": region,

@@ -5,26 +5,6 @@ class HmlbnError(Exception):
     """Base class for all simulator errors."""
 
 
-class TopologyError(HmlbnError):
-    """Invalid network graph description."""
-
-
-class DuplicateRouterId(TopologyError):
-    pass
-
-
-class AreaWithoutAler(TopologyError):
-    pass
-
-
-class AreaWithoutAmrr(TopologyError):
-    pass
-
-
-class DisconnectedForwardingGraph(TopologyError):
-    pass
-
-
 class LabelSpaceExhausted(HmlbnError):
     """20-bit label allocator ran out of values."""
 

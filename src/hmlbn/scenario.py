@@ -10,28 +10,27 @@ stop or event time may pass ``duration_s``, no node fails twice (none
 recovers), and each problem names its field path.  Timers need lifetime >=
 10 * dead-time >= 30 * keepalive, the products taken of the numbers as
 written: 0.3 is three times 0.1.
+
+Set-up walks the topology once, in ``topology.build_topology``, which
+reports every topology problem at its entry's path; later sections check
+region names whenever the regions parsed.  The graph's neighbour lists,
+``by_role`` lists, LSP rows and latency rows are made on first use.  Two
+orders of the document show: problems follow it, and events at one time
+keep their entries' order; the order of topology entries shows nowhere.
 """
 
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass, field
 from decimal import Decimal
 
-from .errors import ScenarioInvalid, TopologyError
+from .errors import ScenarioInvalid, VertexNotFound
 from .messages import MobilePrefix
-from .topology import NetworkGraph, NodeRole, build_topology
+from .topology import NetworkGraph, NodeRole, build_topology, type_problem
 
 _TOP_KEYS = {"name", "seed", "duration_s", "mobility_range", "timers",
              "topology", "mobility", "flows", "failures", "flags", "analysis"}
-_ENTRY_TYPES = {  # the keys of each topology entry and the types they take
-    "nodes": {"id": str, "name": str, "role": str, "area": int},
-    "edges": {"a": str, "b": str, "latency_ms": float},  # float: via number()
-    "regions": {"ler": str, "cells": list},
-}
-_REQUIRED = {"id", "role", "a", "b", "ler"}
-_ROLES = {role.value for role in NodeRole}
 
 
 @dataclass
@@ -149,11 +148,8 @@ class _Checker:
                 self.err(where, "missing")
             return default
         v = obj[key]
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            self.err(where, f"expected number, got {type(v).__name__}")
-            return None
-        if not abs(v) <= sys.float_info.max:  # NaN, ±Infinity, a too big int
-            self.err(where, "must be finite")
+        if problem := type_problem(v, float):  # NaN, ±Infinity, a too big int
+            self.err(where, problem)
             return None
         if positive and v <= 0:
             self.err(where, "must be positive")
@@ -189,7 +185,7 @@ class _Checker:
         """The router id of the node ``name``; if there is none, a problem."""
         try:
             return graph.rid_of(str(name))
-        except TopologyError:
+        except VertexNotFound:
             self.err(path, f"unknown node {name!r}")
             return None
 
@@ -228,7 +224,9 @@ def parse_scenario(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioInvalid([("$", "scenario must be a JSON object")])
     c.obj(data, "", _TOP_KEYS)
-    name = str(data.get("name", "scenario"))
+    name = data.get("name", "scenario")
+    if not isinstance(name, str):
+        c.err("name", "expected string")
     seed = data.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):
         c.err("seed", "expected integer")
@@ -277,51 +275,23 @@ def _parse_timers(obj, c) -> Timers:
 
 
 def _parse_topology(obj, c):
-    before = len(c.problems)  # problems of the sections before this one
-    if not isinstance(obj, dict):
-        c.err("topology", "missing or not an object")
-        return None, {}
-    c.obj(obj, "topology", _ENTRY_TYPES)
-    for section, kind in (("nodes", list), ("edges", list), ("regions", dict)):
-        if not isinstance(obj.get(section, kind()), kind):
-            c.err(f"topology.{section}", f"expected {kind.__name__}")
-            return None, {}
-    entries = [(f"topology.{section}[{i}]", section, entry)
-               for section in ("nodes", "edges")
-               for i, entry in enumerate(obj.get(section, []))]
-    entries += [(f"topology.regions.{name}", "regions", entry)
-                for name, entry in obj.get("regions", {}).items()]
-    for path, section, entry in entries:
-        if not c.obj(entry, path, _ENTRY_TYPES[section]):
-            return None, {}
-        for key, kind in _ENTRY_TYPES[section].items():
-            if key not in entry:
-                if key in _REQUIRED:
-                    c.err(f"{path}.{key}", "missing")
-            elif kind is float:
-                c.number(entry, path, key)
-            elif type(value := entry[key]) is bool or not isinstance(value, kind):
-                c.err(f"{path}.{key}",
-                      f"expected {kind.__name__}, got {type(value).__name__}")
-        if isinstance(entry.get("role"), str) and entry["role"] not in _ROLES:
-            c.err(f"{path}.role", f"unknown role {entry['role']!r}")
-        cells = entry.get("cells")  # missing: build_topology's default
-        if isinstance(cells, list) and not (
-                cells and all(isinstance(cell, str) and cell for cell in cells)):
-            c.err(f"{path}.cells", "expected a non-empty list of cell names")
-    if len(c.problems) > before:
-        return None, {}
-    try:
-        graph = build_topology(obj)
-    except TopologyError as exc:
-        c.err("topology", f"{type(exc).__name__}: {exc}")
-        return None, {}
-    return graph, graph.regions
+    """The graph, None if the topology has a problem, and its regions, None
+    if a region entry has one: then region names go unchecked."""
+    before = len(c.problems)
+    graph = build_topology(obj, c.problems)
+    raw = obj.get("regions", {}) if isinstance(obj, dict) else None
+    whole = isinstance(raw, dict) and len(raw) == len(graph.regions)
+    return (graph if len(c.problems) == before else None,
+            graph.regions if whole else None)
 
 
 def _parse_mobility(obj, c, regions, ranges):
     if not c.obj(obj, "mobility", {"attach", "move", "detach", "model"}):
         return [], [], [], None
+
+    def known(region) -> bool:  # any text, if the regions did not parse
+        return isinstance(region, str) and (regions is None or region in regions)
+
     attaches, moves, detaches = [], [], []
     known_prefixes = set()  # those of the attaches kept
     for section, specs in (("attach", attaches), ("move", moves)):
@@ -332,10 +302,11 @@ def _parse_mobility(obj, c, regions, ranges):
                                   minimum=0.0), f"{path}.t")
             prefix = c.prefix(entry.get("prefix"), f"{path}.prefix")
             region, cell = entry.get("region"), entry.get("cell")
-            if not isinstance(region, str) or region not in regions:
+            if not known(region):
                 c.err(f"{path}.region", f"unknown region {region!r}")
                 region = None
-            elif cell is not None and cell not in regions[region].cells:
+            elif (cell is not None and regions is not None
+                  and cell not in regions[region].cells):
                 c.err(f"{path}.cell", f"region {region} has no cell {cell!r}")
             if prefix and attach and not prefix.covered_by(ranges):
                 c.err(f"{path}.prefix", "outside the mobility address range")
@@ -371,11 +342,11 @@ def _parse_mobility(obj, c, regions, ranges):
             c.err(f"{path}.adjacency", "expected object")
             adjacency = {}
         for region in adjacency:
-            if region not in regions:
+            if not known(region):
                 c.err(f"{path}.adjacency.{region}", "unknown region")
-            for nbr in c.items(adjacency, f"{path}.adjacency", region):
-                if not isinstance(nbr, str) or nbr not in regions:
-                    c.err(f"{path}.adjacency.{region}",
+            for j, nbr in enumerate(c.items(adjacency, f"{path}.adjacency", region)):
+                if not known(nbr):
+                    c.err(f"{path}.adjacency.{region}[{j}]",
                           f"unknown neighbor region {nbr!r}")
         if mu is not None and p is not None:
             model = MovementModel(mu, p, prefixes, adjacency)

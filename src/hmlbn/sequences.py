@@ -29,38 +29,20 @@ class MatchResult:
 
 
 def _item_matches(item: dict, event: dict, roles: dict) -> bool:
-    for key, want in item.items():
-        if want == "*":
-            continue
-        if key == "event":
-            got = event.get("kind")
-        elif key in ("src", "dst"):
-            got = event.get(key)
-        elif key == "src_role":
-            got = roles.get(event.get("src"))
-        elif key == "dst_role":
-            got = roles.get(event.get("dst"))
-        else:
-            got = event.get("detail", {}).get(key)
-        if got != want:
-            return False
-    return True
+    src, dst = event.get("src"), event.get("dst")
+    got = {"event": event.get("kind"), "src": src, "dst": dst,
+           "src_role": roles.get(src), "dst_role": roles.get(dst)}
+    detail = event.get("detail", {})  # any other key is a detail's
+    return all(want == "*" or want == (got[key] if key in got else detail.get(key))
+               for key, want in item.items())
 
 
 def assert_sequence(trace: list, pattern: list, roles: dict | None = None) -> MatchResult:
     """Subsequence-match ``pattern`` against ``trace`` events in order."""
-    roles = roles or {}
-    matched = []
-    pos = 0
-    last_seq = 0
+    roles, matched, last_seq = roles or {}, [], 0
+    events = iter(trace)  # each item's search goes on from the last match
     for index, item in enumerate(pattern):
-        found = None
-        while pos < len(trace):
-            event = trace[pos]
-            pos += 1
-            if _item_matches(item, event, roles):
-                found = event
-                break
+        found = next((e for e in events if _item_matches(item, e, roles)), None)
         if found is None:
             return MatchResult(False, matched, index, item, last_seq)
         matched.append(found.get("seq"))

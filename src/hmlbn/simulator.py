@@ -40,12 +40,8 @@ from .ler import LerNode
 from .messages import (LAYOUT, ControlMessage, MessageKind, MobilePrefix,
                        UpdateType, canonical_encode, control_message)
 from .scenario import Placement, Scenario
-from .topology import (
-    Memo,
-    NodeRole,
-    compute_infrastructure_lsps,
-    control_latency_matrix,
-)
+from .topology import (Memo, NodeRole, compute_infrastructure_lsps,
+                       control_latency_matrix)
 
 
 class EventKind(str, Enum):
@@ -396,10 +392,9 @@ class Simulation:
                          for area in graph.areas()}
         calls = (self.transmit, self.drop, self.deliver_local,
                  self.lsp.next_hop, graph.area_of)
-        interfaces = {}  # LER rid -> its regions' cells, in region order
+        served = {}  # LER rid -> its regions, in region order
         for region in graph.regions.values():
-            interfaces.setdefault(region.ler, []).extend(
-                f"{region.name}/{cell}" for cell in region.cells)
+            served.setdefault(region.ler, []).append(region)
 
         def make(rid):
             info = graph.nodes[rid]
@@ -407,7 +402,9 @@ class Simulation:
                 return LerNode(
                     rid, info.name, info.area,
                     amrrs=amrrs_by_area.get(info.area, []),
-                    interfaces=interfaces.get(rid, []),
+                    interfaces=[f"{region.name}/{cell}"
+                                for region in served.get(rid, ())
+                                for cell in region.cells],
                     mobility_ranges=sc.mobility_ranges,
                     dead_time_s=sc.timers.dead_s,
                     default_lifetime_s=sc.timers.lifetime_s,

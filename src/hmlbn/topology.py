@@ -4,31 +4,29 @@ The graph carries four node roles.  LER, ALER and LSR nodes forward data
 packets; AMRR nodes are control-plane only and never appear on a data path,
 although their edges participate in control-message latency.  Every
 forwarding node's router id is the FEC of one LSP in a full logical mesh.
-The graph is immutable once built.  A run only ever sends over a few paths,
-so each FEC of the mesh keeps one BFS and each row of the control-latency
-matrix one Dijkstra, resumed by a missing entry just until it is found;
-every value equals what a full computation at build time would give.  A
-node's LSP rows, latency row and links are made on its first read (a
-``Memo``), so set-up follows the nodes a run reaches, not the graph's size.
+
+Set-up walks the topology once: ``build_topology`` checks each entry,
+reports every problem at its entry's path (``topology.edges[7]``), and
+builds the immutable graph in the same pass.  Made on first use (``Memo``)
+are each node's sorted neighbours, LSP rows, latency row and links, and
+the ``by_role`` lists; an LSP search reads ``edges`` as they are.  Each FEC
+keeps one BFS and each latency row one Dijkstra, resumed until the entry
+read is found, so every value equals a full computation's.  Only interface
+numbers show an order, a node's neighbours by router id: id lists are
+sorted, a BFS visits each level by router id and Dijkstra breaks ties by
+router id.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
+import sys
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
-from .errors import (
-    AreaWithoutAler,
-    AreaWithoutAmrr,
-    DisconnectedForwardingGraph,
-    DuplicateRouterId,
-    LabelSpaceExhausted,
-    NoRouteToNextHop,
-    TopologyError,
-    VertexNotFound,
-)
+from .errors import (LabelSpaceExhausted, NoRouteToNextHop, ScenarioInvalid,
+                     VertexNotFound)
 from .labels import LABEL_MAX, LABEL_MIN
 
 RouterId = str  # dotted-quad text, e.g. "20.1.1.12"
@@ -46,7 +44,7 @@ class NodeRole(str, Enum):
 FORWARDING_ROLES = {NodeRole.LER, NodeRole.ALER, NodeRole.LSR}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class NodeInfo:
     name: str
     role: NodeRole
@@ -68,26 +66,25 @@ class NetworkGraph:
     names: dict[str, RouterId]  # node name -> its router id
 
     def __post_init__(self):
-        # the graph never changes after build_topology, so each adjacency is
-        # sorted once; interface numbers are positions in that order
-        self._neighbors = {rid: tuple(sorted(peers))
-                           for rid, peers in self.edges.items()}
-        # forwarding node -> its forwarding neighbours, in the same order
-        self.forwarding_adjacency = {
-            rid: [p for p in self.neighbors(rid)
-                  if self.nodes[p].role in FORWARDING_ROLES]
-            for rid in self.forwarding_nodes()}
-        self._by_role = {}  # (role, area or None) -> its ids, sorted
-        for rid, info in sorted(self.nodes.items()):
+        self.rids = sorted(self.nodes)  # every router id, in order
+        # a node's neighbours in router-id order, which number its interfaces
+        self._neighbors = Memo(lambda rid: tuple(sorted(self.edges[rid])))
+
+    @cached_property
+    def _by_role(self) -> dict:
+        """(role, area or None) -> its router ids, in order."""
+        by_role = {}
+        for rid in self.rids:
+            info = self.nodes[rid]
             for key in ((info.role, None), (info.role, info.area)):
-                self._by_role.setdefault(key, []).append(rid)
+                by_role.setdefault(key, []).append(rid)
+        return by_role
 
     def rid_of(self, name_or_rid: str) -> RouterId:
-        if name_or_rid in self.nodes:
-            return name_or_rid
-        if name_or_rid in self.names:
-            return self.names[name_or_rid]
-        raise TopologyError(f"unknown node {name_or_rid!r}")
+        rid = name_or_rid if name_or_rid in self.nodes else self.names.get(name_or_rid)
+        if rid is None:
+            raise VertexNotFound(f"unknown node {name_or_rid!r}")
+        return rid
 
     def name_of(self, rid: RouterId) -> str:
         return self.nodes[rid].name
@@ -99,21 +96,16 @@ class NetworkGraph:
         return self.nodes[rid].area
 
     def neighbors(self, rid: RouterId) -> tuple[RouterId, ...]:
-        return self._neighbors.get(rid, ())
+        return self._neighbors[rid]
 
     def forwarding_nodes(self) -> list[RouterId]:
-        return sorted(r for r, n in self.nodes.items() if n.role in FORWARDING_ROLES)
+        return [r for r in self.rids if self.nodes[r].role in FORWARDING_ROLES]
 
     def by_role(self, role: NodeRole, area: int | None = None) -> list[RouterId]:
         return list(self._by_role.get((role, area), ()))
 
     def areas(self) -> list[int]:
         return sorted({n.area for n in self.nodes.values() if n.area >= 1})
-
-    def ler_of_region(self, region: str) -> RouterId:
-        if region not in self.regions:
-            raise TopologyError(f"unknown region {region!r}")
-        return self.regions[region].ler
 
     def interface_name(self, rid: RouterId, next_hop: RouterId) -> str:
         """Deterministic per-neighbor interface label used in FIB dumps."""
@@ -124,91 +116,165 @@ class NetworkGraph:
         return f"GIG0/0/{index}"
 
 
-def build_topology(spec: dict) -> NetworkGraph:
-    """Validate a topology description and construct the network graph.
+_TYPES = {  # the keys of each topology section's entries and their types
+    "nodes": {"id": str, "name": str, "role": str, "area": int},
+    "edges": {"a": str, "b": str, "latency_ms": float},  # float: any number
+    "regions": {"ler": str, "cells": list},
+}
+_REQUIRED = {"id", "role", "a", "b", "ler"}
+_ROLES = {role.value: role for role in NodeRole}
+_ROLES_BY_EQ = tuple(_ROLES)  # searched by ==: an unhashable value is no error
+_CELLS = ["cell0"]  # a region's cells if it names none
+_QUICK = {  # a test an entry of the section passes when its types are right
+    "nodes": lambda e: (
+        type(e.get("id")) is str and type(e.get("name", "")) is str
+        and e.get("role") in _ROLES_BY_EQ and type(e.get("area", 0)) is int),
+    "edges": lambda e: (
+        type(e.get("a")) is str and type(e.get("b")) is str
+        and type(ms := e.get("latency_ms", DEFAULT_EDGE_LATENCY_MS)) in (int, float)
+        and abs(ms) <= sys.float_info.max),
+    "regions": lambda e: (
+        type(e.get("ler")) is str and type(cells := e.get("cells", _CELLS)) is list
+        and cells and "" not in cells and all(type(c) is str for c in cells)),
+}
 
-    ``spec`` carries ``nodes`` (name/id/role/area), ``edges`` and a
-    ``regions`` map from region name to serving LER plus RAN cell list.
+
+def type_problem(value, kind) -> str | None:
+    """Why ``value`` is no ``kind`` (``float``: a finite number), or None."""
+    if kind is float and type(value) is not bool and isinstance(value, (int, float)):
+        return None if abs(value) <= sys.float_info.max else "must be finite"
+    if type(value) is bool or not isinstance(value, kind):
+        wanted = "number" if kind is float else kind.__name__
+        return f"expected {wanted}, got {type(value).__name__}"
+    return None
+
+
+def _fits(entry, section: str, key, found: list) -> bool:
+    """Whether a topology entry has the right keys and value types; if not,
+    each problem goes to ``found``, at a path made only then."""
+    types = _TYPES[section]
+    if isinstance(entry, dict) and entry.keys() <= types.keys() and _QUICK[section](entry):
+        return True
+    path = f"topology.regions.{key}" if section == "regions" else f"topology.{section}[{key}]"
+    if not isinstance(entry, dict):
+        found.append((path, "expected object"))
+        return False
+    before = len(found)
+    found += [(f"{path}.{k}", "unknown key") for k in entry if k not in types]
+    found += [(f"{path}.{k}", "missing") for k in types if k in _REQUIRED and k not in entry]
+    found += [(f"{path}.{k}", problem) for k, kind in types.items()
+              if k in entry and (problem := type_problem(entry[k], kind))]
+    if isinstance(entry.get("role"), str) and entry["role"] not in _ROLES:
+        found.append((f"{path}.role", f"unknown role {entry['role']!r}"))
+    cells = entry.get("cells")
+    if isinstance(cells, list) and not (
+            cells and all(isinstance(cell, str) and cell for cell in cells)):
+        found.append((f"{path}.cells", "expected a non-empty list of cell names"))
+    return len(found) == before
+
+
+def build_topology(spec: dict, problems: list | None = None) -> NetworkGraph:
+    """Check a topology description and build its graph in one walk.
+
+    ``spec`` has ``nodes`` (id/name/role/area), ``edges`` (a/b/latency_ms)
+    and ``regions`` (name -> ler/cells).  Each problem is a ``(path,
+    message)`` pair; without a ``problems`` list to append them to, they
+    raise ``ScenarioInvalid``.  Unknown node names, areas and reachability
+    are checked only if every node entry passed, and reachability only if
+    every edge joins known nodes, so that one fault is one problem.
     """
-    nodes: dict[RouterId, NodeInfo] = {}
-    names: dict[str, RouterId] = {}
-    for entry in spec.get("nodes", []):
-        rid = entry["id"]
+    found, nodes, names, edges, regions = [], {}, {}, {}, {}
+    if not isinstance(spec, dict):
+        found.append(("topology", "missing or not an object"))
+        spec = {}
+    found += [(f"topology.{key}", "unknown key") for key in spec if key not in _TYPES]
+    node_list, edge_list, region_map = (  # each None if not of its kind
+        value if isinstance(value := spec.get(section, kind()), kind)
+        else found.append((f"topology.{section}", f"expected {kind.__name__}"))
+        for section, kind in (("nodes", list), ("edges", list), ("regions", dict)))
+    whole = node_list is not None  # every node entry passed
+    linked = edge_list is not None  # every edge joins two known nodes
+    served = {role: set() for role in NodeRole}  # role -> areas it has nodes in
+    for i, entry in enumerate(node_list or ()):
+        if not _fits(entry, "nodes", i, found):
+            whole = False
+            continue
+        rid, role, area = entry["id"], _ROLES[entry["role"]], entry.get("area", 0)
         name = entry.get("name", rid)
-        role = NodeRole(entry["role"])
-        area = int(entry.get("area", 0))
-        if rid in nodes or name in names:
-            raise DuplicateRouterId(f"duplicate node {name!r} ({rid})")
-        if role in (NodeRole.LER, NodeRole.ALER, NodeRole.AMRR) and area < 1:
-            # a mobility node outside any real area leaves that area unserved
-            raise AreaWithoutAler(f"{name} has role {role.value} but no area")
-        nodes[rid] = NodeInfo(name, role, area)
-        names[name] = rid
-
-    edges: dict[RouterId, dict[RouterId, float]] = {r: {} for r in nodes}
-    for entry in spec.get("edges", []):
+        if rid in nodes or name in names or name in nodes or rid in names:
+            found.append((f"topology.nodes[{i}]", f"duplicate node {name!r} ({rid})"))
+        elif role is not NodeRole.LSR and area < 1:  # it would serve no area
+            found.append((f"topology.nodes[{i}].area",
+                          f"{name} has role {role.value} but no area"))
+        else:
+            nodes[rid], names[name], edges[rid] = NodeInfo(name, role, area), rid, {}
+            served[role].add(area)
+            continue
+        whole = False
+    for i, entry in enumerate(edge_list or ()):
+        if not _fits(entry, "edges", i, found):
+            linked = False
+            continue
         a, b = entry["a"], entry["b"]
-        rid_a = names.get(a, a)
-        rid_b = names.get(b, b)
+        rid_a, rid_b = names.get(a, a), names.get(b, b)
         if rid_a not in nodes or rid_b not in nodes:
-            raise TopologyError(f"edge references unknown node {a!r}/{b!r}")
-        if rid_a == rid_b:
-            raise TopologyError(f"self edge at {a!r}")
-        latency = float(entry.get("latency_ms", DEFAULT_EDGE_LATENCY_MS))
-        if latency <= 0:
-            raise TopologyError(f"edge {a}-{b} latency must be positive")
-        edges[rid_a][rid_b] = latency
-        edges[rid_b][rid_a] = latency
-
-    regions: dict[str, Region] = {}
-    for region_name, entry in spec.get("regions", {}).items():
-        ler = names.get(entry["ler"], entry["ler"])
-        if ler not in nodes or nodes[ler].role is not NodeRole.LER:
-            raise TopologyError(f"region {region_name!r} serving node is not a LER")
-        cells = list(entry.get("cells", ["cell0"]))
-        regions[region_name] = Region(region_name, ler, cells)
-
+            linked = False
+            found += [(f"topology.edges[{i}].{key}", f"unknown node {end!r}")
+                      for key, end in (("a", a), ("b", b))
+                      if whole and names.get(end, end) not in nodes]
+        elif rid_a == rid_b:
+            found.append((f"topology.edges[{i}]", f"self edge at {a!r}"))
+        else:
+            ms = float(entry.get("latency_ms", DEFAULT_EDGE_LATENCY_MS))
+            edges[rid_a][rid_b] = edges[rid_b][rid_a] = ms
+            if ms <= 0:
+                found.append((f"topology.edges[{i}].latency_ms", "must be positive"))
+    for name, entry in (region_map or {}).items():
+        if not _fits(entry, "regions", name, found):
+            continue
+        ler = entry["ler"]
+        rid = names.get(ler, ler)
+        if rid in nodes and nodes[rid].role is not NodeRole.LER:
+            found.append((f"topology.regions.{name}.ler",
+                          f"{ler!r} has role {nodes[rid].role.value}, not LER"))
+        elif rid not in nodes and whole:
+            found.append((f"topology.regions.{name}.ler", f"unknown node {ler!r}"))
+        regions[name] = Region(name, rid, list(entry.get("cells", _CELLS)))
     graph = NetworkGraph(nodes, edges, regions, names)
-
-    areas_with = {r: set() for r in (NodeRole.LER, NodeRole.ALER, NodeRole.AMRR)}
-    for info in nodes.values():
-        if info.role in areas_with:
-            areas_with[info.role].add(info.area)
-    for area in sorted(areas_with[NodeRole.LER] | areas_with[NodeRole.ALER]):
-        if area not in areas_with[NodeRole.ALER]:
-            raise AreaWithoutAler(f"area {area} has no ALER")
-        if area not in areas_with[NodeRole.AMRR]:
-            raise AreaWithoutAmrr(f"area {area} has no AMRR")
-
-    fwd = graph.forwarding_nodes()
-    if fwd:
-        seen = bfs_hops(graph.forwarding_adjacency, fwd[0])
-        missing = [graph.name_of(r) for r in fwd if r not in seen]
-        if missing:
-            raise DisconnectedForwardingGraph(
-                f"forwarding nodes unreachable from {graph.name_of(fwd[0])}: {missing}")
-    # control sessions need every mobility node reachable over the full graph
-    everyone = sorted(nodes)
-    if everyone:
-        seen = bfs_hops(graph.edges, everyone[0])
-        missing = [graph.name_of(r) for r in everyone if r not in seen]
-        if missing:
-            raise DisconnectedForwardingGraph(f"nodes unreachable in full graph: {missing}")
+    if whole:
+        found += [("topology.nodes", f"area {area} has no {role.value}")
+                  for area in sorted(served[NodeRole.LER] | served[NodeRole.ALER])
+                  for role in (NodeRole.ALER, NodeRole.AMRR) if area not in served[role]]
+    if whole and linked and nodes:  # every node reachable, forwarding ones by data
+        fwd = graph.forwarding_nodes()
+        start = (fwd or graph.rids)[0]
+        anyhow = bfs_hops(edges, start)
+        forwarding = bfs_hops(edges, start, set(fwd)) if fwd else {}
+        if len(anyhow) + len(forwarding) < len(nodes) + len(fwd):
+            found += [(f"topology.nodes[{i}]", f"unreachable from {nodes[start].name}"
+                       + " over forwarding nodes" * (rid in anyhow))
+                      for i, rid in enumerate(entry["id"] for entry in node_list)
+                      if rid not in anyhow or (rid not in forwarding
+                                               and nodes[rid].role in FORWARDING_ROLES)]
+    if problems is not None:
+        problems += found
+    elif found:
+        raise ScenarioInvalid(found)
     return graph
 
 
-def bfs_hops(adjacency: dict, source) -> dict:
-    """Edge-count distances from ``source`` over an adjacency mapping."""
+def bfs_hops(adjacency: dict, source, within=None) -> dict:
+    """Edge-count distances from ``source`` over an adjacency mapping,
+    through nodes in ``within`` only, if given."""
     if source not in adjacency:
         raise VertexNotFound(f"vertex {source!r} not in graph")
-    dist = {source: 0}
-    frontier = deque([source])
-    while frontier:
-        node = frontier.popleft()
+    within = adjacency if within is None else within
+    dist, order = {source: 0}, [source]
+    for node in order:  # grows as it is walked: first in, first out
         for peer in adjacency[node]:
-            if peer not in dist:
+            if peer not in dist and peer in within:
                 dist[peer] = dist[node] + 1
-                frontier.append(peer)
+                order.append(peer)
     return dist
 
 
@@ -253,7 +319,7 @@ class LspTable:
             raise LabelSpaceExhausted(
                 f"{len(self.fecs)} FECs need more labels than 16..{LABEL_MAX}")
         self._label = {fec: LABEL_MIN + i for i, fec in enumerate(self.fecs)}
-        self._adjacency = graph.forwarding_adjacency
+        self._adjacency = graph.edges  # a search skips the nodes in no FEC
         # fec -> (nodes seen, next level to expand) of its paused BFS
         self._searches: dict[RouterId, tuple[set, list]] = {}
         self.fec_next: dict[RouterId, dict[RouterId, tuple[int, RouterId]]] = Memo(
@@ -283,7 +349,7 @@ class LspTable:
         ``fec``: ties resolve the same in every run.  The search pauses only
         between levels, so every entry is the one an uninterrupted BFS sets.
         """
-        label = self._label[fec]
+        labels, label = self._label, self._label[fec]
         fec_next = self.fec_next
         adjacency = self._adjacency
         row = fec_next[node]
@@ -292,7 +358,7 @@ class LspTable:
             reached = []
             for hop in level:
                 for peer in adjacency[hop]:
-                    if peer not in seen:
+                    if peer not in seen and peer in labels:
                         seen.add(peer)
                         fec_next[peer][fec] = (label, hop)
                         reached.append(peer)
@@ -377,8 +443,8 @@ def control_latency_matrix(graph: NetworkGraph) -> dict[RouterId, dict[RouterId,
     row, and a node's list of (number, ms) links, is made on its first read;
     iterating the result shows only the rows and entries indexed so far.
     """
-    rids = sorted(graph.nodes)
+    rids = graph.rids
     index = {rid: i for i, rid in enumerate(rids)}
-    links = Memo(lambda i: [(index[peer], graph.edges[rids[i]][peer])
-                            for peer in graph.neighbors(rids[i])])
+    links = Memo(lambda i: [(index[peer], ms)
+                            for peer, ms in graph.edges[rids[i]].items()])
     return Memo(lambda src: _LatencyRow(rids, index, links, index[src]))

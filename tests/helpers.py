@@ -1,6 +1,6 @@
 """Shared helpers: an independent all-pairs oracle, a walk along the LSP
-mesh, a recording services stub for node-level tests, and scenario runners
-with trace filters.
+mesh, a recording services stub for node-level tests, scenario runners
+with trace filters, and the golden output files.
 
 A module of its own, not ``conftest``: ``bench/tests`` has a conftest too,
 and both would be imported under the one name ``conftest``."""
@@ -8,12 +8,21 @@ and both would be imported under the one name ``conftest``."""
 from __future__ import annotations
 
 import json
+from pathlib import Path
 from weakref import WeakKeyDictionary
 
 from hmlbn.errors import NoRouteToNextHop
 from hmlbn.messages import ControlMessage, MobilePrefix, control_message
 from hmlbn.scenario import parse_scenario
 from hmlbn.simulator import LABEL_PAIR, TRACE_KEYS, run_scenario
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def golden(name: str) -> str:
+    """The text of ``tests/golden/<name>``, byte for byte: a pinned run's
+    ``metrics.csv`` or ``hmlbn dump`` output, recorded beside its hash."""
+    return (GOLDEN / name).read_bytes().decode("utf-8")
 
 
 def floyd_warshall(adjacency: dict) -> dict:

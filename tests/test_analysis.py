@@ -283,9 +283,9 @@ def test_measured_triangular_matches_oracle_distances():
                  for r in graph.forwarding_nodes()}
     oracle = floyd_warshall(adjacency)
     ha = graph.rid_of("LER21")
-    cn_ler = graph.ler_of_region("MR33")
+    cn_ler = graph.regions["MR33"].ler
     for row in rows:
-        mn_ler = graph.ler_of_region(row["region"])
+        mn_ler = graph.regions[row["region"]].ler
         assert row["triangular_hops"] == oracle[cn_ler][ha] + oracle[ha][mn_ler]
         assert row["direct_hops"] == oracle[cn_ler][mn_ler]
 

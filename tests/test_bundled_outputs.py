@@ -1,9 +1,12 @@
 """Bundled scenarios: the files match their builders, and each one's
 ``trace.jsonl`` and ``metrics.csv`` are pinned byte for byte at its own seed
-(``random_walk`` also at seeds 1 and 7).
+(``random_walk`` also at seeds 1 and 7).  Each run's ``metrics.csv`` is
+also kept as text under ``tests/golden/``, so that a change in it shows per
+flow and per drop reason in a diff.
 
-A change that alters simulator output on purpose updates ``PINNED`` and
-says why in CHANGES.md; any other change must leave every hash as it is.
+A change that alters simulator output on purpose updates ``PINNED`` and the
+golden files and says why in CHANGES.md; any other change must leave every
+hash and golden file as it is.
 """
 
 import hashlib
@@ -16,6 +19,8 @@ from hmlbn.scenario import load_scenario
 from hmlbn.scenarios import BUNDLED_SCENARIOS
 from hmlbn.sequences import BUNDLED_PATTERNS
 from hmlbn.simulator import run_scenario
+
+from helpers import golden
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -88,11 +93,15 @@ def test_every_bundled_scenario_is_pinned():
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_outputs_match_pinned_hashes(name):
     sim = run_scenario(load_scenario(SCENARIO_DIR / f"{name}.json"))
-    assert (_sha256(sim.trace_jsonl()), _sha256(sim.metrics.to_csv())) == PINNED[name]
+    metrics = sim.metrics.to_csv()
+    assert metrics == golden(f"{name}.metrics.csv")
+    assert (_sha256(sim.trace_jsonl()), _sha256(metrics)) == PINNED[name]
 
 
 @pytest.mark.parametrize("name,seed", sorted(PINNED_AT_SEED))
 def test_outputs_match_pinned_hashes_at_seed(name, seed):
     sim = run_scenario(load_scenario(SCENARIO_DIR / f"{name}.json"), seed=seed)
+    metrics = sim.metrics.to_csv()
+    assert metrics == golden(f"{name}.seed{seed}.metrics.csv")
     assert (_sha256(sim.trace_jsonl()),
-            _sha256(sim.metrics.to_csv())) == PINNED_AT_SEED[(name, seed)]
+            _sha256(metrics)) == PINNED_AT_SEED[(name, seed)]

@@ -15,15 +15,16 @@ from hmlbn.scenario import load_scenario
 from hmlbn.scenarios import BUNDLED_SCENARIOS
 from hmlbn.simulator import run_scenario
 
-from helpers import with_token
+from helpers import golden, with_token
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 STARTUP = str(SCENARIO_DIR / "startup.json")
 # each bundled pattern and the scenario that produces it
 PATTERNS = {"startup": "startup", "intra_area": "intra_area_handoff",
             "inter_area": "inter_area_handoff"}
-# scenario name -> sha256 of what `hmlbn dump` prints for it at its own seed;
-# a change that alters the dump on purpose updates it and says why
+# scenario name -> sha256 of what `hmlbn dump` prints for it at its own seed,
+# whose text is tests/golden/<name>.dump.txt; a change that alters the dump on
+# purpose updates both and says why
 PINNED_DUMPS = {
     "ha_failover":
         "471d1ad4520d1d40b1140f176901930c9d3753303e0298af00b8898073e5bfc8",
@@ -309,6 +310,7 @@ def test_dump_matches_pinned_hash(name, capsys):
     assert cli.main(["dump", "--scenario",
                      str(SCENARIO_DIR / f"{name}.json")]) == cli.EXIT_OK
     out = capsys.readouterr().out
+    assert out == golden(f"{name}.dump.txt")
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_DUMPS[name]
 
 

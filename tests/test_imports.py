@@ -10,7 +10,8 @@ the package is read somewhere in the package or the benchmark's child.  No
 two dataclasses of the package have one shape, the same field names under
 the same annotations: one fact gets one class.  ``NamedTuple`` payloads are
 not checked, since ``LAYOUT`` tells payloads of one shape apart by their
-message kind."""
+message kind.  Every exception class of ``errors`` is raised or caught
+somewhere in the package, so none stays behind its last use."""
 
 import ast
 from pathlib import Path
@@ -292,3 +293,45 @@ def test_the_shape_check_finds_what_it_should():
     assert same_shape_dataclasses(
         [source, "@dataclasses.dataclass\nclass F:\n    p: str\n"
                  "    t: float\n"]) == [["A", "B"], ["D", "F"]]
+
+
+def _names(node) -> list[str]:
+    """The class names a ``raise`` or ``except`` expression names."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Tuple):
+        return [name for elt in node.elts for name in _names(elt)]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    return [node.id] if isinstance(node, ast.Name) else []
+
+
+def idle_exceptions(errors: str, sources: list[str]) -> list[str]:
+    """The classes ``errors`` defines that no source raises or catches,
+    sorted."""
+    defined = {node.name for node in ast.walk(ast.parse(errors))
+               if isinstance(node, ast.ClassDef)}
+    used = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                used.update(_names(node.exc))
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                used.update(_names(node.type))
+    return sorted(defined - used)
+
+
+def test_every_exception_class_is_raised_or_caught():
+    assert idle_exceptions(
+        (ROOT / "src" / "hmlbn" / "errors.py").read_text(encoding="utf-8"),
+        [path.read_text(encoding="utf-8") for path in PACKAGE]) == []
+
+
+def test_the_exception_check_finds_what_it_should():
+    errors = ("class Base(Exception):\n    pass\nclass A(Base):\n    pass\n"
+              "class B(Base):\n    pass\nclass C(Base):\n    pass\n"
+              "class D(Base):\n    pass\n")
+    assert idle_exceptions(errors, [
+        "try:\n    raise A('x')\nexcept (errors.B, KeyError):\n    pass\n"
+        "except Base:\n    raise\n",
+        "raise errors.C\n"]) == ["D"]

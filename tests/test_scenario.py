@@ -46,7 +46,22 @@ def _without(*keys_and_key):
     return edit
 
 
-# (path of the problem, edit of a valid document that puts it there)
+def _append(*keys_and_entries):
+    """An edit that appends entries to the list at a key path."""
+    *keys, entries = keys_and_entries
+
+    def edit(doc):
+        for key in keys:
+            doc = doc[key]
+        doc += entries
+    return edit
+
+
+SELF_EDGE = {"a": "P0", "b": "P0"}
+LONE_LSR = {"id": "20.9.9.9", "name": "P9", "role": "LSR"}
+
+# (path of the problem, edit of a valid document that puts it there), and
+# for some the exact problem list the edit gives
 MALFORMED = [
     ("flags.ha_pairs", _set("flags", "ha_pairs", 5)),
     ("mobility_range", _set("mobility_range", 8)),
@@ -100,18 +115,85 @@ MALFORMED = [
     ("failures[0].t", _set("failures", [{"t": 1e6, "node": "P0"}])),
     # the simulator keeps no layer-2 address, so one would be ignored
     ("mobility.attach[0].l2", _set("mobility", "attach", 0, "l2", "mac-a")),
+    # each topology fault once, at its entry's path, and nothing else
+    ("topology.edges[16]", _append("topology", "edges", [SELF_EDGE]),
+     [("topology.edges[16]", "self edge at 'P0'")]),
+    ("topology.edges[16].b",
+     _append("topology", "edges", [{"a": "P0", "b": "NOPE"}]),
+     [("topology.edges[16].b", "unknown node 'NOPE'")]),
+    ("topology.edges[0].latency_ms", _set("topology", "edges", 0, "latency_ms", 0),
+     [("topology.edges[0].latency_ms", "must be positive")]),
+    ("topology.nodes[17]", _append("topology", "nodes", [
+        {"id": "20.1.2.1", "name": "ALER1", "role": "ALER", "area": 1}]),
+     [("topology.nodes[17]", "duplicate node 'ALER1' (20.1.2.1)")]),
+    ("topology.regions.MR11.ler",
+     _set("topology", "regions", "MR11", "ler", "ALER1"),
+     [("topology.regions.MR11.ler", "'ALER1' has role ALER, not LER")]),
+    ("topology.nodes", _set("topology", "nodes", 2, "role", "LSR"),
+     [("topology.nodes", "area 1 has no AMRR")]),
+    ("topology.nodes[17]", _append("topology", "nodes", [LONE_LSR]),
+     [("topology.nodes[17]", "unreachable from LER11")]),
+    ("topology.edges[16]", lambda doc: (
+        _append("topology", "edges", [SELF_EDGE])(doc),
+        _append("topology", "nodes", [LONE_LSR])(doc)),
+     [("topology.edges[16]", "self edge at 'P0'"),
+      ("topology.nodes[17]", "unreachable from LER11")]),
 ]
 
 
-@pytest.mark.parametrize("path,edit", MALFORMED,
-                         ids=[f"{path}-{i}" for i, (path, _)
+@pytest.mark.parametrize("case", MALFORMED,
+                         ids=[f"{case[0]}-{i}" for i, case
                               in enumerate(MALFORMED)])
-def test_malformed_field_is_a_problem_not_an_exception(path, edit):
+def test_malformed_field_is_a_problem_not_an_exception(case):
+    path, edit, *exact = case
     doc = lib.random_walk_scenario()
     assert validate_scenario(doc) == []
     edit(doc)
     problems = validate_scenario(doc)
     assert path in [where for where, _ in problems], problems
+    if exact:
+        assert problems == exact[0]
+
+
+def test_one_topology_fault_is_one_problem():
+    """A self edge once gave four more, false, problems: three regions the
+    document defines and a move of a prefix that attaches."""
+    doc = lib.inter_area_scenario()
+    doc["topology"]["edges"].append(SELF_EDGE)
+    assert validate_scenario(doc) == [("topology.edges[16]", "self edge at 'P0'")]
+    doc["topology"]["edges"][3]["latency_ms"] = 0.0
+    assert validate_scenario(doc) == [
+        ("topology.edges[3].latency_ms", "must be positive"),
+        ("topology.edges[16]", "self edge at 'P0'")]
+
+
+def test_a_node_fault_hides_no_region_but_every_node_name():
+    """The regions parsed, so the mobility entries are still checked
+    against them; with no graph, node names are not."""
+    doc = lib.ha_failover_scenario()
+    doc["topology"]["nodes"][0]["area"] = "one"
+    doc["mobility"]["attach"][0]["region"] = "MR99"
+    assert validate_scenario(doc) == [
+        ("topology.nodes[0].area", "expected int, got str"),
+        ("mobility.attach[0].region", "unknown region 'MR99'")]
+    doc["topology"]["regions"]["MR11"]["cells"] = []
+    assert validate_scenario(doc) == [
+        ("topology.nodes[0].area", "expected int, got str"),
+        ("topology.regions.MR11.cells", "expected a non-empty list of cell names")]
+
+
+def test_the_name_is_a_string():
+    doc = lib.startup_scenario()
+    doc["name"] = [1, 2]
+    assert validate_scenario(doc) == [("name", "expected string")]
+
+
+def test_each_bad_model_neighbour_has_its_own_path():
+    doc = lib.random_walk_scenario()
+    doc["mobility"]["model"]["adjacency"]["MR11"] = ["MR12", "X", 3]
+    assert validate_scenario(doc) == [
+        ("mobility.model.adjacency.MR11[1]", "unknown neighbor region 'X'"),
+        ("mobility.model.adjacency.MR11[2]", "unknown neighbor region 3")]
 
 
 def test_a_second_failure_of_a_failed_node_is_refused():

@@ -7,14 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmlbn.errors import (
-    AreaWithoutAler,
-    AreaWithoutAmrr,
-    DisconnectedForwardingGraph,
-    DuplicateRouterId,
-    LabelSpaceExhausted,
-    NoRouteToNextHop,
-)
+from hmlbn.errors import LabelSpaceExhausted, NoRouteToNextHop, ScenarioInvalid
 from hmlbn.labels import LABEL_MAX, LabelAllocator
 from hmlbn.scenarios import CN, MN, base_topology, startup_scenario
 from hmlbn.topology import (
@@ -69,7 +62,7 @@ def test_reference_layout_builds():
 def test_base_topology_ids_and_names_distinct_at_any_size(
         n_areas, lers_per_area, ha_area):
     spec = base_topology(n_areas, lers_per_area, ha_area=ha_area)
-    graph = build_topology(spec)  # raises DuplicateRouterId on a clash
+    graph = build_topology(spec)  # raises ScenarioInvalid on a clash
     for rid in graph.nodes:
         ipaddress.IPv4Address(rid)
     assert len(spec["regions"]) == n_areas * lers_per_area
@@ -107,31 +100,61 @@ def test_by_role_returns_a_list_of_its_own(minimal_topology):
         assert graph.by_role(role, area) == before
 
 
+def problems_of(spec) -> list:
+    """The problems ``build_topology`` refuses ``spec`` with."""
+    with pytest.raises(ScenarioInvalid) as refused:
+        build_topology(spec)
+    return refused.value.problems
+
+
 def test_ler_without_area_rejected(minimal_topology):
     minimal_topology["nodes"][0]["area"] = 0
-    with pytest.raises(AreaWithoutAler):
-        build_topology(minimal_topology)
+    assert problems_of(minimal_topology) == [
+        ("topology.nodes[0].area", "E1 has role LER but no area")]
 
 
 def test_area_without_amrr_rejected(minimal_topology):
     minimal_topology["nodes"] = minimal_topology["nodes"][:2]
     minimal_topology["edges"] = minimal_topology["edges"][:1]
-    with pytest.raises(AreaWithoutAmrr):
-        build_topology(minimal_topology)
+    assert problems_of(minimal_topology) == [
+        ("topology.nodes", "area 1 has no AMRR")]
 
 
 def test_duplicate_router_id_rejected(minimal_topology):
     minimal_topology["nodes"].append(
         {"id": "10.0.0.1", "name": "E2", "role": "LER", "area": 1})
-    with pytest.raises(DuplicateRouterId):
-        build_topology(minimal_topology)
+    assert problems_of(minimal_topology) == [
+        ("topology.nodes[3]", "duplicate node 'E2' (10.0.0.1)")]
+    # a name that is another node's router id would name two nodes
+    minimal_topology["nodes"][3] = {"id": "10.0.0.4", "name": "10.0.0.2",
+                                    "role": "LSR"}
+    assert problems_of(minimal_topology) == [
+        ("topology.nodes[3]", "duplicate node '10.0.0.2' (10.0.0.4)")]
 
 
 def test_disconnected_forwarding_graph_rejected(minimal_topology):
     minimal_topology["nodes"].append(
         {"id": "10.0.0.9", "name": "E9", "role": "LSR"})
-    with pytest.raises(DisconnectedForwardingGraph):
-        build_topology(minimal_topology)
+    assert problems_of(minimal_topology) == [
+        ("topology.nodes[3]", "unreachable from E1")]
+    # reached through the AMRR only: no data path
+    minimal_topology["edges"].append({"a": "E9", "b": "R1"})
+    assert problems_of(minimal_topology) == [
+        ("topology.nodes[3]", "unreachable from E1 over forwarding nodes")]
+
+
+def test_every_topology_problem_is_reported_at_once(minimal_topology):
+    minimal_topology["nodes"].append(
+        {"id": "10.0.0.2", "name": "A2", "role": "ALER", "area": 1})
+    minimal_topology["edges"] += [{"a": "E1", "b": "E1"},
+                                  {"a": "E1", "b": "R1", "latency_ms": -1}]
+    minimal_topology["regions"]["MR2"] = {"ler": "R1", "cells": []}
+    assert problems_of(minimal_topology) == [
+        ("topology.nodes[3]", "duplicate node 'A2' (10.0.0.2)"),
+        ("topology.edges[2]", "self edge at 'E1'"),
+        ("topology.edges[3].latency_ms", "must be positive"),
+        ("topology.regions.MR2.cells", "expected a non-empty list of cell names"),
+    ]
 
 
 # --------------------------------------------------------------- the mesh
@@ -371,6 +394,58 @@ def shuffled_ids(draw, graphs):
 def test_lazy_tables_match_eager_mesh_on_random_graphs(spec, data):
     assert_lazy_tables_match_eager(
         build_topology(spec), lambda pairs: data.draw(st.permutations(pairs)))
+
+
+@st.composite
+def shuffled_documents(draw, graphs):
+    """A drawn graph with latencies, and the same graph with its nodes,
+    edges, edge ends and regions each in a drawn order."""
+    spec = draw(graphs)
+    for edge in spec["edges"]:
+        edge["latency_ms"] = draw(st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.0]))
+    edges = [dict(zip("ab", draw(st.permutations([e["a"], e["b"]]))),
+                  latency_ms=e["latency_ms"])
+             for e in draw(st.permutations(spec["edges"]))]
+    regions = dict(draw(st.permutations(list(spec["regions"].items()))))
+    return spec, {"nodes": draw(st.permutations(spec["nodes"])),
+                  "edges": edges, "regions": regions}
+
+
+@settings(max_examples=60, deadline=None)
+@given(shuffled_documents(random_area_graph()))
+def test_entry_order_reaches_no_table(specs):
+    """Every table a user can see equals an eager, sorted recomputation
+    from the document, whatever the order of its entries."""
+    spec, shuffled = specs
+    rid = {node["name"]: node["id"] for node in spec["nodes"]}
+    peers = {node["id"]: set() for node in spec["nodes"]}
+    for edge in spec["edges"]:
+        a, b = rid[edge["a"]], rid[edge["b"]]
+        peers[a].add(b)
+        peers[b].add(a)
+    graph = build_topology(spec)
+    fec_next, in_actions, _ = eager_mesh(graph)
+    eager = eager_latencies(graph)
+    for built in (graph, build_topology(shuffled)):
+        for node, near in peers.items():
+            assert built.neighbors(node) == tuple(sorted(near))
+            for k, peer in enumerate(sorted(near)):
+                assert built.interface_name(node, peer) == f"GIG0/0/{k}"
+        for role in NodeRole:
+            for area in (None, 0, 1):
+                assert built.by_role(role, area) == sorted(
+                    node["id"] for node in spec["nodes"]
+                    if node["role"] == role.value
+                    and area in (None, node.get("area", 0)))
+        lsp = compute_infrastructure_lsps(built)
+        for node, row in fec_next.items():
+            for fec, hop in row.items():
+                assert lsp.next_hop(node, fec) == hop
+            for label, action in in_actions[node].items():
+                assert lsp.in_actions[node][label] == action
+        latency = control_latency_matrix(built)
+        for src, row in eager.items():
+            assert {dst: latency[src][dst] for dst in row} == row
 
 
 def crossed_ladder():

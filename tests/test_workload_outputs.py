@@ -2,8 +2,10 @@
 ``metrics.csv`` at seed 1 and at the held-out seed 13, byte for byte.
 
 ``bench/workloads.py`` is run from its file, read only, so the workloads
-stay defined in one place.  A change that alters their output on purpose
-updates ``PINNED_WORKLOADS`` and says why in CHANGES.md.
+stay defined in one place.  Each run's ``metrics.csv`` is also kept as
+text under ``tests/golden/``.  A change that alters their output on purpose
+updates ``PINNED_WORKLOADS`` and the golden files and says why in
+CHANGES.md.
 """
 
 import hashlib
@@ -15,6 +17,8 @@ import pytest
 
 from hmlbn.scenario import parse_scenario
 from hmlbn.simulator import run_scenario
+
+from helpers import golden
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 WORKLOADS = runpy.run_path(str(BENCH / "workloads.py"))["WORKLOADS"]
@@ -49,8 +53,10 @@ def _digests(name, seed):
     # through JSON text, as the benchmark hands the program a scenario file
     doc = json.loads(json.dumps(WORKLOADS[name].document(seed=seed)))
     sim = run_scenario(parse_scenario(doc))
+    metrics = sim.metrics.to_csv()
+    assert metrics == golden(f"{name}.seed{seed}.metrics.csv")
     return tuple(hashlib.sha256(text.encode("utf-8")).hexdigest()
-                 for text in (sim.trace_jsonl(), sim.metrics.to_csv()))
+                 for text in (sim.trace_jsonl(), metrics))
 
 
 def test_every_workload_is_pinned():
