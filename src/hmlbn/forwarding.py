@@ -4,12 +4,15 @@ A packet carries at most two labels, top first.  As in MPLS (RFC 3032), a
 label is a plain int and its position gives its role: the top label is the
 infrastructure label selecting the LSP toward a router id, the one beneath
 it the mobility label naming the mobile prefix or the next LSP segment.
-Intermediate nodes act on label position and table lookups only.  A
-transit node keeps the label and passes the packet to its next hop, read by
-one subscript on its self-filling row of ``LspTable.in_actions``; an ALER
-rewrites the inner value and pushes the next segment's top value, so only
-imposition allocates labels.  At a pop the node's role picks the handler: an
-ALER transits, a LER delivers, any other pop drops as ``no_label_entry``.
+Intermediate nodes act on label position and table lookups only.
+``ForwardingEngine.step`` is the hop event, the one function a packet's
+arrival at a node runs: a failed node drops it as ``node_failed``, any other
+adds its name to the path and acts on the top label.  A transit node keeps
+the label and passes the packet to its next hop, read by one subscript on
+its self-filling row of ``LspTable.fec_next``; an ALER rewrites the inner
+value and pushes the next segment's top value, so only imposition allocates
+labels.  At a pop the node's role picks the handler: an ALER transits, a LER
+delivers, any other pop drops as ``no_label_entry``.
 Reading the destination prefix after ingress is recorded on the packet,
 which lets tests prove that no interior node does an IP lookup.
 """
@@ -52,25 +55,27 @@ class ForwardingEngine:
     """Applies per-node label operations and hands packets to node logic.
 
     ``transport`` supplies transmit/deliver/drop primitives owned by the
-    event loop; ``nodes`` maps a router id to the LER/ALER state machine
-    living there (LSRs have none).
+    event loop and the set of ``failed`` nodes; ``nodes`` maps a router id
+    to the LER/ALER state machine living there (LSRs have none).
     """
 
     def __init__(self, graph: topology.NetworkGraph, lsp: topology.LspTable,
                  nodes: dict, transport):
-        self.graph = graph
-        self.actions = lsp.in_actions
-        self.rows = lsp.in_actions.made  # the rows made so far, a plain dict
+        self.info = graph.nodes
+        self.rows = lsp.fec_next
         self.nodes = nodes
         self.transport = transport
+        self.failed = transport.failed
 
     def step(self, packet: DataPacket, node: str):
+        """The hop event: ``packet`` arrives at ``node``."""
+        if node in self.failed:
+            self.transport.drop(packet, node, "node_failed")
+            return
+        info = self.info[node]
+        packet.hop_trace.append(info.name)
         stack = packet.stack
-        try:
-            row = self.rows[node]
-        except KeyError:
-            row = self.actions[node]
-        action = row[stack[0]] if stack else None
+        action = self.rows[node][stack[0]] if stack else None
         if action is None:
             self.transport.drop(packet, node, "no_label_entry")
             return
@@ -79,10 +84,9 @@ class ForwardingEngine:
             return
         # top label pops here: this node terminates the LSP segment
         del stack[0]
-        role = self.graph.nodes[node].role
-        if role is topology.NodeRole.ALER and stack:
+        if info.role is topology.NodeRole.ALER and stack:
             self.nodes[node].forward_transit(packet)
-        elif role is topology.NodeRole.LER and stack:
+        elif info.role is topology.NodeRole.LER and stack:
             self.nodes[node].egress_deliver(packet)
         else:
             self.transport.drop(packet, node, "no_label_entry")

@@ -293,7 +293,15 @@ def _parse_mobility(obj, c, regions, ranges):
         return isinstance(region, str) and (regions is None or region in regions)
 
     attaches, moves, detaches = [], [], []
-    known_prefixes = set()  # those of the attaches kept
+    first_attach = {}  # prefix text -> the earliest of its attaches kept
+
+    def attached(t, prefix, path, verb):  # else the event would be skipped
+        first = first_attach.get(str(prefix))  # attaches at t go first
+        if first is None:
+            c.err(f"{path}.prefix", f"{verb} a prefix that never attaches")
+        elif t is not None and t < first:
+            c.err(f"{path}.t", f"before its prefix first attaches, at {first}")
+
     for section, specs in (("attach", attaches), ("move", moves)):
         attach = section == "attach"  # else a move, whose time is required
         for _, path, entry in c.entries(obj, "mobility", section,
@@ -310,15 +318,18 @@ def _parse_mobility(obj, c, regions, ranges):
                 c.err(f"{path}.cell", f"region {region} has no cell {cell!r}")
             if prefix and attach and not prefix.covered_by(ranges):
                 c.err(f"{path}.prefix", "outside the mobility address range")
-            elif prefix and not attach and str(prefix) not in known_prefixes:
-                c.err(f"{path}.prefix", "moves a prefix that never attaches")
+            elif prefix and not attach:
+                attached(t, prefix, path, "moves")
             if t is not None and prefix and region:
                 if attach:
-                    known_prefixes.add(str(prefix))
+                    key = str(prefix)
+                    first_attach[key] = min(t, first_attach.get(key, t))
                 specs.append(Placement(t, prefix, region, cell))
     for _, path, entry in c.entries(obj, "mobility", "detach", {"t", "prefix"}):
         t = c.by_end(c.number(entry, path, "t", minimum=0.0), f"{path}.t")
         prefix = c.prefix(entry.get("prefix"), f"{path}.prefix")
+        if prefix:
+            attached(t, prefix, path, "detaches")
         if t is not None and prefix:
             detaches.append(DetachSpec(t, prefix))
 
@@ -334,7 +345,7 @@ def _parse_mobility(obj, c, regions, ranges):
         for j, text in enumerate(c.items(entry, path, "prefixes")):
             pfx = c.prefix(text, f"{path}.prefixes[{j}]")
             if pfx:
-                if str(pfx) not in known_prefixes:
+                if str(pfx) not in first_attach:
                     c.err(f"{path}.prefixes[{j}]", "prefix never attaches")
                 prefixes.append(pfx)
         adjacency = entry.get("adjacency", {})

@@ -355,9 +355,6 @@ class Simulation:
         self.rng = random.Random(self.seed)
         self.graph = scenario.graph
         self._names = {rid: info.name for rid, info in self.graph.nodes.items()}
-        # each edge's latency in seconds, a router's row made on first use
-        self._edge_s = Memo(lambda rid: {
-            peer: ms / 1000.0 for peer, ms in self.graph.edges[rid].items()})
         self.lsp = compute_infrastructure_lsps(self.graph)
         self.latency = control_latency_matrix(self.graph)
         self.now = 0.0
@@ -373,8 +370,8 @@ class Simulation:
         model = scenario.model
         self._movers = set(model.prefixes) if model else set()
         # each region's mobility-model neighbours, sorted once
-        self._neighbors = ({region: sorted(nbrs) for region, nbrs
-                            in model.adjacency.items()} if model else {})
+        self._next_regions = ({region: sorted(nbrs) for region, nbrs
+                               in model.adjacency.items()} if model else {})
         # router id -> its LER, ALER or AMRR state machine, made the first
         # time the id is read; an LSR has none
         self.nodes: dict[str, object] = Memo(self._node_maker())
@@ -462,7 +459,7 @@ class Simulation:
             EventKind.MN_DETACH: self._on_detach,
             EventKind.CONTROL_DELIVER: self._on_control,
             EventKind.DATA_INGRESS: self._on_ingress,
-            EventKind.DATA_HOP: self._on_hop,
+            EventKind.DATA_HOP: self.engine.step,
             EventKind.TIMER_FIRE: self._on_timer,
             EventKind.NODE_FAIL: self._on_fail,
         }
@@ -550,11 +547,7 @@ class Simulation:
                              "node_failed")
             return
         self.trace_event("ctl_recv", msg.src, msg.dst, MSG_TEXT[msg.kind])
-        try:
-            node = self.nodes.made[msg.dst]
-        except KeyError:
-            node = self.nodes[msg.dst]
-        node.handle(msg)
+        self.nodes[msg.dst].handle(msg)
 
     # ------------------------------------------------------------ mobility
 
@@ -630,7 +623,7 @@ class Simulation:
         model = self.scenario.model
         if mobile is None:
             return
-        neighbors = self._neighbors.get(mobile.primary().region, [])
+        neighbors = self._next_regions.get(mobile.primary().region, [])
         if neighbors and self.rng.random() < model.p:
             target = neighbors[self.rng.randrange(len(neighbors))]
             self._on_move(Placement(self.now, prefix, target, None))
@@ -675,15 +668,8 @@ class Simulation:
         else:
             self.trace_event("data_hop/text", from_node, to_node,
                              packet.flow_id, packet.seq, packet.render_stack())
-        self.schedule(self.now + self._edge_s[from_node][to_node],
+        self.schedule(self.now + self.graph.edges[from_node][to_node] / 1000.0,
                       EventKind.DATA_HOP, (packet, to_node))
-
-    def _on_hop(self, packet: DataPacket, node: str):
-        if node in self.failed:
-            self.drop(packet, node, "node_failed")
-            return
-        packet.hop_trace.append(self._names[node])
-        self.engine.step(packet, node)
 
     def drop(self, packet: DataPacket, node: str | None, reason: str):
         # trace.jsonl keeps the replica field of the removed replication

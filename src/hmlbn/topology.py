@@ -8,13 +8,13 @@ forwarding node's router id is the FEC of one LSP in a full logical mesh.
 Set-up walks the topology once: ``build_topology`` checks each entry,
 reports every problem at its entry's path (``topology.edges[7]``), and
 builds the immutable graph in the same pass.  Made on first use (``Memo``)
-are each node's sorted neighbours, LSP rows, latency row and links, and
-the ``by_role`` lists; an LSP search reads ``edges`` as they are.  Each FEC
-keeps one BFS and each latency row one Dijkstra, resumed until the entry
-read is found, so every value equals a full computation's.  Only interface
-numbers show an order, a node's neighbours by router id: id lists are
-sorted, a BFS visits each level by router id and Dijkstra breaks ties by
-router id.
+are each forwarding node's one LSP row, each latency row and links, and
+the ``by_role`` lists; no neighbour list is kept, and ``neighbors`` and an
+LSP search read ``edges``.  Each FEC keeps one BFS and each latency row one
+Dijkstra, resumed until the entry read is found, so every value equals a
+full computation's.  Only interface numbers show an order, a node's
+neighbours by router id: id lists are sorted, a BFS visits each level by
+router id and Dijkstra breaks ties by router id.
 """
 
 from __future__ import annotations
@@ -67,8 +67,6 @@ class NetworkGraph:
 
     def __post_init__(self):
         self.rids = sorted(self.nodes)  # every router id, in order
-        # a node's neighbours in router-id order, which number its interfaces
-        self._neighbors = Memo(lambda rid: tuple(sorted(self.edges[rid])))
 
     @cached_property
     def _by_role(self) -> dict:
@@ -96,7 +94,8 @@ class NetworkGraph:
         return self.nodes[rid].area
 
     def neighbors(self, rid: RouterId) -> tuple[RouterId, ...]:
-        return self._neighbors[rid]
+        """In router-id order, which numbers a node's interfaces."""
+        return tuple(sorted(self.edges[rid]))
 
     def forwarding_nodes(self) -> list[RouterId]:
         return [r for r in self.rids if self.nodes[r].role in FORWARDING_ROLES]
@@ -195,6 +194,7 @@ def build_topology(spec: dict, problems: list | None = None) -> NetworkGraph:
     whole = node_list is not None  # every node entry passed
     linked = edge_list is not None  # every edge joins two known nodes
     served = {role: set() for role in NodeRole}  # role -> areas it has nodes in
+    joined = {}  # (lower, higher router id) -> the index of the edge joining them
     for i, entry in enumerate(node_list or ()):
         if not _fits(entry, "nodes", i, found):
             whole = False
@@ -224,6 +224,10 @@ def build_topology(spec: dict, problems: list | None = None) -> NetworkGraph:
                       if whole and names.get(end, end) not in nodes]
         elif rid_a == rid_b:
             found.append((f"topology.edges[{i}]", f"self edge at {a!r}"))
+        elif (j := joined.setdefault(
+                (rid_a, rid_b) if rid_a < rid_b else (rid_b, rid_a), i)) != i:
+            found.append((f"topology.edges[{i}]",
+                          f"{a!r} and {b!r} already joined at edges[{j}]"))
         else:
             ms = float(entry.get("latency_ms", DEFAULT_EDGE_LATENCY_MS))
             edges[rid_a][rid_b] = edges[rid_b][rid_a] = ms
@@ -279,19 +283,17 @@ def bfs_hops(adjacency: dict, source, within=None) -> dict:
 
 
 class Memo(dict):
-    """``memo[key]`` is ``make(key)``, made on first use only.  ``made`` is a
-    plain dict of the same entries, whose subscript CPython specialises: a
-    hot path reads it and ``memo[key]`` only on a ``KeyError``."""
+    """``memo[key]`` is ``make(key)``, made on first use only."""
 
     def __init__(self, make):
-        self.make, self.made = make, {}
+        self.make = make
 
     def __missing__(self, key):
-        value = self.made[key] = self[key] = self.make(key)
+        value = self[key] = self.make(key)
         return value
 
 
-POP = object()  # the in_actions entry at a FEC's owner; no router id is it
+POP = object()  # a FEC's label at its owner; no router id is it
 
 
 class LspTable:
@@ -303,14 +305,13 @@ class LspTable:
     Labels are therefore computed, not stored, and a transit hop keeps its
     label, as an SR-MPLS CONTINUE does under one label block.
 
-    ``fec_next[node][fec]`` gives the (label, next_hop) used to inject a
-    packet at ``node`` toward the router-id FEC; a FEC has entries only at
-    nodes no farther from it than the farthest node looked up.
-    ``in_actions[node][label]`` resolves an arriving top label to the next
-    hop toward its FEC, or ``POP`` at its owner; each row fills an entry on
-    its first lookup, and gives ``None`` for a label outside the mesh.  A
-    node's rows in both are made on its first read; a node that forwards
-    nothing has none, and reading one raises ``KeyError``.
+    ``fec_next[node]`` is the node's one row, its incoming label map: a
+    FEC's label gives the next hop toward the FEC, or ``POP`` at its owner,
+    and any label outside the mesh gives ``None``, unstored.  A missing
+    label resumes its FEC's BFS, which fills every row it reaches, so a FEC
+    has entries only at nodes no farther from it than the farthest node
+    looked up.  A node's row is made on its first read; a node that
+    forwards nothing has none, and reading one raises ``KeyError``.
     """
 
     def __init__(self, graph: NetworkGraph):
@@ -322,51 +323,41 @@ class LspTable:
         self._adjacency = graph.edges  # a search skips the nodes in no FEC
         # fec -> (nodes seen, next level to expand) of its paused BFS
         self._searches: dict[RouterId, tuple[set, list]] = {}
-        self.fec_next: dict[RouterId, dict[RouterId, tuple[int, RouterId]]] = Memo(
-            lambda node: self._row(node, {}))
-        self.in_actions: dict[RouterId, _ActionRow] = Memo(
-            lambda node: self._row(node, _ActionRow(self, node)))
-
-    def _row(self, node: RouterId, row: dict) -> dict:
-        if node not in self._label:  # it forwards nothing
-            raise KeyError(node)
-        return row
+        self.fec_next: dict[RouterId, _ActionRow] = Memo(
+            lambda node: _ActionRow(self, node))
 
     def next_hop(self, node: RouterId, fec: RouterId) -> tuple[int, RouterId]:
-        try:
-            return self.fec_next.made[node][fec]
-        except KeyError:
-            if node == fec or node not in self._label or fec not in self._label:
-                raise NoRouteToNextHop(f"{node} has no trail toward {fec}")
-        return self._search(node, fec)
+        labels = self._label
+        if node == fec or node not in labels or fec not in labels:
+            raise NoRouteToNextHop(f"{node} has no trail toward {fec}")
+        label = labels[fec]
+        return label, self.fec_next[node][label]
 
-    def _search(self, node: RouterId, fec: RouterId) -> tuple[int, RouterId]:
-        """Resume the hop-count BFS from ``fec`` over the forwarding
-        subgraph until ``node`` has its next hop.
+    def _search(self, row: _ActionRow, label: int) -> RouterId:
+        """Resume the hop-count BFS from the FEC of ``label`` over the
+        forwarding subgraph until ``row``'s node has its next hop.
 
         Each level is visited whole and in ascending router id, so the first
         node to reach a peer is its lowest-id neighbour one hop closer to
-        ``fec``: ties resolve the same in every run.  The search pauses only
+        the FEC: ties resolve the same in every run.  The search pauses only
         between levels, so every entry is the one an uninterrupted BFS sets.
         """
-        labels, label = self._label, self._label[fec]
-        fec_next = self.fec_next
-        adjacency = self._adjacency
-        row = fec_next[node]
+        fec = self.fecs[label - LABEL_MIN]
+        labels, fec_next, adjacency = self._label, self.fec_next, self._adjacency
         seen, level = self._searches.get(fec) or ({fec}, [fec])
-        while level and fec not in row:
+        while level and label not in row:
             reached = []
             for hop in level:
                 for peer in adjacency[hop]:
                     if peer not in seen and peer in labels:
                         seen.add(peer)
-                        fec_next[peer][fec] = (label, hop)
+                        fec_next[peer][label] = hop
                         reached.append(peer)
             level = sorted(reached)
         self._searches[fec] = (seen, level)
-        if fec not in row:
-            raise NoRouteToNextHop(f"{node} has no trail toward {fec}")
-        return row[fec]
+        if label not in row:
+            raise NoRouteToNextHop(f"{row.node} has no trail toward {fec}")
+        return row[label]
 
     def label(self, fec: RouterId) -> int:
         return self._label[fec]
@@ -379,16 +370,18 @@ class _ActionRow(dict):
     __slots__ = ("table", "node")
 
     def __init__(self, table: LspTable, node: RouterId):
+        if node not in table._label:  # it forwards nothing
+            raise KeyError(node)
         self.table, self.node = table, node
 
     def __missing__(self, label: int) -> RouterId | object | None:
-        table, node = self.table, self.node
+        table = self.table
         if not 0 <= label - LABEL_MIN < len(table.fecs):
             return None
-        fec = table.fecs[label - LABEL_MIN]
-        act = self[label] = (POP if node == fec
-                             else table.next_hop(node, fec)[1])
-        return act
+        if table.fecs[label - LABEL_MIN] != self.node:
+            return table._search(self, label)
+        self[label] = POP
+        return POP
 
 
 def compute_infrastructure_lsps(graph: NetworkGraph) -> LspTable:

@@ -1,7 +1,7 @@
 from hmlbn.forwarding import DataPacket
 from hmlbn.scenario import parse_scenario
-from hmlbn.scenarios import base_topology, MOBILITY_RANGE
-from hmlbn.simulator import Simulation
+from hmlbn.scenarios import base_topology, ha_failover_scenario, MOBILITY_RANGE
+from hmlbn.simulator import EventKind, Simulation
 
 from helpers import delivered_paths, prefix, run
 
@@ -157,7 +157,7 @@ def test_top_label_popped_at_an_lsr_drops_no_label_entry():
 def test_out_of_range_label_drops_and_is_not_stored():
     sim, pkt = _hop_setup()
     p3 = sim.graph.rid_of("P3")
-    row = sim.lsp.in_actions[p3]
+    row = sim.lsp.fec_next[p3]
     outside = (15, 16 + len(sim.lsp.fecs))
     for value in outside:
         pkt.stack = [value, 116]
@@ -168,3 +168,45 @@ def test_out_of_range_label_drops_and_is_not_stored():
     label = sim.lsp.label(sim.graph.rid_of("ALER3"))
     assert row[label] == sim.graph.rid_of("ALER3")
     assert list(row) == [label]
+
+
+def test_every_hop_event_is_one_step():
+    """``ForwardingEngine.step`` is the hop event itself, so it runs once
+    per hop scheduled, the packets that reach ALER1 after its failure in
+    ``ha_failover`` included: they drop inside it."""
+    sim = Simulation(parse_scenario(ha_failover_scenario()))
+    hops, steps, at_failed = [], [], []
+    schedule, step = sim.schedule, sim.engine.step
+
+    def counted_schedule(t, kind, payload, seq=None):
+        if kind is EventKind.DATA_HOP:
+            hops.append(payload)
+        schedule(t, kind, payload, seq)
+
+    def counted_step(packet, node):
+        steps.append((packet, node))
+        if node in sim.failed:
+            at_failed.append(node)
+        step(packet, node)
+
+    sim.schedule, sim.engine.step = counted_schedule, counted_step
+    sim.run()
+    assert steps == hops and len(steps) == 746
+    assert at_failed == [sim.graph.rid_of("ALER1")] * 4
+
+
+def test_a_packet_reaching_a_failed_lsr_drops_there_and_adds_no_hop():
+    doc = two_mobile_scenario()
+    doc["failures"] = [{"t": 0.0, "node": "P3"}]
+    sim = Simulation(parse_scenario(doc))
+    pkt = DataPacket("x", 0, prefix("10.1.1.1/32"), 0.0)
+    pkt.stack = [sim.lsp.label(sim.graph.rid_of("ALER3")), 116]
+    pkt.hop_trace.append("LER33")
+    sim.transmit(pkt, sim.graph.rid_of("LER33"), sim.graph.rid_of("P3"))
+    sim.run()
+    assert _drops(sim) == {"node_failed": 1}
+    assert pkt.hop_trace == ["LER33"]
+    drops = [e for e in sim.trace if e["kind"] == "data_drop"
+             and e["detail"]["flow"] == "x"]
+    assert [(e["src"], e["detail"]["reason"]) for e in drops] == [
+        ("P3", "node_failed")]

@@ -138,6 +138,27 @@ MALFORMED = [
         _append("topology", "nodes", [LONE_LSR])(doc)),
      [("topology.edges[16]", "self edge at 'P0'"),
       ("topology.nodes[17]", "unreachable from LER11")]),
+    # a repeated edge would let its later latency win, whichever way round
+    # its ends are written and whether as names or router ids
+    ("topology.edges[16]", _append("topology", "edges", [
+        {"a": "P0", "b": "ALER1", "latency_ms": 5.0}]),
+     [("topology.edges[16]", "'P0' and 'ALER1' already joined at edges[0]")]),
+    ("topology.edges[16]", _append("topology", "edges", [
+        {"a": "20.1.2.1", "b": "P0"}]),
+     [("topology.edges[16]", "'20.1.2.1' and 'P0' already joined at edges[0]")]),
+    # a move or detach that cannot act would be skipped when it fires: of a
+    # prefix that never attaches, or before the prefix first attaches
+    ("mobility.detach[0].prefix", _set("mobility", "detach", [
+        {"t": 1.0, "prefix": "10.2.2.1/32"}]),
+     [("mobility.detach[0].prefix", "detaches a prefix that never attaches")]),
+    ("mobility.move[0].t", lambda doc: (
+        _set("mobility", "attach", 0, "t", 2.0)(doc),
+        _set("mobility", "move", [
+            {"t": 1.0, "prefix": lib.MN, "region": "MR12"},
+            {"t": 2.0, "prefix": lib.MN, "region": "MR13"}])(doc),
+        _set("mobility", "detach", [{"t": 1.5, "prefix": lib.MN}])(doc)),
+     [("mobility.move[0].t", "before its prefix first attaches, at 2.0"),
+      ("mobility.detach[0].t", "before its prefix first attaches, at 2.0")]),
 ]
 
 

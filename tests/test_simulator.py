@@ -676,7 +676,7 @@ def test_events_at_one_time_fire_in_scheduling_order():
     sim = Simulation(parse_scenario(doc))
     fired = []
     sim._on_timer = lambda *args: fired.append(args)
-    sim._on_hop = lambda *args: fired.append(args)
+    sim.engine.step = lambda *args: fired.append(args)
     # dict payloads cannot be ordered, and the two kinds sort differently
     # from their scheduling order, so only the sequence number may settle ties
     for i in range(6):

@@ -1,4 +1,3 @@
-import copy
 import heapq
 import ipaddress
 import random
@@ -186,7 +185,7 @@ def test_mesh_covers_every_ordered_pair():
             path = trail(lsp, src, dst)
             assert path[0] == src and path[-1] == dst
             # the last in-label pops at the owner
-            assert lsp.in_actions[dst][lsp.label(dst)] is POP
+            assert lsp.fec_next[dst][lsp.label(dst)] is POP
 
 
 def test_trail_lengths_match_independent_oracle():
@@ -285,28 +284,28 @@ def _eager_hop_distances(graph, source):
 def eager_mesh(graph):
     """The full mesh as it was built before the first event: one monotonic
     label allocator per node, one BFS per FEC, lowest-router-id ties.
-    Every node binds the same label to a FEC, so a row entry is the next
-    hop, the label staying as it is, or ``POP`` at the FEC's owner."""
+    Every node binds the same label to a FEC, so a node's row maps the
+    label to the next hop, the label staying as it is, or to ``POP`` at the
+    FEC's owner."""
     fwd = graph.forwarding_nodes()
     allocators = {node: LabelAllocator() for node in fwd}
-    fec_next = {n: {} for n in fwd}
-    in_actions = {n: {} for n in fwd}
+    rows = {n: {} for n in fwd}
     in_label = {}
     for fec in fwd:
         dist = _eager_hop_distances(graph, fec)
         labels = {node: allocators[node].allocate() for node in fwd}
         assert len(set(labels.values())) == 1, (fec, labels)
         in_label[fec] = labels
-        in_actions[fec][labels[fec]] = POP
+        rows[fec][labels[fec]] = POP
         for node in fwd:
             if node == fec:
                 continue
             nh = min(p for p in sorted(graph.edges[node])
                      if graph.nodes[p].role in FORWARDING_ROLES and p in dist
                      and dist[p] == dist[node] - 1)
-            fec_next[node][fec] = (labels[nh], nh)
-            in_actions[node][labels[node]] = nh
-    return fec_next, in_actions, in_label
+            assert labels[nh] == labels[node]
+            rows[node][labels[node]] = nh
+    return rows, in_label
 
 
 def eager_latencies(graph):
@@ -339,30 +338,35 @@ def assert_lazy_tables_match_eager(graph, permute=seeded_shuffle):
     the latencies once more in descending order, so that paused searches
     are resumed from the middle.
     """
-    fec_next, in_actions, in_label = eager_mesh(graph)
+    rows, in_label = eager_mesh(graph)
     fwd = graph.forwarding_nodes()
-    # one table answers next hops first, the other answers actions first,
+    # one table answers next hops first, the other answers labels first,
     # so both fill orders are exercised
     by_fec = compute_infrastructure_lsps(graph)
     for node, fec in permute([(node, fec) for node in fwd for fec in fwd]):
-        assert by_fec.label(fec) == in_label[fec][node]
+        label = in_label[fec][node]
+        assert by_fec.label(fec) == label
         if node == fec:
             with pytest.raises(NoRouteToNextHop):
                 by_fec.next_hop(node, fec)
         else:
-            assert by_fec.next_hop(node, fec) == fec_next[node][fec]
-    assert by_fec.fec_next == fec_next
+            assert by_fec.next_hop(node, fec) == (label, rows[node][label])
+    # next-hop reads fill every entry but the owners' POPs
+    assert by_fec.fec_next == {node: {label: hop for label, hop in row.items()
+                                      if hop is not POP}
+                               for node, row in rows.items()}
     by_label = compute_infrastructure_lsps(graph)
     labels = range(15, 16 + len(fwd) + 1)  # both ends of the label range
     for node in sorted(graph.nodes):
-        if node not in in_actions:  # AMRRs forward nothing
-            assert node not in by_label.in_actions
-            assert node not in by_fec.in_actions
+        if node not in rows:  # AMRRs forward nothing
+            assert node not in by_label.fec_next
+            assert node not in by_fec.fec_next
             continue
         for label in labels:
-            expected = in_actions[node].get(label)
-            assert by_label.in_actions[node][label] == expected
-            assert by_fec.in_actions[node][label] == expected
+            expected = rows[node].get(label)
+            assert by_label.fec_next[node][label] == expected
+            assert by_fec.fec_next[node][label] == expected
+    assert by_label.fec_next == by_fec.fec_next == rows
 
     eager = eager_latencies(graph)
     pairs = [(src, dst) for src in eager for dst in eager[src]]
@@ -424,7 +428,7 @@ def test_entry_order_reaches_no_table(specs):
         peers[a].add(b)
         peers[b].add(a)
     graph = build_topology(spec)
-    fec_next, in_actions, _ = eager_mesh(graph)
+    rows, in_label = eager_mesh(graph)
     eager = eager_latencies(graph)
     for built in (graph, build_topology(shuffled)):
         for node, near in peers.items():
@@ -438,11 +442,13 @@ def test_entry_order_reaches_no_table(specs):
                     if node["role"] == role.value
                     and area in (None, node.get("area", 0)))
         lsp = compute_infrastructure_lsps(built)
-        for node, row in fec_next.items():
-            for fec, hop in row.items():
-                assert lsp.next_hop(node, fec) == hop
-            for label, action in in_actions[node].items():
-                assert lsp.in_actions[node][label] == action
+        for fec, labels in in_label.items():
+            for node, label in labels.items():
+                if node != fec:
+                    assert lsp.next_hop(node, fec) == (label, rows[node][label])
+        for node, row in rows.items():
+            for label, action in row.items():
+                assert lsp.fec_next[node][label] == action
         latency = control_latency_matrix(built)
         for src, row in eager.items():
             assert {dst: latency[src][dst] for dst in row} == row
@@ -505,7 +511,7 @@ def test_fec_fills_only_up_to_the_node_read():
         lsp = compute_infrastructure_lsps(graph)
         lsp.next_hop(node, fec)
         filled = {n for n, row in lsp.fec_next.items() if row}
-        assert all(set(lsp.fec_next[n]) == {fec} for n in filled)
+        assert all(set(lsp.fec_next[n]) == {lsp.label(fec)} for n in filled)
         assert {n for n in hops if hops[n] <= hops[node]} >= filled
     nearest = graph.rid_of("LER21")
     lsp = compute_infrastructure_lsps(graph)
@@ -520,7 +526,7 @@ def test_failed_lookups_leave_the_fill_as_it_was():
         lsp = compute_infrastructure_lsps(graph)
         if warm:
             lsp.next_hop(graph.rid_of("LER21"), fec)
-        before = copy.deepcopy(lsp.fec_next)
+        before = {node: dict(row) for node, row in lsp.fec_next.items()}
         for node, target in ((fec, fec), (amrr, fec), (fec, amrr)):
             with pytest.raises(NoRouteToNextHop):
                 lsp.next_hop(node, target)
@@ -539,6 +545,6 @@ def test_startup_run_fills_only_the_fecs_and_rows_it_uses():
     assert row["ingress"] > 0 and row["delivered"] == row["ingress"]
     fwd = sim.graph.forwarding_nodes()
     assert len(fwd) >= 300
-    filled = {fec for fecs in sim.lsp.fec_next.values() for fec in fecs}
+    filled = {label for row in sim.lsp.fec_next.values() for label in row}
     assert 0 < len(filled) < len(fwd)
     assert 0 < len(sim.latency) < len(sim.graph.nodes)
