@@ -8,6 +8,9 @@ builds the payload.  Equality is tuple equality and ignores the class
 (``NegativeReplyPayload(p) == LrlRequestPayload(p) == (p,)``), so a
 message's ``kind`` tells payloads of one shape apart.  ``MobilePrefix`` is
 a frozen dataclass; its text and hash are kept in its instance ``__dict__``.
+``parse`` sets the text once: of a canonical dotted quad ``a.b.c.d/n``
+without ``ipaddress``, of any other text from its ``ip_network``; a prefix
+made from its fields formats it on first use.
 
 The byte encoding is deliberately simple: one leading magic byte and the
 kind's code, then source, destination and send time, then the payload's
@@ -24,6 +27,7 @@ partial message.
 from __future__ import annotations
 
 import ipaddress
+import re
 import struct
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
@@ -58,6 +62,10 @@ class MessageKind(str, Enum):
 
 _KINDS = dict(enumerate(MessageKind, 1))  # wire code -> kind
 
+# a canonical dotted quad and prefix length: ASCII digits, no leading zeros
+_OCTET = r"(25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
+_QUAD = re.compile(r"\.".join([_OCTET] * 4) + r"/(3[0-2]|[12]?[0-9])")
+
 
 @dataclass(frozen=True)
 class MobilePrefix:
@@ -69,9 +77,20 @@ class MobilePrefix:
 
     @classmethod
     def parse(cls, text: str) -> "MobilePrefix":
-        net = ipaddress.ip_network(text, strict=False)
-        family = 4 if net.version == 4 else 6
-        return cls(family, net.network_address.packed, net.prefixlen)
+        """The prefix ``text`` names; refused as ``ip_network`` refuses it."""
+        if m := _QUAD.fullmatch(text):
+            *quad, plen = map(int, m.groups())
+            address = bytes(quad)
+            if not int.from_bytes(address, "big") & (0xFFFFFFFF >> plen):
+                prefix = cls(4, address, plen)
+                vars(prefix)["_text"] = "%d.%d.%d.%d/%d" % (*quad, plen)
+                return prefix
+        net = ipaddress.ip_network(text)  # strict: host bits are refused
+        prefix = cls(net.version, net.network_address.packed, net.prefixlen)
+        # as the ``_text`` property renders it: with no IPv6 scope id
+        address = str(net.network_address).partition("%")[0]
+        vars(prefix)["_text"] = f"{address}/{net.prefixlen}"
+        return prefix
 
     @cached_property
     def _text(self) -> str:

@@ -7,7 +7,8 @@ number must be finite (``json.load`` accepts NaN and Infinity, RFC 8259 does
 not), a flow's packet count ``(stop_s - start_s) * rate_pps`` must be below
 2**53, where floats stop telling consecutive packet indices apart, no flow
 stop or event time may pass ``duration_s``, no node fails twice (none
-recovers), and each problem names its field path.  Timers need lifetime >=
+recovers), no prefix has host bits set, no move finds its prefix detached,
+and each problem names its field path.  Timers need lifetime >=
 10 * dead-time >= 30 * keepalive, the products taken of the numbers as
 written: 0.3 is three times 0.1.
 
@@ -292,15 +293,16 @@ def _parse_mobility(obj, c, regions, ranges):
     def known(region) -> bool:  # any text, if the regions did not parse
         return isinstance(region, str) and (regions is None or region in regions)
 
-    attaches, moves, detaches = [], [], []
-    first_attach = {}  # prefix text -> the earliest of its attaches kept
+    attaches, moves, detaches, moved = [], [], [], []
+    attach_times, detach_times = {}, {}  # prefix text -> times of entries kept
 
-    def attached(t, prefix, path, verb):  # else the event would be skipped
-        first = first_attach.get(str(prefix))  # attaches at t go first
+    def attached(t, prefix, path, verb) -> bool:  # else it would be skipped
+        first = min(attach_times.get(str(prefix), ()), default=None)
         if first is None:
             c.err(f"{path}.prefix", f"{verb} a prefix that never attaches")
-        elif t is not None and t < first:
+        elif t is not None and t < first:  # attaches at t go first
             c.err(f"{path}.t", f"before its prefix first attaches, at {first}")
+        return first is not None and t is not None and t >= first
 
     for section, specs in (("attach", attaches), ("move", moves)):
         attach = section == "attach"  # else a move, whose time is required
@@ -318,12 +320,11 @@ def _parse_mobility(obj, c, regions, ranges):
                 c.err(f"{path}.cell", f"region {region} has no cell {cell!r}")
             if prefix and attach and not prefix.covered_by(ranges):
                 c.err(f"{path}.prefix", "outside the mobility address range")
-            elif prefix and not attach:
-                attached(t, prefix, path, "moves")
+            elif prefix and not attach and attached(t, prefix, path, "moves"):
+                moved.append((path, t, str(prefix)))
             if t is not None and prefix and region:
                 if attach:
-                    key = str(prefix)
-                    first_attach[key] = min(t, first_attach.get(key, t))
+                    attach_times.setdefault(str(prefix), []).append(t)
                 specs.append(Placement(t, prefix, region, cell))
     for _, path, entry in c.entries(obj, "mobility", "detach", {"t", "prefix"}):
         t = c.by_end(c.number(entry, path, "t", minimum=0.0), f"{path}.t")
@@ -332,6 +333,11 @@ def _parse_mobility(obj, c, regions, ranges):
             attached(t, prefix, path, "detaches")
         if t is not None and prefix:
             detaches.append(DetachSpec(t, prefix))
+            detach_times.setdefault(str(prefix), []).append(t)
+    for path, t, key in moved:  # at one time moves go before detaches
+        gone = max((d for d in detach_times.get(key, ()) if d < t), default=None)
+        if gone is not None and not any(gone < a <= t for a in attach_times[key]):
+            c.err(f"{path}.t", f"after its prefix detaches, at {gone}")
 
     model = None
     path = "mobility.model"
@@ -345,7 +351,7 @@ def _parse_mobility(obj, c, regions, ranges):
         for j, text in enumerate(c.items(entry, path, "prefixes")):
             pfx = c.prefix(text, f"{path}.prefixes[{j}]")
             if pfx:
-                if str(pfx) not in first_attach:
+                if str(pfx) not in attach_times:
                     c.err(f"{path}.prefixes[{j}]", "prefix never attaches")
                 prefixes.append(pfx)
         adjacency = entry.get("adjacency", {})

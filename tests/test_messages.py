@@ -443,6 +443,79 @@ def test_prefix_hash_is_the_hash_of_its_fields(text, family, address, plen):
             setattr(p, name, getattr(p, name))
 
 
+@st.composite
+def prefix_texts(draw):
+    """Texts ``ipaddress.ip_network`` accepts or refuses: canonical dotted
+    quads, with or without host bits, and their variants with leading
+    zeros, a ``/032``-style length, a netmask or hostmask, no ``/`` at all,
+    a non-ASCII digit or a space; IPv6 and IPv4-mapped IPv6."""
+    quad = draw(st.lists(st.integers(0, 255), min_size=4, max_size=4))
+    plen = draw(st.integers(0, 33))
+    if draw(st.sampled_from([True, True, True, False])):  # most quads clean
+        value = int.from_bytes(bytes(quad), "big") >> (32 - min(plen, 32))
+        quad = list((value << (32 - min(plen, 32))).to_bytes(4, "big"))
+    octets = [str(o) for o in quad]
+    length = str(plen)
+    form = draw(st.sampled_from(["canonical", "zeros", "long_length", "mask",
+                                 "no_slash", "ipv6", "mapped"]))
+    if form == "zeros":
+        i = draw(st.integers(0, 3))
+        octets[i] = octets[i].zfill(draw(st.integers(2, 4)))
+    elif form == "long_length":
+        length = length.zfill(draw(st.integers(2, 3)))
+    elif form == "mask":
+        mask = (0xFFFFFFFF << (32 - min(plen, 32))) & 0xFFFFFFFF
+        mask = draw(st.sampled_from([mask, mask ^ 0xFFFFFFFF,
+                                     draw(st.integers(0, 0xFFFFFFFF))]))
+        length = ".".join(map(str, mask.to_bytes(4, "big")))
+    text = ".".join(octets) + ("" if form == "no_slash" else f"/{length}")
+    if form == "ipv6":
+        address = ipaddress.IPv6Address(draw(st.binary(min_size=16, max_size=16)))
+        shown = draw(st.sampled_from([address.compressed, address.exploded]))
+        text = f"{shown}/{draw(st.integers(0, 129))}"
+    elif form == "mapped":
+        text = f"::ffff:{'.'.join(octets)}/{draw(st.integers(96, 128))}"
+    damage = draw(st.sampled_from(["none", "none", "digit", "space"]))
+    if damage == "digit":  # an ASCII digit as the same digit of another script
+        at = draw(st.sampled_from([i for i, ch in enumerate(text) if ch.isdigit()]))
+        zero = draw(st.sampled_from([0x660, 0x966, 0xFF10]))
+        text = text[:at] + chr(zero + int(text[at])) + text[at + 1:]
+    elif damage == "space":
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from([" ", "\t", "\n"])) + text[at:]
+    return text
+
+
+@settings(max_examples=500)
+@given(prefix_texts())
+def test_parse_agrees_with_ipaddress(text):
+    try:
+        net = ipaddress.ip_network(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as refused:
+            MobilePrefix.parse(text)
+        assert str(refused.value) == str(exc)
+        return
+    p = MobilePrefix.parse(text)
+    assert (p.family, p.address, p.prefix_len) == (
+        net.version, net.network_address.packed, net.prefixlen)
+    assert str(p) == str(net)
+    # a prefix made from its fields, or decoded, prints the parsed text
+    twin = MobilePrefix(p.family, p.address, p.prefix_len)
+    decoded = canonical_decode(canonical_encode(control_message(
+        MessageKind.LRL_REQUEST, "20.1.1.1", "20.1.1.2", 0.0, (p,)))).payload[0]
+    assert str(twin) == str(decoded) == str(p)
+    assert twin == decoded == p and hash(twin) == hash(p)
+
+
+@pytest.mark.parametrize("text,shown", [
+    ("fe80::1%eth0/128", "fe80::1/128"), ("10.1.1.0/255.255.255.0", "10.1.1.0/24"),
+    ("10.1.1.0/032", "10.1.1.0/32"), ("10.1.1.1", "10.1.1.1/32")])
+def test_parse_prints_the_text_its_fields_print(text, shown):
+    p = MobilePrefix.parse(text)
+    assert str(p) == shown == str(MobilePrefix(p.family, p.address, p.prefix_len))
+
+
 def test_prefix_validation():
     with pytest.raises(ValueError):
         MobilePrefix(4, b"\x01\x02\x03", 32)

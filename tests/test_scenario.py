@@ -159,6 +159,32 @@ MALFORMED = [
         _set("mobility", "detach", [{"t": 1.5, "prefix": lib.MN}])(doc)),
      [("mobility.move[0].t", "before its prefix first attaches, at 2.0"),
       ("mobility.detach[0].t", "before its prefix first attaches, at 2.0")]),
+    # a prefix with host bits set would name the mobile of its network, so
+    # two such attaches would be one mobile
+    ("mobility.attach[1].prefix", _set("mobility", "attach", 1, "prefix",
+                                       "10.3.3.1/24"),
+     [("mobility.attach[1].prefix", "bad prefix: 10.3.3.1/24 has host bits set")]),
+    # a move while its prefix is detached would be skipped; at one time
+    # attaches go first, then moves, then detaches
+    ("mobility.move[1].t", lambda doc: (
+        _append("mobility", "attach", [
+            {"t": 7.0, "prefix": lib.MN, "region": "MR11"}])(doc),
+        _set("mobility", "move", [
+            {"t": 5.0, "prefix": lib.MN, "region": "MR12"},
+            {"t": 6.0, "prefix": lib.MN, "region": "MR13"},
+            {"t": 7.0, "prefix": lib.MN, "region": "MR12"},
+            {"t": 9.0, "prefix": lib.MN, "region": "MR13"}])(doc),
+        _set("mobility", "detach", [{"t": 5.0, "prefix": lib.MN},
+                                    {"t": 8.0, "prefix": lib.MN}])(doc)),
+     [("mobility.move[1].t", "after its prefix detaches, at 5.0"),
+      ("mobility.move[3].t", "after its prefix detaches, at 8.0")]),
+    ("mobility.move[0].t", lambda doc: (
+        _append("mobility", "attach", [
+            {"t": 5.0, "prefix": lib.MN, "region": "MR11"}])(doc),
+        _set("mobility", "move", [
+            {"t": 6.0, "prefix": lib.MN, "region": "MR12"}])(doc),
+        _set("mobility", "detach", [{"t": 5.0, "prefix": lib.MN}])(doc)),
+     [("mobility.move[0].t", "after its prefix detaches, at 5.0")]),
 ]
 
 
