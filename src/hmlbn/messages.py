@@ -8,9 +8,8 @@ builds the payload.  Equality is tuple equality and ignores the class
 (``NegativeReplyPayload(p) == LrlRequestPayload(p) == (p,)``), so a
 message's ``kind`` tells payloads of one shape apart.  ``MobilePrefix`` is
 a frozen dataclass; its text and hash are kept in its instance ``__dict__``.
-``parse`` sets the text once: of a canonical dotted quad ``a.b.c.d/n``
-without ``ipaddress``, of any other text from its ``ip_network``; a prefix
-made from its fields formats it on first use.
+``parse`` sets the text of a canonical dotted quad ``a.b.c.d/n`` as it
+reads it, without ``ipaddress``; any other prefix formats it on first use.
 
 The byte encoding is deliberately simple: one leading magic byte and the
 kind's code, then source, destination and send time, then the payload's
@@ -86,11 +85,7 @@ class MobilePrefix:
                 vars(prefix)["_text"] = "%d.%d.%d.%d/%d" % (*quad, plen)
                 return prefix
         net = ipaddress.ip_network(text)  # strict: host bits are refused
-        prefix = cls(net.version, net.network_address.packed, net.prefixlen)
-        # as the ``_text`` property renders it: with no IPv6 scope id
-        address = str(net.network_address).partition("%")[0]
-        vars(prefix)["_text"] = f"{address}/{net.prefixlen}"
-        return prefix
+        return cls(net.version, net.network_address.packed, net.prefixlen)
 
     @cached_property
     def _text(self) -> str:

@@ -2,7 +2,7 @@ import ipaddress
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hmlbn import messages as messages_module
@@ -488,6 +488,7 @@ def prefix_texts(draw):
 
 @settings(max_examples=500)
 @given(prefix_texts())
+@example("fe80::1%eth0/128")
 def test_parse_agrees_with_ipaddress(text):
     try:
         net = ipaddress.ip_network(text)
@@ -499,21 +500,15 @@ def test_parse_agrees_with_ipaddress(text):
     p = MobilePrefix.parse(text)
     assert (p.family, p.address, p.prefix_len) == (
         net.version, net.network_address.packed, net.prefixlen)
-    assert str(p) == str(net)
+    # the fields keep no IPv6 scope id, so ``str`` shows none
+    scope = getattr(net.network_address, "scope_id", None)
+    assert str(p) == (str(net) if scope is None else str(net).replace("%" + scope, ""))
     # a prefix made from its fields, or decoded, prints the parsed text
     twin = MobilePrefix(p.family, p.address, p.prefix_len)
     decoded = canonical_decode(canonical_encode(control_message(
         MessageKind.LRL_REQUEST, "20.1.1.1", "20.1.1.2", 0.0, (p,)))).payload[0]
     assert str(twin) == str(decoded) == str(p)
     assert twin == decoded == p and hash(twin) == hash(p)
-
-
-@pytest.mark.parametrize("text,shown", [
-    ("fe80::1%eth0/128", "fe80::1/128"), ("10.1.1.0/255.255.255.0", "10.1.1.0/24"),
-    ("10.1.1.0/032", "10.1.1.0/32"), ("10.1.1.1", "10.1.1.1/32")])
-def test_parse_prints_the_text_its_fields_print(text, shown):
-    p = MobilePrefix.parse(text)
-    assert str(p) == shown == str(MobilePrefix(p.family, p.address, p.prefix_len))
 
 
 def test_prefix_validation():
