@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
 """Regenerate the bundled scenario and pattern files under scenarios/.
 
-The checked-in JSON must stay in sync with the builders in
-hmlbn.scenarios / hmlbn.sequences; tests compare them.
+    python3 scripts/write_scenarios.py
+
+The checked-in JSON must stay in sync with the builders of
+BUNDLED_SCENARIOS and BUNDLED_PATTERNS in hmlbn.scenarios; tests compare
+them.
 """
 
 import json
@@ -12,8 +15,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))  # the checkout's package, installed or not
 
-from hmlbn.scenarios import BUNDLED_SCENARIOS  # noqa: E402
-from hmlbn.sequences import BUNDLED_PATTERNS  # noqa: E402
+from hmlbn.scenarios import BUNDLED_PATTERNS, BUNDLED_SCENARIOS  # noqa: E402
 
 
 def main():

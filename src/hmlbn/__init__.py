@@ -15,8 +15,9 @@ from .messages import (
     control_message,
 )
 from .scenario import Scenario, load_scenario, parse_scenario, validate_scenario
-from .simulator import Metrics, Simulation, run_scenario
+from .simulator import Simulation, run_scenario
 from .topology import NetworkGraph, build_topology, compute_infrastructure_lsps
+from .trace import Metrics
 
 __version__ = "0.1.0"
 

@@ -96,16 +96,16 @@ class AmrrNode(ControlNode):
     def handle_update(self, msg: ControlMessage):
         binding = msg.payload.binding
         if msg.src in self.ler_clients:
-            self._internal_from_ler(binding, msg.src)
+            self._internal_from_ler(binding)
         elif msg.src in self.aler_clients:
             if binding.update_type is UpdateType.EXTERNAL:
                 self._external_from_aler(binding, msg.src)
             else:
                 self._internal_from_aler(binding, msg.src)
         else:
-            self._external_from_peer(binding, msg.src)
+            self._external_from_peer(binding)
 
-    def _internal_from_ler(self, binding: MobilityBinding, sender: str):
+    def _internal_from_ler(self, binding: MobilityBinding):
         """Area-id check: own-area bindings are stored and reflected to the
         ALERs only; a foreign area id additionally starts the requestor-list
         exchange with that area's AMRR and is rewritten to our own."""
@@ -167,7 +167,7 @@ class AmrrNode(ControlNode):
             for ler in pending.lers:
                 self._answer(rec, ler, binding)
 
-    def _external_from_peer(self, binding: MobilityBinding, sender: str):
+    def _external_from_peer(self, binding: MobilityBinding):
         self._store(binding, binding.area_id)
         self._reflect_to_alers(binding, UpdateType.EXTERNAL)
 
@@ -268,7 +268,7 @@ class AmrrNode(ControlNode):
         pending.awaiting.clear()
         # stored and reflected like a peer's update; the LERs are answered
         # once the ALER re-originates inward
-        self._external_from_peer(msg.payload.binding, msg.src)
+        self._external_from_peer(msg.payload.binding)
 
     # ------------------------------------------------------ LRL exchange
 

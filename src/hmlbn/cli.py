@@ -18,9 +18,9 @@ from pathlib import Path
 from . import analysis
 from .errors import HmlbnError, ScenarioInvalid
 from .scenario import load_scenario
-from .sequences import assert_sequence, roles_from_graph
 from .simulator import run_scenario
 from .topology import NodeRole
+from .trace import assert_sequence, roles_from_graph
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1

@@ -6,7 +6,9 @@ race, ALER fail-over, and parametric area scaling.  Each adds its moves,
 timers, flags or failures to one skeleton: a mobile ``MN`` and a
 correspondent ``CN`` in area 3 that sends it one flow.  All builders return
 raw scenario documents (plain JSON-compatible dicts) so they can be written
-to disk verbatim and fed back through the validating loader.
+to disk verbatim and fed back through the validating loader.  The pattern
+builders give the records ``trace.assert_sequence`` finds, in order, in the
+startup and the two area hand-off runs.
 
 The shared topology is a three-level build: per-area LERs behind an ALER
 (area 3 and above reach the ALER through a regional LSR), every ALER on a
@@ -194,4 +196,77 @@ BUNDLED_SCENARIOS = {
     "ha_failover": ha_failover_scenario,
     "random_walk": random_walk_scenario,
     "penalty_probe": penalty_probe_scenario,
+}
+
+
+def startup_pattern(prefix: str = MN) -> list:
+    """Control sequence of a cold registration plus a remote on-demand fill."""
+    return [
+        {"event": "ctl_send", "msg": "BindingUpdate", "update_type": "INTERNAL",
+         "src_role": "LER", "dst_role": "AMRR", "prefix": prefix},
+        {"event": "ctl_send", "msg": "BindingUpdate", "update_type": "INTERNAL",
+         "src_role": "AMRR", "dst_role": "ALER", "prefix": prefix},
+        {"event": "ctl_send", "msg": "BindingUpdate", "update_type": "EXTERNAL",
+         "src_role": "ALER", "dst_role": "AMRR", "prefix": prefix},
+        {"event": "ctl_send", "msg": "BindingRequest",
+         "src_role": "LER", "dst_role": "AMRR", "prefix": prefix},
+        {"event": "ctl_send", "msg": "BindingRequest",
+         "src_role": "AMRR", "dst_role": "AMRR", "prefix": prefix},
+        {"event": "ctl_send", "msg": "BindingRequest",
+         "src_role": "AMRR", "dst_role": "AMRR", "prefix": prefix},
+        {"event": "ctl_send", "msg": "BindingReplyPositive",
+         "src_role": "AMRR", "dst_role": "AMRR", "prefix": prefix},
+        {"event": "ctl_send", "msg": "BindingUpdate", "update_type": "EXTERNAL",
+         "src_role": "AMRR", "dst_role": "ALER", "prefix": prefix},
+        {"event": "ctl_send", "msg": "BindingUpdate", "update_type": "INTERNAL",
+         "src_role": "ALER", "dst_role": "AMRR", "prefix": prefix},
+        {"event": "ctl_send", "msg": "BindingReplyPositive",
+         "src_role": "AMRR", "dst_role": "LER", "prefix": prefix},
+    ]
+
+
+def intra_area_pattern(prefix: str = MN) -> list:
+    """Hand-off between LERs behind one ALER: one update in, one reflect."""
+    return [
+        {"event": "ctl_send", "msg": "BindingUpdate", "update_type": "INTERNAL",
+         "src": "LER13", "dst": "AMRR1", "prefix": prefix},
+        {"event": "ctl_send", "msg": "BindingUpdate", "update_type": "INTERNAL",
+         "src": "AMRR1", "dst": "ALER1", "prefix": prefix},
+        {"event": "fib_update", "src": "ALER1", "origin": "LER13",
+         "prefix": prefix},
+    ]
+
+
+def inter_area_pattern(prefix: str = MN) -> list:
+    """Two-stage inter-area hand-off with the interim reroute via the old
+    area's ALER visible between the stages."""
+    return [
+        {"event": "ctl_send", "msg": "BindingUpdate", "update_type": "INTERNAL",
+         "src": "LER21", "dst": "AMRR2", "prefix": prefix},
+        {"event": "ctl_send", "msg": "BindingUpdate", "update_type": "INTERNAL",
+         "src": "AMRR2", "dst": "ALER2", "prefix": prefix},
+        {"event": "ctl_send", "msg": "BindingUpdate", "update_type": "EXTERNAL",
+         "src": "ALER2", "dst": "AMRR2", "prefix": prefix},
+        {"event": "ctl_send", "msg": "BindingUpdate", "update_type": "EXTERNAL",
+         "src": "AMRR2", "dst": "AMRR1", "prefix": prefix},
+        {"event": "ctl_send", "msg": "LrlRequest",
+         "src": "AMRR2", "dst": "AMRR1", "prefix": prefix},
+        {"event": "ctl_send", "msg": "BindingUpdate", "update_type": "EXTERNAL",
+         "src": "AMRR1", "dst": "ALER1", "prefix": prefix},
+        {"event": "ctl_send", "msg": "LrlReply",
+         "src": "AMRR1", "dst": "AMRR2", "prefix": prefix},
+        {"event": "data_hop", "src": "ALER1", "dst": "P0"},
+        {"event": "ctl_send", "msg": "BindingUpdate", "update_type": "EXTERNAL",
+         "src": "AMRR2", "dst": "AMRR3", "prefix": prefix},
+        {"event": "ctl_send", "msg": "BindingUpdate", "update_type": "EXTERNAL",
+         "src": "AMRR3", "dst": "ALER3", "prefix": prefix},
+        {"event": "fib_update", "src": "ALER3", "origin": "ALER2",
+         "prefix": prefix},
+    ]
+
+
+BUNDLED_PATTERNS = {
+    "startup": startup_pattern,
+    "intra_area": intra_area_pattern,
+    "inter_area": inter_area_pattern,
 }

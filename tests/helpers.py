@@ -14,7 +14,8 @@ from weakref import WeakKeyDictionary
 from hmlbn.errors import NoRouteToNextHop
 from hmlbn.messages import ControlMessage, MobilePrefix, control_message
 from hmlbn.scenario import parse_scenario
-from hmlbn.simulator import LABEL_PAIR, TRACE_KEYS, run_scenario
+from hmlbn.simulator import run_scenario
+from hmlbn.trace import LABEL_PAIR, TRACE_KEYS
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 

@@ -16,8 +16,7 @@ from pathlib import Path
 import pytest
 
 from hmlbn.scenario import load_scenario
-from hmlbn.scenarios import BUNDLED_SCENARIOS
-from hmlbn.sequences import BUNDLED_PATTERNS
+from hmlbn.scenarios import BUNDLED_PATTERNS, BUNDLED_SCENARIOS
 from hmlbn.simulator import run_scenario
 
 from helpers import golden

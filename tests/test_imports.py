@@ -11,7 +11,10 @@ two dataclasses of the package have one shape, the same field names under
 the same annotations: one fact gets one class.  ``NamedTuple`` payloads are
 not checked, since ``LAYOUT`` tells payloads of one shape apart by their
 message kind.  Every exception class of ``errors`` is raised or caught
-somewhere in the package, so none stays behind its last use."""
+somewhere in the package, so none stays behind its last use.  Every
+parameter of a function of the package is read in its body.  No module of
+the package but ``trace`` takes the record format's renderer or schema: an
+import from ``json.encoder``, ``TRACE_KEYS`` or ``LINE_FACTORIES``."""
 
 import ast
 from pathlib import Path
@@ -19,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from hmlbn.messages import LAYOUT
-from hmlbn.simulator import LABEL_PAIR, TRACE_KEYS
+from hmlbn.trace import LABEL_PAIR, TRACE_KEYS
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "hmlbn").glob("*.py"))
@@ -335,3 +338,81 @@ def test_the_exception_check_finds_what_it_should():
         "try:\n    raise A('x')\nexcept (errors.B, KeyError):\n    pass\n"
         "except Base:\n    raise\n",
         "raise errors.C\n"]) == ["D"]
+
+
+def unread_parameters(source: str) -> list[str]:
+    """``function(parameter)`` for each parameter of a ``def`` in
+    ``source`` that its body never reads, sorted.  ``self``, ``cls`` and
+    ``_``-prefixed names are exempt, and so are lambdas: a ``Memo`` maker
+    may ignore its key."""
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                  *filter(None, (args.vararg, args.kwarg))]
+        read = {name.id for stmt in node.body for name in ast.walk(stmt)
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)}
+        unread += [f"{node.name}({param.arg})" for param in params
+                   if param.arg not in read | {"self", "cls"}
+                   and not param.arg.startswith("_")]
+    return sorted(unread)
+
+
+def test_every_parameter_is_read():
+    unread = [f"{path.name}: {problem}" for path in PACKAGE
+              for problem in unread_parameters(path.read_text(encoding="utf-8"))]
+    assert unread == []
+
+
+def test_the_parameter_check_finds_what_it_should():
+    source = ("def f(a, b, *args, c=1, _d=2, **kw):\n"
+              "    def g(e):\n        return a + c\n    b = 3\n    return g\n"
+              "class A:\n    def m(self, x, y):\n        return lambda z: y\n"
+              "    @classmethod\n    def k(cls, n=None):\n        return cls\n"
+              "key = lambda unused: 0\n")
+    assert unread_parameters(source) == [
+        "f(args)", "f(b)", "f(kw)", "g(e)", "k(n)", "m(x)"]
+
+
+RECORD_FORMAT = {"TRACE_KEYS", "LINE_FACTORIES"}
+NOT_TRACE = [path for path in PACKAGE if path.name != "trace.py"]
+
+
+def record_format_uses(source: str) -> list[str]:
+    """Each ``RECORD_FORMAT`` name ``source`` imports or names, and
+    ``json.encoder`` if it imports from it or reads it, sorted."""
+    used = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            used.update({node.module} & {"json.encoder"})
+        elif isinstance(node, ast.alias):
+            used.update({node.name} & (RECORD_FORMAT | {"json.encoder"}))
+        elif isinstance(node, ast.Name):
+            used.update({node.id} & RECORD_FORMAT)
+        elif isinstance(node, ast.Attribute):
+            used.update({node.attr} & RECORD_FORMAT)
+            if node.attr == "encoder" and getattr(node.value, "id", "") == "json":
+                used.add("json.encoder")
+    return sorted(used)
+
+
+@pytest.mark.parametrize("path", NOT_TRACE, ids=[p.name for p in NOT_TRACE])
+def test_only_trace_holds_the_record_format(path):
+    assert record_format_uses(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_record_format_check_finds_what_it_should():
+    assert record_format_uses(
+        "from json.encoder import encode_basestring_ascii\n"
+        "from .trace import TRACE_KEYS, render\n") \
+        == ["TRACE_KEYS", "json.encoder"]
+    assert record_format_uses(
+        "import json.encoder\nfrom . import trace\n"
+        "trace.LINE_FACTORIES['x']\n") == ["LINE_FACTORIES", "json.encoder"]
+    assert record_format_uses(
+        "import json\njson.encoder.c_make_encoder\n") == ["json.encoder"]
+    assert record_format_uses(
+        "import json\nfrom .trace import MSG_TEXT, render\n"
+        "json.dumps(MSG_TEXT)  # TRACE_KEYS\n") == []

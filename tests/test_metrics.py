@@ -3,7 +3,7 @@ sums latencies in seq order whatever order the deliveries came in."""
 
 from hmlbn.forwarding import DataPacket
 from hmlbn.messages import MobilePrefix
-from hmlbn.simulator import DROP_REASONS, Metrics
+from hmlbn.trace import DROP_REASONS, Metrics
 
 HOST = MobilePrefix.parse("10.1.1.1/32")
 

@@ -29,17 +29,12 @@ from hmlbn.messages import (
     canonical_encode,
 )
 from hmlbn.scenario import load_scenario, parse_scenario, validate_scenario
-from hmlbn.scenarios import BUNDLED_SCENARIOS
-from hmlbn.sequences import (
-    assert_sequence,
-    inter_area_pattern,
-    intra_area_pattern,
-    roles_from_graph,
-    startup_pattern,
-)
-from hmlbn.simulator import (MSG_TEXT, UPDATE_TYPE_TEXT, EventKind,
-                             Simulation, run_scenario)
+from hmlbn.scenarios import (BUNDLED_SCENARIOS, inter_area_pattern,
+                             intra_area_pattern, startup_pattern)
+from hmlbn.simulator import EventKind, Simulation, run_scenario
 from hmlbn.topology import NodeRole
+from hmlbn.trace import (MSG_TEXT, UPDATE_TYPE_TEXT, assert_sequence,
+                         roles_from_graph)
 
 from helpers import ctl_sends, run
 

@@ -13,13 +13,14 @@ from pathlib import Path
 
 import pytest
 
-from hmlbn import simulator
+from hmlbn import simulator, trace
 from hmlbn.forwarding import DataPacket
 from hmlbn.messages import MobilePrefix
 from hmlbn.scenario import load_scenario
 from hmlbn.scenarios import BUNDLED_SCENARIOS
-from hmlbn.simulator import LABEL_PAIR, TRACE_KEYS, Simulation, run_scenario
-from hmlbn.topology import NodeRole
+from hmlbn.simulator import Simulation, run_scenario
+from hmlbn.topology import NodeInfo, NodeRole
+from hmlbn.trace import LABEL_PAIR, TRACE_KEYS
 
 import helpers
 
@@ -297,7 +298,7 @@ def test_flat_records_render_as_their_dicts_did(render_midway):
 def test_traces_render_whole_across_chunk_boundaries(count):
     """Lines are joined 512 at a time; a trace of any length, every entry
     mixed, still renders as the dict encoder wrote it."""
-    assert simulator.CHUNK_LINES == 512
+    assert trace.CHUNK_LINES == 512
     sim = _fresh_sim()
     records = _record_all(sim, (HOT * (count // len(HOT) + 1))[:count])
     assert len(sim._records) == count
@@ -317,10 +318,10 @@ def test_line_factories_refuse_names_that_are_not_identifiers(name, where):
               "key": {"data_hop": ("flow", name)},
               "variant": {f"warn/{name}": ("what",)}}[where]
     with pytest.raises(ValueError, match="identifiers"):
-        simulator._line_factories(schema)
+        trace._line_factories(schema)
     with pytest.raises(ValueError, match="identifiers"):  # one "/" at most
-        simulator._line_factories({"warn/from/x": ("what",)})
-    assert simulator._line_factories({"data_hop": ("flow", "seq"),
+        trace._line_factories({"warn/from/x": ("what",)})
+    assert trace._line_factories({"data_hop": ("flow", "seq"),
                                       "warn/from": ("from", "what")})
 
 
@@ -462,19 +463,20 @@ def test_recurring_hops_render_whole_across_chunk_boundaries(count):
 def test_a_second_render_keeps_nothing_from_the_first():
     """Stems live for one ``trace_jsonl`` call: a router named after the
     first call is named in every line of the second, stemmed or not, and
-    nothing is left on the simulation or the module."""
+    nothing is left on the simulation or on either module."""
     sim = _fresh_sim()
     unnamed = ("unknown-id", "AMRR", "f9", 16, 17)
     first = _record_hops(sim, [(0.5, HOP_A, 0), (0.5, unnamed, 0),
                                (1.0, HOP_A, 1), (1.0, unnamed, 1)])
-    state = dict(vars(sim)), dict(vars(simulator))
+    state = dict(vars(sim)), dict(vars(simulator)), dict(vars(trace))
     assert sim.trace_jsonl() == _reference_jsonl(sim, first)
-    assert (dict(vars(sim)), dict(vars(simulator))) == state
+    assert (dict(vars(sim)), dict(vars(simulator)), dict(vars(trace))) == state
     more = _record_hops(sim, [(1.5, HOP_A, 2), (1.5, unnamed, 2),
                               (2.0, HOP_B, 0), (2.0, HOP_B, 1)])
-    assert sim.trace_jsonl() == _reference_jsonl(sim, first + more)
-    sim._names["unknown-id"] = "named-later"
+    unnamed_text = _reference_jsonl(sim, first + more)
+    assert sim.trace_jsonl() == unnamed_text
+    sim.graph.nodes["unknown-id"] = NodeInfo("named-later", NodeRole.LSR, 0)
     text = sim.trace_jsonl()
-    assert text == _reference_jsonl(sim, first + more).replace(
-        '"unknown-id"', '"named-later"')
+    assert text == unnamed_text.replace('"unknown-id"', '"named-later"') \
+        == _reference_jsonl(sim, first + more)
     assert text.count('"src": "named-later"') == 3
